@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 negative verdict (inequivalent, unrelated,
-ill-typed, failed laws), 2 parse error, 3 fuel exhausted, 64 usage.
+ill-typed, failed laws), 2 parse error, 3 fuel exhausted, 64 usage,
+70 internal error (any other exception, reported on one stderr line).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ EXIT_NO = 1
 EXIT_PARSE = 2
 EXIT_FUEL = 3
 EXIT_USAGE = 64
+EXIT_SOFTWARE = 70
 
 
 class _UsageError(Exception):
@@ -97,6 +99,10 @@ def run(argv: list[str]) -> int:
     except (ConfigError, _UsageError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as e:  # e.g. RecursionError on deeply nested input
+        detail = " ".join(str(e).split())
+        print(f"internal error: {type(e).__name__}: {detail}", file=sys.stderr)
+        return EXIT_SOFTWARE
 
 
 def _dispatch(args) -> int:

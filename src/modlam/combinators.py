@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
-from .errors import ConfigError, MalformedTermError, ParseError
+from .errors import ConfigError, MalformedTermError
 from .harness import (
     LawReport,
     ModuleInstance,
@@ -23,6 +23,7 @@ from .harness import (
     check_monad_morphism,
     fresh_name,
 )
+from .scan import end_of_input, expect, ident, skip_ws
 
 # ---------- derivation ----------
 
@@ -255,64 +256,40 @@ def double_and_swap(t: PtTerm) -> PtTerm:
 
 def parse_pt(text: str) -> PtTerm:
     pos = 0
-    n = len(text)
-
-    def skip_ws():
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    def peek() -> str:
-        return text[pos] if pos < n else ""
-
-    def ident() -> str:
-        nonlocal pos
-        start = pos
-        if pos >= n or not (text[pos].isalpha() or text[pos] == "_"):
-            raise ParseError("expected identifier", pos)
-        while pos < n and (text[pos].isalnum() or text[pos] in "_'"):
-            pos += 1
-        return text[start:pos]
 
     def atom() -> PtTerm:
         nonlocal pos
-        skip_ws()
-        if peek() == "(":
+        pos = skip_ws(text, pos)
+        if text.startswith("(", pos):
             pos += 1
             t = expr()
-            skip_ws()
-            if peek() != ")":
-                raise ParseError("expected ')'", pos)
-            pos += 1
+            pos = expect(text, pos, ")", "expected ')'")
             return t
-        return PVar(ident())
+        name, pos = ident(text, pos)
+        return PVar(name)
 
     def factor() -> PtTerm:
         nonlocal pos
         t = atom()
         while True:
-            skip_ws()
-            if peek() == "*":
-                pos += 1
-                t = Times(t, atom())
-            else:
+            pos = skip_ws(text, pos)
+            if not text.startswith("*", pos):
                 return t
+            pos += 1
+            t = Times(t, atom())
 
     def expr() -> PtTerm:
         nonlocal pos
         t = factor()
         while True:
-            skip_ws()
-            if peek() == "+":
-                pos += 1
-                t = Plus(t, factor())
-            else:
+            pos = skip_ws(text, pos)
+            if not text.startswith("+", pos):
                 return t
+            pos += 1
+            t = Plus(t, factor())
 
     out = expr()
-    skip_ws()
-    if pos != n:
-        raise ParseError("trailing input", pos)
+    end_of_input(text, pos)
     return out
 
 

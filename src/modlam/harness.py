@@ -17,7 +17,7 @@ inconclusive.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from typing import Any, Callable, Iterable, Mapping, Optional
 
@@ -244,6 +244,11 @@ def combine_reports(suite: str, instance: str, reports: Iterable[LawReport]) -> 
 
 
 # ---------- the sampling engine ----------
+#
+# Every checker is a generator of input tuples plus a list of
+# (law name, property) pairs; a property returns None when its law
+# holds on the inputs and a counterexample otherwise.  Properties render
+# their inputs only after a comparison has failed.
 
 
 def _sample_rng(seed: int, index: Any) -> random.Random:
@@ -251,47 +256,63 @@ def _sample_rng(seed: int, index: Any) -> random.Random:
     return random.Random(f"{seed}:{index}")
 
 
-class _LawState:
-    __slots__ = ("name", "checked", "skipped", "counterexample")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.checked = 0
-        self.skipped = 0
-        self.counterexample: Optional[Counterexample] = None
-
-    def run(self, where: str, thunk: Callable[[], Optional[Counterexample]]) -> None:
-        if self.counterexample is not None:
-            return
-        try:
-            ce = thunk()
-        except (FuelExhausted, RecursionError):
-            self.skipped += 1
-            return
-        if ce is None:
-            self.checked += 1
-        else:
-            self.counterexample = Counterexample(
-                where, ce.inputs, ce.lhs, ce.rhs
-            )
-
-    def skip(self) -> None:
-        if self.counterexample is None:
-            self.skipped += 1
-
-    def done(self) -> LawCheck:
-        return LawCheck(self.name, self.checked, self.skipped, self.counterexample)
-
-
-def _ce(inputs: tuple[tuple[str, str], ...], lhs: str, rhs: str) -> Counterexample:
-    return Counterexample("", inputs, lhs, rhs)
-
-
 def counterexample(
     inputs: tuple[tuple[str, str], ...], lhs: str, rhs: str
 ) -> Counterexample:
-    """Build a counterexample for a bespoke sampled_law property."""
-    return _ce(inputs, lhs, rhs)
+    """Build a counterexample for a property; the loop fills in where."""
+    return Counterexample("", inputs, lhs, rhs)
+
+
+def _refuted(inst: Any, lhs: Any, rhs: Any, *inputs: tuple[str, str]) -> Counterexample:
+    # The two sides of a failed square, printed by the instance compared.
+    return Counterexample("", inputs, inst.show_value(lhs), inst.show_value(rhs))
+
+
+_MISSES = (FuelExhausted, RecursionError)
+
+
+def _sweep(
+    key: str,
+    samples: int,
+    seed: int,
+    gen: Callable[[random.Random], tuple],
+    laws: list[tuple[str, Callable[..., Optional[Counterexample]]]],
+    probes: tuple = (),
+) -> tuple[LawCheck, ...]:
+    """The one sampling loop.  Probes run first; then sample i draws its
+    inputs from the sub-generator keyed "{key}:{i}" and every law runs on
+    them.  A draw that runs out of fuel or stack skips the sample for
+    every law; a law stops at its first counterexample."""
+    checked = [0] * len(laws)
+    skipped = [0] * len(laws)
+    found: list[Optional[Counterexample]] = [None] * len(laws)
+    for i in range(-len(probes), samples):
+        if i < 0:
+            where, inputs = f"probe {i + len(probes)}", probes[i]
+        else:
+            where = f"sample {i}"
+            try:
+                inputs = gen(_sample_rng(seed, f"{key}:{i}"))
+            except _MISSES:
+                inputs = None
+        for k, (_, prop) in enumerate(laws):
+            if found[k] is not None:
+                continue
+            if inputs is None:
+                skipped[k] += 1
+                continue
+            try:
+                ce = prop(*inputs)
+            except _MISSES:
+                skipped[k] += 1
+                continue
+            if ce is None:
+                checked[k] += 1
+            else:
+                found[k] = Counterexample(where, ce.inputs, ce.lhs, ce.rhs)
+    return tuple(
+        LawCheck(name, checked[k], skipped[k], found[k]) for k, (name, _) in enumerate(laws)
+    )
 
 
 def sampled_law(
@@ -305,18 +326,7 @@ def sampled_law(
     """Run a bespoke one-off law: gen draws an input tuple, prop returns
     None on success or a counterexample.  Fuel exhaustion in either is a
     skip, as in the stock suites."""
-    state = _LawState(name)
-    for j, inputs in enumerate(probes):
-        state.run(f"probe {j}", lambda inputs=inputs: prop(*inputs))
-    for i in range(samples):
-        rng = _sample_rng(seed, f"{name}:{i}")
-        try:
-            inputs = gen(rng)
-        except (FuelExhausted, RecursionError):
-            state.skip()
-            continue
-        state.run(f"sample {i}", lambda inputs=inputs: prop(*inputs))
-    return state.done()
+    return _sweep(name, samples, seed, gen, [(name, prop)], probes)[0]
 
 
 def check_monad_laws(m: MonadInstance, samples: int = 1000, seed: int = 0) -> LawReport:
@@ -326,62 +336,42 @@ def check_monad_laws(m: MonadInstance, samples: int = 1000, seed: int = 0) -> La
     bind-unit:  bind f . unit    =  f
     unit-bind:  bind unit        =  id
     """
-    bind_bind = _LawState("bind-bind")
-    bind_unit = _LawState("bind-unit")
-    unit_bind = _LawState("unit-bind")
 
-    for i in range(samples):
-        rng = _sample_rng(seed, f"monad:{i}")
-        try:
-            x = m.gen_value(rng)
-            f = m.gen_subst(rng)
-            g = m.gen_subst(rng)
-            a = m.names[rng.randrange(len(m.names))]
-        except (FuelExhausted, RecursionError):
-            for state in (bind_bind, bind_unit, unit_bind):
-                state.skip()
-            continue
-        where = f"sample {i}"
+    def gen(rng):
+        x = m.gen_value(rng)
+        f = m.gen_subst(rng)
+        g = m.gen_subst(rng)
+        return x, f, g, m.names[rng.randrange(len(m.names))]
 
-        def law_bind_bind():
-            lhs = m.bind(g, m.bind(f, x))
-            rhs = m.bind(compose_subst(m, f, g), x)
-            if m.equal(lhs, rhs):
-                return None
-            return _ce(
-                (
-                    ("value", m.show_value(x)),
-                    ("subst f", show_subst(m, f)),
-                    ("subst g", show_subst(m, g)),
-                ),
-                m.show_value(lhs),
-                m.show_value(rhs),
-            )
+    def bind_bind(x, f, g, a):
+        lhs = m.bind(g, m.bind(f, x))
+        rhs = m.bind(compose_subst(m, f, g), x)
+        if m.equal(lhs, rhs):
+            return None
+        return _refuted(
+            m,
+            lhs,
+            rhs,
+            ("value", m.show_value(x)),
+            ("subst f", show_subst(m, f)),
+            ("subst g", show_subst(m, g)),
+        )
 
-        def law_bind_unit():
-            lhs = m.bind(f, m.unit(a))
-            rhs = subst_total(m, f, a)
-            if m.equal(lhs, rhs):
-                return None
-            return _ce(
-                (("name", m.show_name(a)), ("subst f", show_subst(m, f))),
-                m.show_value(lhs),
-                m.show_value(rhs),
-            )
+    def bind_unit(x, f, g, a):
+        lhs = m.bind(f, m.unit(a))
+        rhs = subst_total(m, f, a)
+        if m.equal(lhs, rhs):
+            return None
+        return _refuted(m, lhs, rhs, ("name", m.show_name(a)), ("subst f", show_subst(m, f)))
 
-        def law_unit_bind():
-            lhs = m.bind({}, x)
-            if m.equal(lhs, x):
-                return None
-            return _ce((("value", m.show_value(x)),), m.show_value(lhs), m.show_value(x))
+    def unit_bind(x, f, g, a):
+        lhs = m.bind({}, x)
+        if m.equal(lhs, x):
+            return None
+        return _refuted(m, lhs, x, ("value", m.show_value(x)))
 
-        bind_bind.run(where, law_bind_bind)
-        bind_unit.run(where, law_bind_unit)
-        unit_bind.run(where, law_unit_bind)
-
-    return LawReport(
-        "monad", m.name, samples, seed, (bind_bind.done(), bind_unit.done(), unit_bind.done())
-    )
+    laws = [("bind-bind", bind_bind), ("bind-unit", bind_unit), ("unit-bind", unit_bind)]
+    return LawReport("monad", m.name, samples, seed, _sweep("monad", samples, seed, gen, laws))
 
 
 def check_module_laws(mod: ModuleInstance, samples: int = 1000, seed: int = 0) -> LawReport:
@@ -391,50 +381,33 @@ def check_module_laws(mod: ModuleInstance, samples: int = 1000, seed: int = 0) -
     unit-mbind:   mbind unit         =  id
     """
     m = mod.monad
-    mbind_mbind = _LawState("mbind-mbind")
-    unit_mbind = _LawState("unit-mbind")
 
-    for i in range(samples):
-        rng = _sample_rng(seed, f"module:{i}")
-        try:
-            x = mod.gen_value(rng)
-            f = m.gen_subst(rng)
-            g = m.gen_subst(rng)
-        except (FuelExhausted, RecursionError):
-            mbind_mbind.skip()
-            unit_mbind.skip()
-            continue
-        where = f"sample {i}"
+    def gen(rng):
+        x = mod.gen_value(rng)
+        return x, m.gen_subst(rng), m.gen_subst(rng)
 
-        def law_mbind_mbind():
-            lhs = mod.mbind(g, mod.mbind(f, x))
-            rhs = mod.mbind(compose_subst(m, f, g), x)
-            if mod.equal(lhs, rhs):
-                return None
-            return _ce(
-                (
-                    ("value", mod.show_value(x)),
-                    ("subst f", show_subst(m, f)),
-                    ("subst g", show_subst(m, g)),
-                ),
-                mod.show_value(lhs),
-                mod.show_value(rhs),
-            )
+    def mbind_mbind(x, f, g):
+        lhs = mod.mbind(g, mod.mbind(f, x))
+        rhs = mod.mbind(compose_subst(m, f, g), x)
+        if mod.equal(lhs, rhs):
+            return None
+        return _refuted(
+            mod,
+            lhs,
+            rhs,
+            ("value", mod.show_value(x)),
+            ("subst f", show_subst(m, f)),
+            ("subst g", show_subst(m, g)),
+        )
 
-        def law_unit_mbind():
-            lhs = mod.mbind({}, x)
-            if mod.equal(lhs, x):
-                return None
-            return _ce(
-                (("value", mod.show_value(x)),), mod.show_value(lhs), mod.show_value(x)
-            )
+    def unit_mbind(x, f, g):
+        lhs = mod.mbind({}, x)
+        if mod.equal(lhs, x):
+            return None
+        return _refuted(mod, lhs, x, ("value", mod.show_value(x)))
 
-        mbind_mbind.run(where, law_mbind_mbind)
-        unit_mbind.run(where, law_unit_mbind)
-
-    return LawReport(
-        "module", mod.name, samples, seed, (mbind_mbind.done(), unit_mbind.done())
-    )
+    laws = [("mbind-mbind", mbind_mbind), ("unit-mbind", unit_mbind)]
+    return LawReport("module", mod.name, samples, seed, _sweep("module", samples, seed, gen, laws))
 
 
 def check_linearity(
@@ -458,32 +431,22 @@ def check_linearity(
             f"linearity needs a shared base monad, got {src.monad.name} and {dst.monad.name}"
         )
     m = src.monad
-    state = _LawState(name)
+
+    def gen(rng):
+        s = m.gen_subst(rng)
+        return s, src.gen_value(rng)
 
     def square(s, x):
         lhs = tau(src.mbind(s, x))
         rhs = dst.mbind(s, tau(x))
         if dst.equal(lhs, rhs):
             return None
-        return _ce(
-            (("value", src.show_value(x)), ("substitution", show_subst(m, s))),
-            dst.show_value(lhs),
-            dst.show_value(rhs),
+        return _refuted(
+            dst, lhs, rhs, ("value", src.show_value(x)), ("substitution", show_subst(m, s))
         )
 
-    for j, (s, x) in enumerate(probes):
-        state.run(f"probe {j}", lambda s=s, x=x: square(s, x))
-    for i in range(samples):
-        rng = _sample_rng(seed, f"linearity:{name}:{i}")
-        try:
-            s = m.gen_subst(rng)
-            x = src.gen_value(rng)
-        except (FuelExhausted, RecursionError):
-            state.skip()
-            continue
-        state.run(f"sample {i}", lambda s=s, x=x: square(s, x))
-
-    return LawReport("linearity", f"{src.name} -> {dst.name}", samples, seed, (state.done(),))
+    checks = _sweep(f"linearity:{name}", samples, seed, gen, [(name, square)], probes)
+    return LawReport("linearity", f"{src.name} -> {dst.name}", samples, seed, checks)
 
 
 def check_monad_morphism(
@@ -495,43 +458,31 @@ def check_monad_morphism(
     morphism-bind:  f (bind_src s x)   =  bind_dst (f . s) (f x)
     """
     src, dst = f.src, f.dst
-    unit_sq = _LawState("morphism-unit")
-    bind_sq = _LawState("morphism-bind")
 
-    for i in range(samples):
-        rng = _sample_rng(seed, f"morphism:{f.name}:{i}")
-        try:
-            x = src.gen_value(rng)
-            s = src.gen_subst(rng)
-            a = src.names[rng.randrange(len(src.names))]
-        except (FuelExhausted, RecursionError):
-            unit_sq.skip()
-            bind_sq.skip()
-            continue
-        where = f"sample {i}"
+    def gen(rng):
+        x = src.gen_value(rng)
+        s = src.gen_subst(rng)
+        return x, s, src.names[rng.randrange(len(src.names))]
 
-        def law_unit():
-            lhs = f.map(src.unit(a))
-            rhs = dst.unit(a)
-            if dst.equal(lhs, rhs):
-                return None
-            return _ce((("name", src.show_name(a)),), dst.show_value(lhs), dst.show_value(rhs))
+    def unit_square(x, s, a):
+        lhs = f.map(src.unit(a))
+        rhs = dst.unit(a)
+        if dst.equal(lhs, rhs):
+            return None
+        return _refuted(dst, lhs, rhs, ("name", src.show_name(a)))
 
-        def law_bind():
-            lhs = f.map(src.bind(s, x))
-            rhs = dst.bind({k: f.map(v) for k, v in s.items()}, f.map(x))
-            if dst.equal(lhs, rhs):
-                return None
-            return _ce(
-                (("value", src.show_value(x)), ("substitution", show_subst(src, s))),
-                dst.show_value(lhs),
-                dst.show_value(rhs),
-            )
+    def bind_square(x, s, a):
+        lhs = f.map(src.bind(s, x))
+        rhs = dst.bind({k: f.map(v) for k, v in s.items()}, f.map(x))
+        if dst.equal(lhs, rhs):
+            return None
+        return _refuted(
+            dst, lhs, rhs, ("value", src.show_value(x)), ("substitution", show_subst(src, s))
+        )
 
-        unit_sq.run(where, law_unit)
-        bind_sq.run(where, law_bind)
-
-    return LawReport("morphism", f.name, samples, seed, (unit_sq.done(), bind_sq.done()))
+    laws = [("morphism-unit", unit_square), ("morphism-bind", bind_square)]
+    checks = _sweep(f"morphism:{f.name}", samples, seed, gen, laws)
+    return LawReport("morphism", f.name, samples, seed, checks)
 
 
 def algebra_check(alg: MonoidAlgebra, samples: int = 1000, seed: int = 0) -> LawReport:
@@ -540,42 +491,33 @@ def algebra_check(alg: MonoidAlgebra, samples: int = 1000, seed: int = 0) -> Law
     algebra-unit:    action [x]            =  x
     algebra-square:  action (concat xss)   =  action (map action xss)
     """
-    unit_law = _LawState("algebra-unit")
-    square_law = _LawState("algebra-square")
 
     def show_list(xs):
         return "[" + ", ".join(alg.show_value(x) for x in xs) + "]"
 
-    for i in range(samples):
-        rng = _sample_rng(seed, f"algebra:{i}")
+    def gen(rng):
         x = alg.gen_element(rng)
         xss = [
             [alg.gen_element(rng) for _ in range(rng.randrange(4))]
             for _ in range(rng.randrange(4))
         ]
-        where = f"sample {i}"
+        return x, xss
 
-        def law_unit():
-            lhs = alg.action([x])
-            if alg.equal(lhs, x):
-                return None
-            return _ce((("element", alg.show_value(x)),), alg.show_value(lhs), alg.show_value(x))
+    def unit_law(x, xss):
+        lhs = alg.action([x])
+        if alg.equal(lhs, x):
+            return None
+        return _refuted(alg, lhs, x, ("element", alg.show_value(x)))
 
-        def law_square():
-            flat = [y for xs in xss for y in xs]
-            lhs = alg.action(flat)
-            rhs = alg.action([alg.action(xs) for xs in xss])
-            if alg.equal(lhs, rhs):
-                return None
-            return _ce(
-                (("lists", "[" + ", ".join(show_list(xs) for xs in xss) + "]"),),
-                alg.show_value(lhs),
-                alg.show_value(rhs),
-            )
+    def square_law(x, xss):
+        lhs = alg.action([y for xs in xss for y in xs])
+        rhs = alg.action([alg.action(xs) for xs in xss])
+        if alg.equal(lhs, rhs):
+            return None
+        return _refuted(
+            alg, lhs, rhs, ("lists", "[" + ", ".join(show_list(xs) for xs in xss) + "]")
+        )
 
-        unit_law.run(where, law_unit)
-        square_law.run(where, law_square)
-
-    return LawReport(
-        "algebra", alg.name, samples, seed, (unit_law.done(), square_law.done())
-    )
+    laws = [("algebra-unit", unit_law), ("algebra-square", square_law)]
+    checks = _sweep("algebra", samples, seed, gen, laws)
+    return LawReport("algebra", alg.name, samples, seed, checks)

@@ -21,9 +21,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Mapping, Optional
 
-from .errors import ConfigError, MalformedTermError, ParseError
+from .errors import ConfigError, MalformedTermError
 from .fuel import DEFAULT_FUEL, Fuel, FuelExhausted
-from .harness import MonadInstance, ModuleInstance, fresh_name
+from .harness import MonadInstance, ModuleInstance
+from .scan import end_of_input, expect, ident, skip_ws
 from .terms import Bound, Free, Op, ScopedTerm, Signature, Var, bvar, fvar
 
 
@@ -36,6 +37,14 @@ class App:
 @dataclass(frozen=True)
 class Abs:
     body: "LcTerm"
+
+    # The engine rebuilds an abstraction through the node itself, so a
+    # subclass carrying binder data (the typed calculus) keeps it across
+    # every shift, substitution and reduction step.
+    annotation = ""  # printed after the binder name
+
+    def with_body(self, body: "LcTerm") -> "Abs":
+        return Abs(body)
 
 
 LcTerm = Var | App | Abs
@@ -95,7 +104,7 @@ def shift(t: LcTerm, by: int = 1, cutoff: int = 0) -> LcTerm:
         case App(f, a):
             return App(shift(f, by, cutoff), shift(a, by, cutoff))
         case Abs(b):
-            return Abs(shift(b, by, cutoff + 1))
+            return t.with_body(shift(b, by, cutoff + 1))
     raise MalformedTermError(f"not a lambda term: {t!r}")
 
 
@@ -117,7 +126,7 @@ def subst(s: Mapping[str, LcTerm], t: LcTerm, depth: int = 0) -> LcTerm:
         case App(f, a):
             return App(subst(s, f, depth), subst(s, a, depth))
         case Abs(b):
-            return Abs(subst(s, b, depth + 1))
+            return t.with_body(subst(s, b, depth + 1))
     raise MalformedTermError(f"not a lambda term: {t!r}")
 
 
@@ -142,7 +151,7 @@ def subst0(t: LcTerm, u: LcTerm) -> LcTerm:
             case App(f, a):
                 return App(go(f, j), go(a, j))
             case Abs(b):
-                return Abs(go(b, j + 1))
+                return t.with_body(go(b, j + 1))
         raise MalformedTermError(f"not a lambda term: {t!r}")
 
     return go(t, 0)
@@ -177,7 +186,7 @@ def beta_step(t: LcTerm) -> Optional[LcTerm]:
             return App(f, a2) if a2 is not None else None
         case Abs(b):
             b2 = beta_step(b)
-            return Abs(b2) if b2 is not None else None
+            return t.with_body(b2) if b2 is not None else None
         case _:
             return None
 
@@ -205,7 +214,7 @@ def eta_step(t: LcTerm) -> Optional[LcTerm]:
             return App(f, a2) if a2 is not None else None
         case Abs(b):
             b2 = eta_step(b)
-            return Abs(b2) if b2 is not None else None
+            return t.with_body(b2) if b2 is not None else None
         case _:
             return None
 
@@ -249,14 +258,16 @@ class NfTerm:
             raise ValueError("term is not eta-reduced")
 
 
-def normalize(t: LcTerm, fuel: Fuel | int = DEFAULT_FUEL) -> NfTerm:
+def reduce_to_normal(
+    t: LcTerm, fuel: Fuel | int = DEFAULT_FUEL, seal: Callable[[LcTerm], Any] = lambda t: t
+) -> Any:
     """Reduce to beta normal form (leftmost-outermost), then eta-contract
-    to a fixed point.  Spends one fuel unit per rewrite step and raises
-    FuelExhausted when the budget runs out.
+    to a fixed point, and hand the result to seal.  Spends one fuel unit
+    per rewrite step and raises FuelExhausted when the budget runs out.
 
     A term that outgrows the interpreter's recursion limit before its
-    budget is also reported as exhaustion: the stack is a resource
-    ceiling of the same kind as the step budget.
+    budget (sealing included) is also reported as exhaustion: the stack
+    is a resource ceiling of the same kind as the step budget.
     """
     budget = Fuel.coerce(fuel)
     try:
@@ -266,9 +277,14 @@ def normalize(t: LcTerm, fuel: Fuel | int = DEFAULT_FUEL) -> NfTerm:
         while (t2 := eta_step(t)) is not None:
             budget.spend()
             t = t2
-        return NfTerm(t)
+        return seal(t)
     except RecursionError:
         raise FuelExhausted("term outgrew the recursion limit") from None
+
+
+def normalize(t: LcTerm, fuel: Fuel | int = DEFAULT_FUEL) -> NfTerm:
+    """The certified beta-eta normal form (see reduce_to_normal)."""
+    return reduce_to_normal(t, fuel, NfTerm)
 
 
 class Equivalence(Enum):
@@ -417,7 +433,7 @@ def step_successors(t: LcTerm) -> list[LcTerm]:
             contracted = _eta_contract(t)
             if contracted is not None:
                 out.append(contracted)
-            out.extend(Abs(b2) for b2 in step_successors(b))
+            out.extend(t.with_body(b2) for b2 in step_successors(b))
     return out
 
 
@@ -485,69 +501,59 @@ def from_scoped(t: ScopedTerm) -> LcTerm:
 
 
 def parse(text: str) -> LcTerm:
+    return parse_binding(text, _bare_binder, fvar)
+
+
+def _bare_binder(text: str, pos: int) -> tuple[Callable[[LcTerm], Abs], int]:
+    return Abs, expect(text, pos, ".", "expected '.' after binder")
+
+
+def parse_binding(
+    text: str,
+    binder: Callable[[str, int], tuple[Callable[[LcTerm], Abs], int]],
+    free: Callable[[str], LcTerm],
+) -> LcTerm:
+    """The grammar above, shared with the typed calculus: binder reads
+    what follows a binder's name up to its body and returns the
+    abstraction's constructor with the position after it; free builds a
+    free variable from its name."""
     pos = 0
-    n = len(text)
-
-    def skip_ws():
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    def peek() -> str:
-        return text[pos] if pos < n else ""
-
-    def ident() -> str:
-        nonlocal pos
-        start = pos
-        if pos >= n or not (text[pos].isalpha() or text[pos] == "_"):
-            raise ParseError("expected identifier", pos)
-        while pos < n and (text[pos].isalnum() or text[pos] in "_'"):
-            pos += 1
-        return text[start:pos]
 
     def term(binders: tuple[str, ...]) -> LcTerm:
         nonlocal pos
-        skip_ws()
-        if peek() in ("\\", "λ"):
-            pos += 1
-            skip_ws()
-            name = ident()
-            skip_ws()
-            if peek() != ".":
-                raise ParseError("expected '.' after binder", pos)
-            pos += 1
-            return Abs(term((name,) + binders))
+        pos = skip_ws(text, pos)
+        if text.startswith(("\\", "λ"), pos):
+            name, pos = ident(text, skip_ws(text, pos + 1))
+            make, pos = binder(text, pos)
+            return make(term((name,) + binders))
         return app(binders)
 
     def app(binders: tuple[str, ...]) -> LcTerm:
+        nonlocal pos
         t = atom(binders)
         while True:
-            skip_ws()
-            if peek() and (peek().isalpha() or peek() in "(_"):
+            pos = skip_ws(text, pos)
+            c = text[pos : pos + 1]
+            if c and (c.isalpha() or c in "(_"):
                 t = App(t, atom(binders))
             else:
                 return t
 
     def atom(binders: tuple[str, ...]) -> LcTerm:
         nonlocal pos
-        skip_ws()
-        if peek() == "(":
+        pos = skip_ws(text, pos)
+        if text.startswith("(", pos):
             pos += 1
             t = term(binders)
-            skip_ws()
-            if peek() != ")":
-                raise ParseError("expected ')'", pos)
-            pos += 1
+            pos = expect(text, pos, ")", "expected ')'")
             return t
-        name = ident()
+        name, pos = ident(text, pos)
         if name in binders:
             return bvar(binders.index(name))
-        return fvar(name)
+        return free(name)
 
     out = term(())
-    skip_ws()
-    if pos != n:
-        raise ParseError("trailing input", pos)
+    end_of_input(text, pos)
     return out
 
 
@@ -581,7 +587,7 @@ def show(t: LcTerm, debruijn: bool = False) -> str:
                 return f"({s})" if level > 1 else s
             case Abs(b):
                 name = next_name()
-                s = f"\\{name}. {go(b, 0, (name,) + binders)}"
+                s = f"\\{name}{t.annotation}. {go(b, 0, (name,) + binders)}"
                 return f"({s})" if level > 0 else s
         raise MalformedTermError(f"not a lambda term: {t!r}")
 

@@ -15,10 +15,11 @@ dangling index plays the role of a fresh variable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional
 
 from .errors import ConfigError, MalformedTermError, ParseError
+from .scan import end_of_input, nat, skip_ws, word
 
 # ---------- variables ----------
 
@@ -296,51 +297,30 @@ def parse_sexpr(sig: Signature, text: str) -> ScopedTerm:
     pos = 0
     n = len(text)
 
-    def skip_ws():
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    def ident() -> str:
-        nonlocal pos
-        start = pos
-        while pos < n and (text[pos].isalnum() or text[pos] in "_'"):
-            pos += 1
-        if pos == start:
-            raise ParseError("expected identifier", start)
-        return text[start:pos]
-
     def term() -> ScopedTerm:
         nonlocal pos
-        skip_ws()
+        pos = skip_ws(text, pos)
         if pos >= n:
             raise ParseError("unexpected end of input", pos)
         c = text[pos]
         if c == "#":
-            pos += 1
-            start = pos
-            while pos < n and text[pos].isdigit():
-                pos += 1
-            if pos == start:
-                raise ParseError("expected index after '#'", start)
-            return bvar(int(text[start:pos]))
+            k, pos = nat(text, pos + 1, "expected index after '#'")
+            return bvar(k)
         if c == "(":
-            pos += 1
-            skip_ws()
-            at = pos
-            name = ident()
+            at = skip_ws(text, pos + 1)
+            name, pos = word(text, at)
             try:
                 op = sig.index(name)
             except KeyError:
                 raise ParseError(f"unknown operator {name!r}", at) from None
             args = []
             while True:
-                skip_ws()
-                if pos < n and text[pos] == ")":
-                    pos += 1
-                    break
+                pos = skip_ws(text, pos)
                 if pos >= n:
                     raise ParseError("expected ')'", pos)
+                if text[pos] == ")":
+                    pos += 1
+                    break
                 args.append(term())
             if len(args) != len(sig.arity(op)):
                 raise ParseError(
@@ -348,12 +328,11 @@ def parse_sexpr(sig: Signature, text: str) -> ScopedTerm:
                     at,
                 )
             return Op(op, tuple(args))
-        return fvar(ident())
+        name, pos = word(text, pos)
+        return fvar(name)
 
     out = term()
-    skip_ws()
-    if pos != n:
-        raise ParseError("trailing input", pos)
+    end_of_input(text, pos)
     return out
 
 

@@ -2,19 +2,21 @@
 
 Both syntaxes live over fibered alphabets: a typed free variable pairs a
 name with a declared type (or sort), and substitution is checked to
-preserve the fiber.  The calculus reuses the nameless-bound discipline
-of the untyped module, with each abstraction recording its binder type
-so checking is syntax-directed.
+preserve the fiber.  Typed terms are terms of the untyped module whose
+free variables carry types and whose abstractions record their binder
+types, so checking is syntax-directed while shifting, reduction and
+printing run on the untyped engine unchanged.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Any, Mapping, Optional
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable, Mapping, Optional
 
 from .errors import MalformedTermError, ParseError, TypeCheckError
-from .fuel import DEFAULT_FUEL, Fuel, FuelExhausted
+from .fuel import DEFAULT_FUEL, Fuel
 from .harness import (
     LawReport,
     ModuleInstance,
@@ -24,7 +26,19 @@ from .harness import (
     sampled_law,
     show_subst,
 )
-from .terms import Bound
+from .lam import (
+    Abs,
+    App,
+    beta_step,
+    eta_step,
+    parse_binding,
+    reduce_to_normal,
+    shift,
+    show,
+    size,
+)
+from .scan import end_of_input, expect, ident, nat, skip_ws
+from .terms import Bound, Free, Var
 
 # ---------- simple types ----------
 
@@ -61,42 +75,42 @@ def show_type(t: SimpleType) -> str:
 
 
 @dataclass(frozen=True)
-class TFree:
+class TFree(Free):
     """A free variable with its declared type."""
 
-    name: str
     type: SimpleType
 
 
-@dataclass(frozen=True)
-class TVar:
-    ref: TFree | Bound
+TVar = Var
+TApp = App
 
 
-@dataclass(frozen=True)
-class TApp:
-    fun: "StlcTerm"
-    arg: "StlcTerm"
+@dataclass(frozen=True, init=False)
+class TAbs(Abs):
+    """An abstraction with its binder type; built and matched as
+    TAbs(binder_type, body)."""
 
-
-@dataclass(frozen=True)
-class TAbs:
     binder_type: SimpleType
-    body: "StlcTerm"
+    __match_args__ = ("binder_type", "body")
+
+    def __init__(self, binder_type: SimpleType, body: "StlcTerm"):
+        object.__setattr__(self, "binder_type", binder_type)
+        object.__setattr__(self, "body", body)
+
+    def with_body(self, body: "StlcTerm") -> "TAbs":
+        return TAbs(self.binder_type, body)
+
+    @property
+    def annotation(self) -> str:
+        return ":" + show_type(self.binder_type)
 
 
 StlcTerm = TVar | TApp | TAbs
 
-
-def stlc_size(t: StlcTerm) -> int:
-    match t:
-        case TVar(_):
-            return 1
-        case TApp(f, a):
-            return 1 + stlc_size(f) + stlc_size(a)
-        case TAbs(_, b):
-            return 1 + stlc_size(b)
-    raise MalformedTermError(f"not a typed term: {t!r}")
+# lam's operations, under their typed names
+stlc_size = size
+stlc_beta_step = beta_step
+stlc_eta_step = eta_step
 
 
 def typed_frees(t: StlcTerm) -> set[TFree]:
@@ -163,19 +177,6 @@ def type_of(t: StlcTerm) -> SimpleType:
     return typecheck(ctx, t)
 
 
-def stlc_shift(t: StlcTerm, by: int = 1, cutoff: int = 0) -> StlcTerm:
-    match t:
-        case TVar(Bound(k)):
-            return TVar(Bound(k + by)) if k >= cutoff else t
-        case TVar(_):
-            return t
-        case TApp(f, a):
-            return TApp(stlc_shift(f, by, cutoff), stlc_shift(a, by, cutoff))
-        case TAbs(ty, b):
-            return TAbs(ty, stlc_shift(b, by, cutoff + 1))
-    raise MalformedTermError(f"not a typed term: {t!r}")
-
-
 def stlc_subst(s: Mapping[str, StlcTerm], t: StlcTerm) -> StlcTerm:
     """Type-checked substitution of free names.
 
@@ -193,7 +194,7 @@ def stlc_subst(s: Mapping[str, StlcTerm], t: StlcTerm) -> StlcTerm:
                             f"image for {name!r} has type {show_type(image_types[name])}, "
                             f"occurrence declares {show_type(ty)}"
                         )
-                    return stlc_shift(s[name], depth) if depth else s[name]
+                    return shift(s[name], depth) if depth else s[name]
                 return t
             case TVar(Bound(_)):
                 return t
@@ -206,104 +207,16 @@ def stlc_subst(s: Mapping[str, StlcTerm], t: StlcTerm) -> StlcTerm:
     return go(t, 0)
 
 
-def stlc_subst0(t: StlcTerm, u: StlcTerm) -> StlcTerm:
-    def go(t: StlcTerm, j: int) -> StlcTerm:
-        match t:
-            case TVar(Bound(k)):
-                if k == j:
-                    return stlc_shift(u, j) if j else u
-                if k > j:
-                    return TVar(Bound(k - 1))
-                return t
-            case TVar(_):
-                return t
-            case TApp(f, a):
-                return TApp(go(f, j), go(a, j))
-            case TAbs(ty, b):
-                return TAbs(ty, go(b, j + 1))
-        raise MalformedTermError(f"not a typed term: {t!r}")
-
-    return go(t, 0)
-
-
-def stlc_uses_bound(t: StlcTerm, index: int) -> bool:
-    match t:
-        case TVar(Bound(k)):
-            return k == index
-        case TVar(_):
-            return False
-        case TApp(f, a):
-            return stlc_uses_bound(f, index) or stlc_uses_bound(a, index)
-        case TAbs(_, b):
-            return stlc_uses_bound(b, index + 1)
-    raise MalformedTermError(f"not a typed term: {t!r}")
-
-
-def stlc_beta_step(t: StlcTerm) -> Optional[StlcTerm]:
-    match t:
-        case TApp(TAbs(_, b), a):
-            return stlc_subst0(b, a)
-        case TApp(f, a):
-            f2 = stlc_beta_step(f)
-            if f2 is not None:
-                return TApp(f2, a)
-            a2 = stlc_beta_step(a)
-            return TApp(f, a2) if a2 is not None else None
-        case TAbs(ty, b):
-            b2 = stlc_beta_step(b)
-            return TAbs(ty, b2) if b2 is not None else None
-        case _:
-            return None
-
-
-def _stlc_eta_contract(t: StlcTerm) -> Optional[StlcTerm]:
-    match t:
-        case TAbs(_, TApp(u, TVar(Bound(0)))) if not stlc_uses_bound(u, 0):
-            return stlc_shift(u, -1)
-        case _:
-            return None
-
-
-def stlc_eta_step(t: StlcTerm) -> Optional[StlcTerm]:
-    contracted = _stlc_eta_contract(t)
-    if contracted is not None:
-        return contracted
-    match t:
-        case TApp(f, a):
-            f2 = stlc_eta_step(f)
-            if f2 is not None:
-                return TApp(f2, a)
-            a2 = stlc_eta_step(a)
-            return TApp(f, a2) if a2 is not None else None
-        case TAbs(ty, b):
-            b2 = stlc_eta_step(b)
-            return TAbs(ty, b2) if b2 is not None else None
-        case _:
-            return None
-
-
 def stlc_normalize(t: StlcTerm, fuel: Fuel | int = DEFAULT_FUEL) -> StlcTerm:
-    """Leftmost-outermost beta to normal form, then eta to a fixed point.
-
-    Outgrowing the interpreter's recursion limit counts as exhaustion,
-    as in the untyped normalizer."""
-    budget = Fuel.coerce(fuel)
-    try:
-        while (t2 := stlc_beta_step(t)) is not None:
-            budget.spend()
-            t = t2
-        while (t2 := stlc_eta_step(t)) is not None:
-            budget.spend()
-            t = t2
-        return t
-    except RecursionError:
-        raise FuelExhausted("term outgrew the recursion limit") from None
+    """Leftmost-outermost beta to normal form, then eta to a fixed point,
+    on lam's engine; outgrowing the recursion limit counts as exhaustion."""
+    return reduce_to_normal(t, fuel)
 
 
 def scope_extend(t: StlcTerm) -> StlcTerm:
     """Move a term under one extra binder slot (the partial-derivative
     inclusion); the slot's type is tracked by the surrounding module."""
-    return stlc_shift(t, 1, 0)
+    return shift(t, 1, 0)
 
 
 # ---------- printing and parsing ----------
@@ -314,133 +227,38 @@ def scope_extend(t: StlcTerm) -> StlcTerm:
 #   type ::= '*' | type '->' type          (right-associative)
 #
 # Free variables have no annotation in the grammar and are declared at
-# the base type.
+# the base type.  Parsing and printing are lam's: a typed binder reads
+# its type after the name, and printing reads it off the node.
 
 
 def show_stlc(t: StlcTerm) -> str:
-    taken = {tf.name for tf in typed_frees(t)}
-    counter = [0]
-
-    def next_name() -> str:
-        while True:
-            name = f"v{counter[0]}"
-            counter[0] += 1
-            if name not in taken:
-                return name
-
-    def go(t: StlcTerm, level: int, binders: tuple[str, ...]) -> str:
-        match t:
-            case TVar(TFree(name, _)):
-                return name
-            case TVar(Bound(k)):
-                return binders[k] if k < len(binders) else f"#{k - len(binders)}"
-            case TApp(f, a):
-                s = f"{go(f, 1, binders)} {go(a, 2, binders)}"
-                return f"({s})" if level > 1 else s
-            case TAbs(ty, b):
-                name = next_name()
-                s = f"\\{name}:{show_type(ty)}. {go(b, 0, (name,) + binders)}"
-                return f"({s})" if level > 0 else s
-        raise MalformedTermError(f"not a typed term: {t!r}")
-
-    return go(t, 0, ())
+    return show(t)
 
 
 def parse_stlc(text: str) -> StlcTerm:
-    pos = 0
-    n = len(text)
+    return parse_binding(text, _typed_binder, lambda name: TVar(TFree(name, BASE)))
 
-    def skip_ws():
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
 
-    def peek() -> str:
-        return text[pos] if pos < n else ""
+def _typed_binder(text: str, pos: int) -> tuple[Callable[[StlcTerm], TAbs], int]:
+    pos = expect(text, pos, ":", "expected ':' after binder")
+    ty, pos = _parse_type(text, pos)
+    return partial(TAbs, ty), expect(text, pos, ".", "expected '.' after binder type")
 
-    def ident() -> str:
-        nonlocal pos
-        start = pos
-        if pos >= n or not (text[pos].isalpha() or text[pos] == "_"):
-            raise ParseError("expected identifier", pos)
-        while pos < n and (text[pos].isalnum() or text[pos] in "_'"):
-            pos += 1
-        return text[start:pos]
 
-    def type_atom() -> SimpleType:
-        nonlocal pos
-        skip_ws()
-        if peek() == "*":
-            pos += 1
-            return BASE
-        if peek() == "(":
-            pos += 1
-            ty = type_expr()
-            skip_ws()
-            if peek() != ")":
-                raise ParseError("expected ')'", pos)
-            pos += 1
-            return ty
+def _parse_type(text: str, pos: int) -> tuple[SimpleType, int]:
+    pos = skip_ws(text, pos)
+    if text.startswith("*", pos):
+        left, pos = BASE, pos + 1
+    elif text.startswith("(", pos):
+        left, pos = _parse_type(text, pos + 1)
+        pos = expect(text, pos, ")", "expected ')'")
+    else:
         raise ParseError("expected a type", pos)
-
-    def type_expr() -> SimpleType:
-        nonlocal pos
-        left = type_atom()
-        skip_ws()
-        if text[pos : pos + 2] == "->":
-            pos += 2
-            return Arrow(left, type_expr())
-        return left
-
-    def term(binders: tuple[str, ...]) -> StlcTerm:
-        nonlocal pos
-        skip_ws()
-        if peek() in ("\\", "λ"):
-            pos += 1
-            skip_ws()
-            name = ident()
-            skip_ws()
-            if peek() != ":":
-                raise ParseError("expected ':' after binder", pos)
-            pos += 1
-            ty = type_expr()
-            skip_ws()
-            if peek() != ".":
-                raise ParseError("expected '.' after binder type", pos)
-            pos += 1
-            return TAbs(ty, term((name,) + binders))
-        return app(binders)
-
-    def app(binders: tuple[str, ...]) -> StlcTerm:
-        t = atom(binders)
-        while True:
-            skip_ws()
-            if peek() and (peek().isalpha() or peek() in "(_"):
-                t = TApp(t, atom(binders))
-            else:
-                return t
-
-    def atom(binders: tuple[str, ...]) -> StlcTerm:
-        nonlocal pos
-        skip_ws()
-        if peek() == "(":
-            pos += 1
-            t = term(binders)
-            skip_ws()
-            if peek() != ")":
-                raise ParseError("expected ')'", pos)
-            pos += 1
-            return t
-        name = ident()
-        if name in binders:
-            return TVar(Bound(binders.index(name)))
-        return TVar(TFree(name, BASE))
-
-    out = term(())
-    skip_ws()
-    if pos != n:
-        raise ParseError("trailing input", pos)
-    return out
+    pos = skip_ws(text, pos)
+    if text.startswith("->", pos):
+        right, pos = _parse_type(text, pos + 2)
+        return Arrow(left, right), pos
+    return left, pos
 
 
 # ---------- generators ----------
@@ -548,33 +366,26 @@ def scope_extended_module(slot_type: SimpleType, ty: SimpleType) -> ModuleInstan
     )
 
 
+def _normal_forms(mod: ModuleInstance, name: str, fuel: int) -> ModuleInstance:
+    # The carrier's normal forms, acted on by substitute-then-normalize.
+    return replace(
+        mod,
+        name=name,
+        mbind=lambda s, t: stlc_normalize(stlc_subst(s, t), fuel),
+        gen_value=lambda rng: stlc_normalize(mod.gen_value(rng), fuel),
+    )
+
+
 def semantic_fiber_module(ty: SimpleType, fuel: int = DEFAULT_FUEL) -> ModuleInstance:
     """Normal forms of one fixed type, acted on by substitute-then-normalize."""
-    return ModuleInstance(
-        name=f"stlc-nf@{show_type(ty)}",
-        monad=STLC,
-        mbind=lambda s, t: stlc_normalize(stlc_subst(s, t), fuel),
-        gen_value=lambda rng: stlc_normalize(
-            gen_typed_term(rng, ty, max_size=10), fuel
-        ),
-        equal=lambda a, b: a == b,
-        show_value=show_stlc,
-    )
+    return _normal_forms(fiber_module(ty), f"stlc-nf@{show_type(ty)}", fuel)
 
 
 def semantic_scope_extended_module(
     slot_type: SimpleType, ty: SimpleType, fuel: int = DEFAULT_FUEL
 ) -> ModuleInstance:
-    return ModuleInstance(
-        name=f"stlc-nf-d{show_type(slot_type)}@{show_type(ty)}",
-        monad=STLC,
-        mbind=lambda s, t: stlc_normalize(stlc_subst(s, t), fuel),
-        gen_value=lambda rng: stlc_normalize(
-            gen_typed_term(rng, ty, max_size=8, binders=(slot_type,)), fuel
-        ),
-        equal=lambda a, b: a == b,
-        show_value=show_stlc,
-    )
+    name = f"stlc-nf-d{show_type(slot_type)}@{show_type(ty)}"
+    return _normal_forms(scope_extended_module(slot_type, ty), name, fuel)
 
 
 STLC = stlc_monad()
@@ -680,72 +491,28 @@ def show_tlist(t: TListTerm) -> str:
 
 def parse_tlist(text: str) -> TListTerm:
     pos = 0
-    n = len(text)
-
-    def skip_ws():
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    def peek() -> str:
-        return text[pos] if pos < n else ""
-
-    def ident() -> str:
-        nonlocal pos
-        start = pos
-        if pos >= n or not (text[pos].isalpha() or text[pos] == "_"):
-            raise ParseError("expected identifier", pos)
-        while pos < n and (text[pos].isalnum() or text[pos] in "_'"):
-            pos += 1
-        return text[start:pos]
-
-    def nat() -> int:
-        nonlocal pos
-        start = pos
-        while pos < n and text[pos].isdigit():
-            pos += 1
-        if pos == start:
-            raise ParseError("expected a sort", start)
-        return int(text[start:pos])
 
     def at_sort() -> int:
         nonlocal pos
-        skip_ws()
-        if peek() != "@":
-            raise ParseError("expected '@sort'", pos)
-        pos += 1
-        return nat()
+        sort, pos = nat(text, expect(text, pos, "@", "expected '@sort'"), "expected a sort")
+        return sort
 
     def term() -> TListTerm:
         nonlocal pos
-        skip_ws()
-        at = pos
-        name = ident()
+        name, pos = ident(text, skip_ws(text, pos))
         if name == "nil":
             return Nil(at_sort())
         if name == "cons":
-            skip_ws()
-            if peek() != "(":
-                raise ParseError("expected '(' after cons", pos)
-            pos += 1
+            pos = expect(text, pos, "(", "expected '(' after cons")
             h = term()
-            skip_ws()
-            if peek() != ",":
-                raise ParseError("expected ','", pos)
-            pos += 1
+            pos = expect(text, pos, ",", "expected ','")
             tl = term()
-            skip_ws()
-            if peek() != ")":
-                raise ParseError("expected ')'", pos)
-            pos += 1
+            pos = expect(text, pos, ")", "expected ')'")
             return Cons(h, tl)
-        del at
         return LVar(name, at_sort())
 
     out = term()
-    skip_ws()
-    if pos != n:
-        raise ParseError("trailing input", pos)
+    end_of_input(text, pos)
     return out
 
 
@@ -827,51 +594,31 @@ def stlc_linearity_suite(
 
     checks = []
     for s, t in pairs:
-        label = f"{show_type(s)},{show_type(t)}"
-        app_src = product(fiber_module(Arrow(s, t)), fiber_module(s))
-        checks.extend(
-            check_linearity(
-                app_src,
+        squares = (
+            (
+                "app",
+                product(fiber_module(Arrow(s, t)), fiber_module(s)),
                 fiber_module(t),
                 lambda p: TApp(p[0], p[1]),
-                samples,
-                seed,
-                name=f"app@{label}",
-            ).checks
-        )
-        checks.extend(
-            check_linearity(
-                scope_extended_module(s, t),
-                fiber_module(Arrow(s, t)),
-                lambda b, s=s: TAbs(s, b),
-                samples,
-                seed,
-                name=f"abs@{label}",
-            ).checks
-        )
-        app_nf_src = product(
-            semantic_fiber_module(Arrow(s, t)), semantic_fiber_module(s)
-        )
-        checks.extend(
-            check_linearity(
-                app_nf_src,
+            ),
+            ("abs", scope_extended_module(s, t), fiber_module(Arrow(s, t)), partial(TAbs, s)),
+            (
+                "app-nf",
+                product(semantic_fiber_module(Arrow(s, t)), semantic_fiber_module(s)),
                 semantic_fiber_module(t),
                 lambda p: stlc_normalize(TApp(p[0], p[1])),
-                samples,
-                seed,
-                name=f"app-nf@{label}",
-            ).checks
-        )
-        checks.extend(
-            check_linearity(
+            ),
+            (
+                "abs-nf",
                 semantic_scope_extended_module(s, t),
                 semantic_fiber_module(Arrow(s, t)),
-                lambda b, s=s: stlc_normalize(TAbs(s, b)),
-                samples,
-                seed,
-                name=f"abs-nf@{label}",
-            ).checks
+                lambda b: stlc_normalize(TAbs(s, b)),
+            ),
         )
+        label = f"{show_type(s)},{show_type(t)}"
+        for name, src, dst, tau in squares:
+            report = check_linearity(src, dst, tau, samples, seed, name=f"{name}@{label}")
+            checks.extend(report.checks)
     return LawReport("linearity", "stlc", samples, seed, tuple(checks))
 
 
@@ -880,28 +627,18 @@ def tlist_linearity_suite(samples: int = 1000, seed: int = 0) -> LawReport:
     sort-shift on values commutes with it as well."""
     from .combinators import constant_module, product
 
-    checks = []
-    checks.extend(
-        check_linearity(
-            constant_module(TLIST),
-            tlist_sort_module(1),
-            lambda _: Nil(0),
-            samples,
-            seed,
-            name="nil",
-        ).checks
-    )
-    cons_src = product(tlist_sort_module(0), tlist_sort_module(1))
-    checks.extend(
-        check_linearity(
-            cons_src,
+    squares = (
+        ("nil", constant_module(TLIST), tlist_sort_module(1), lambda _: Nil(0)),
+        (
+            "cons",
+            product(tlist_sort_module(0), tlist_sort_module(1)),
             tlist_sort_module(1),
             lambda p: Cons(p[0], p[1]),
-            samples,
-            seed,
-            name="cons",
-        ).checks
+        ),
     )
+    checks = []
+    for name, src, dst, tau in squares:
+        checks.extend(check_linearity(src, dst, tau, samples, seed, name=name).checks)
 
     def gen(rng: random.Random):
         return (TLIST.gen_subst(rng), gen_tlist(rng))

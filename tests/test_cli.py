@@ -2,9 +2,18 @@ import io
 import subprocess
 import sys
 
-from modlam.cli import EXIT_FUEL, EXIT_NO, EXIT_OK, EXIT_PARSE, EXIT_USAGE, run
+from modlam.cli import (
+    EXIT_FUEL,
+    EXIT_NO,
+    EXIT_OK,
+    EXIT_PARSE,
+    EXIT_SOFTWARE,
+    EXIT_USAGE,
+    run,
+)
 
 OMEGA = "(\\x. x x) (\\x. x x)"
+DEEP = "(" * 3000 + "x" + ")" * 3000
 
 
 class TestParse:
@@ -152,3 +161,19 @@ class TestEntryPoint:
         )
         assert proc.returncode == EXIT_OK
         assert proc.stdout == b"y\n"
+
+
+class TestInternalError:
+    def test_escaped_exception_maps_to_70(self, capsys):
+        assert run(["parse", DEEP]) == EXIT_SOFTWARE
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: RecursionError")
+        assert err.count("\n") == 1
+
+    def test_module_invocation_has_no_traceback(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "modlam", "parse", DEEP], capture_output=True
+        )
+        assert proc.returncode == EXIT_SOFTWARE
+        assert b"Traceback" not in proc.stderr
+        assert proc.stderr.count(b"\n") == 1
