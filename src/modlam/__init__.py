@@ -9,7 +9,7 @@ witness (`combinators`), simply typed and sort-indexed syntax
 """
 
 from .errors import ConfigError, MalformedTermError, ParseError, TypeCheckError
-from .fuel import DEFAULT_FUEL, Fuel, FuelExhausted
+from .fuel import DEFAULT_FUEL, DepthLimit, Fuel, FuelExhausted
 from .harness import (
     LawCheck,
     LawReport,
@@ -45,6 +45,7 @@ __all__ = [
     "Bound",
     "ConfigError",
     "DEFAULT_FUEL",
+    "DepthLimit",
     "Free",
     "Fuel",
     "FuelExhausted",

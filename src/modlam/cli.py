@@ -1,8 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 negative verdict (inequivalent, unrelated,
-ill-typed, failed laws), 2 parse error, 3 fuel exhausted, 64 usage,
-70 internal error (any other exception, reported on one stderr line).
+ill-typed, failed laws), 2 parse error, 3 fuel exhausted or depth limit
+exceeded, 64 usage, 70 internal error (any other exception, reported on
+one stderr line).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import sys
 
 from . import catalog, lam, typed
 from .errors import ConfigError, ParseError, TypeCheckError
-from .fuel import DEFAULT_FUEL, FuelExhausted
+from .fuel import DEFAULT_FUEL, DepthLimit, FuelExhausted
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -93,6 +94,9 @@ def run(argv: list[str]) -> int:
     except ParseError as e:
         print(str(e), file=sys.stderr)
         return EXIT_PARSE
+    except DepthLimit as e:
+        print(f"depth limit exceeded: {e}", file=sys.stderr)
+        return EXIT_FUEL
     except FuelExhausted:
         print("fuel exhausted", file=sys.stderr)
         return EXIT_FUEL

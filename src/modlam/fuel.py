@@ -14,6 +14,11 @@ class FuelExhausted(Exception):
     """Raised when a reduction needs more steps than its budget allows."""
 
 
+class DepthLimit(FuelExhausted):
+    """Raised when a term under reduction nests deeper than the
+    normalizer's depth limit (lam.MAX_DEPTH)."""
+
+
 class Fuel:
     """A caller-local, mutable step budget."""
 

@@ -9,9 +9,10 @@ the outcome does not depend on evaluation order.
 
 Samples that run out of fuel (possible for normalization-backed
 instances) are counted as skipped rather than failed, and a sample
-whose terms outgrow the interpreter's recursion limit is the same kind
-of resource miss; a law with no evaluated samples at all is reported
-inconclusive.
+whose terms pass the normalizer's explicit depth limit (DepthLimit, a
+kind of FuelExhausted) is the same kind of resource miss, as is a
+RecursionError from any other deep recursion; a law with no evaluated
+samples at all is reported inconclusive.
 """
 
 from __future__ import annotations

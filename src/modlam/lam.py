@@ -22,7 +22,7 @@ from enum import Enum
 from typing import Any, Callable, Mapping, Optional
 
 from .errors import ConfigError, MalformedTermError
-from .fuel import DEFAULT_FUEL, Fuel, FuelExhausted
+from .fuel import DEFAULT_FUEL, DepthLimit, Fuel, FuelExhausted
 from .harness import MonadInstance, ModuleInstance
 from .scan import end_of_input, expect, ident, skip_ws
 from .terms import Bound, Free, Op, ScopedTerm, Signature, Var, bvar, fvar
@@ -174,7 +174,10 @@ def uses_bound(t: LcTerm, index: int) -> bool:
 
 
 def beta_step(t: LcTerm) -> Optional[LcTerm]:
-    """Contract the leftmost-outermost beta redex, or return None."""
+    """Contract the leftmost-outermost beta redex, or return None.
+
+    One step from the root: the reference for reduce_to_normal, which
+    takes the same steps in the same order without the search."""
     match t:
         case App(Abs(b), a):
             return subst0(b, a)
@@ -201,7 +204,8 @@ def _eta_contract(t: LcTerm) -> Optional[LcTerm]:
 
 
 def eta_step(t: LcTerm) -> Optional[LcTerm]:
-    """Contract the leftmost-outermost eta redex, or return None."""
+    """Contract the leftmost-outermost eta redex, or return None (the
+    one-step reference for eta_normal)."""
     contracted = _eta_contract(t)
     if contracted is not None:
         return contracted
@@ -258,6 +262,115 @@ class NfTerm:
             raise ValueError("term is not eta-reduced")
 
 
+# Nesting that the normalizer allows: binders entered, plus App nodes above
+# the argument being normalized, plus arguments pending on the head spine.
+# Every node of a normal form it returns sat at such a depth, so the
+# recursive checks and printers run on it well below the interpreter's
+# recursion limit.  Church 2^9 needs 514; the law suites' successful
+# reductions stay below 10.
+MAX_DEPTH = 600
+
+
+def _too_deep() -> DepthLimit:
+    return DepthLimit(
+        f"term nesting passed {MAX_DEPTH}, the depth limit set below the recursion limit"
+    )
+
+
+def _beta_normal(t: LcTerm, budget: Fuel) -> LcTerm:
+    """Leftmost-outermost beta normal form by unwinding the head spine.
+
+    Arguments wait on a stack that survives each head contraction, so a
+    step costs one subst0 and never a walk from the root.  A variable
+    head has its arguments normalized left to right; an unapplied
+    abstraction is entered.  These are the leftmost-outermost
+    contractions in their order, one fuel unit each.  frames holds the
+    context to rebuild: an abstraction around a body, or a list
+    [neutral so far, arguments still to normalize]; depth counts the
+    binders and App nodes that context puts above the focus.
+    """
+    frames: list = []
+    depth = 0
+    args: list[LcTerm] = []
+    while True:
+        while True:
+            if type(t) is App:
+                args.append(t.arg)
+                t = t.fun
+                if depth + len(args) > MAX_DEPTH:
+                    raise _too_deep()
+            elif isinstance(t, Abs):
+                if args:
+                    budget.spend()
+                    t = subst0(t.body, args.pop())
+                    continue
+                frames.append(t)
+                depth += 1
+                if depth > MAX_DEPTH:
+                    raise _too_deep()
+                t = t.body
+            else:
+                break
+        if args:
+            frames.append([t, args])
+            depth += len(args)
+            t = args.pop()
+            args = []
+            continue
+        while frames:
+            frame = frames[-1]
+            depth -= 1
+            if type(frame) is list:
+                frame[0] = App(frame[0], t)
+                if frame[1]:
+                    t = frame[1].pop()
+                    break
+                t = frame[0]
+            else:
+                t = frame.with_body(t)
+            frames.pop()
+        else:
+            return t
+
+
+def eta_normal(t: LcTerm, budget: Optional[Fuel] = None) -> LcTerm:
+    """Contract every eta redex in one bottom-up pass, spending one fuel
+    unit per contraction when a budget is given.
+
+    A node is checked after its children, and a contraction's result is
+    already eta-normal, so one pass reaches the fixed point.  The
+    eta-normal form is unique and each contraction removes three nodes,
+    so the count matches contracting one redex at a time from the root.
+    """
+    work: list = [t]
+    done: list[LcTerm] = []
+    while work:
+        item = work.pop()
+        if type(item) is tuple:  # a node whose children are in done
+            node = item[0]
+            if type(node) is App:
+                a = done.pop()
+                f = done.pop()
+                done.append(node if f is node.fun and a is node.arg else App(f, a))
+                continue
+            b = done.pop()
+            rebuilt = node if b is node.body else node.with_body(b)
+            contracted = _eta_contract(rebuilt)
+            if contracted is None:
+                done.append(rebuilt)
+            else:
+                if budget is not None:
+                    budget.spend()
+                done.append(contracted)
+        elif type(item) is App:
+            work += ((item,), item.arg, item.fun)
+        elif isinstance(item, Abs):
+            work += ((item,), item.body)
+        else:
+            done.append(item)
+    return done[0]
+
+
 def reduce_to_normal(
     t: LcTerm, fuel: Fuel | int = DEFAULT_FUEL, seal: Callable[[LcTerm], Any] = lambda t: t
 ) -> Any:
@@ -265,21 +378,19 @@ def reduce_to_normal(
     to a fixed point, and hand the result to seal.  Spends one fuel unit
     per rewrite step and raises FuelExhausted when the budget runs out.
 
-    A term that outgrows the interpreter's recursion limit before its
-    budget (sealing included) is also reported as exhaustion: the stack
-    is a resource ceiling of the same kind as the step budget.
+    A term nested deeper than MAX_DEPTH raises DepthLimit, a kind of
+    FuelExhausted: nesting is a resource ceiling of the same kind as the
+    step budget.  A RecursionError from the recursive helpers on a term
+    the limit let through (a deep argument copied by subst0) raises
+    DepthLimit too.
     """
     budget = Fuel.coerce(fuel)
     try:
-        while (t2 := beta_step(t)) is not None:
-            budget.spend()
-            t = t2
-        while (t2 := eta_step(t)) is not None:
-            budget.spend()
-            t = t2
-        return seal(t)
+        return seal(eta_normal(_beta_normal(t, budget), budget))
     except RecursionError:
-        raise FuelExhausted("term outgrew the recursion limit") from None
+        raise DepthLimit(
+            "a substitution outgrew the recursion limit within the depth limit"
+        ) from None
 
 
 def normalize(t: LcTerm, fuel: Fuel | int = DEFAULT_FUEL) -> NfTerm:
@@ -325,7 +436,7 @@ def nf_app1(t: NfTerm) -> NfTerm:
     deeper, renormalized.  At most one beta step can appear (when t is an
     abstraction), so the internal budget size(t)+1 always suffices; if it
     ever does not, that is a defect in this module, not a user error.
-    Exhaustion with budget to spare means the recursion limit was hit
+    Exhaustion with budget to spare means the depth limit was hit
     instead, which stays an ordinary resource error."""
     raw = App(shift(t.term), bvar(0))
     budget = Fuel(size(t.term) + 1)
@@ -664,10 +775,7 @@ def gen_normal(
             return Abs(nf(budget - 1, depth + 1))
         return neutral(budget, depth)
 
-    t = nf(rng.randint(1, max_size), depth)
-    while (t2 := eta_step(t)) is not None:
-        t = t2
-    return NfTerm(t)
+    return NfTerm(eta_normal(nf(rng.randint(1, max_size), depth)))
 
 
 def _gen_subst(rng: random.Random) -> dict:

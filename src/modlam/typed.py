@@ -209,7 +209,8 @@ def stlc_subst(s: Mapping[str, StlcTerm], t: StlcTerm) -> StlcTerm:
 
 def stlc_normalize(t: StlcTerm, fuel: Fuel | int = DEFAULT_FUEL) -> StlcTerm:
     """Leftmost-outermost beta to normal form, then eta to a fixed point,
-    on lam's engine; outgrowing the recursion limit counts as exhaustion."""
+    on lam's engine; binder types survive every step.  A term nested
+    deeper than lam.MAX_DEPTH raises DepthLimit, a kind of exhaustion."""
     return reduce_to_normal(t, fuel)
 
 

@@ -1,0 +1,156 @@
+"""The single-pass normalizer against the one-step reference stepper, and
+its depth limit."""
+
+import random
+import time
+
+import pytest
+
+from modlam.cli import EXIT_FUEL, run
+from modlam.fuel import DepthLimit, Fuel, FuelExhausted
+from modlam.harness import sampled_law
+from modlam.lam import (
+    MAX_DEPTH,
+    Abs,
+    App,
+    LcTerm,
+    beta_step,
+    eta_normal,
+    eta_step,
+    gen_term,
+    normalize,
+    parse,
+    show,
+)
+from modlam.terms import bvar, fvar
+from modlam.typed import gen_typed_term, stlc_normalize
+
+
+def reference_normalize(t, budget: Fuel):
+    """Leftmost-outermost beta from the root until normal, then eta from
+    the root to a fixed point: one beta_step or eta_step per fuel unit."""
+    while (t2 := beta_step(t)) is not None:
+        budget.spend()
+        t = t2
+    while (t2 := eta_step(t)) is not None:
+        budget.spend()
+        t = t2
+    return t
+
+
+def single_pass(t, budget: Fuel):
+    return normalize(t, budget).term
+
+
+def outcome(normalizer, t, fuel: int):
+    """(normal form or None if fuel ran out, fuel remaining)."""
+    budget = Fuel(fuel)
+    try:
+        out = normalizer(t, budget)
+    except FuelExhausted:
+        out = None
+    return out, budget.remaining
+
+
+OMEGA = "(\\x. x x) (\\x. x x)"
+W = "(\\a. \\b. a a)"  # W W gains a binder per step
+CHURCH_2 = "(\\f. \\x. f (f x))"
+
+
+def church(n: int) -> LcTerm:
+    body = bvar(0)
+    for _ in range(n):
+        body = App(bvar(1), body)
+    return Abs(Abs(body))
+
+
+def power_of_two(k: int) -> str:
+    """2^k as text: the exponent is applied to the base."""
+    return f"(\\m. \\n. n m) {CHURCH_2} (\\f. \\x. {'f (' * k}x{')' * k})"
+
+
+class TestDifferentialOracle:
+    def test_untyped_terms(self):
+        stepped = 0
+        for i in range(3000):
+            t = gen_term(random.Random(i), max_size=14)
+            expected = outcome(reference_normalize, t, 300)
+            assert outcome(single_pass, t, 300) == expected, i
+            # One unit short of the steps needed: both run out at once.
+            short = 300 - expected[1] - 1
+            if short >= 0:
+                stepped += 1
+                assert outcome(reference_normalize, t, short) == (None, 0), i
+                assert outcome(single_pass, t, short) == (None, 0), i
+        assert stepped > 500
+
+    @pytest.mark.parametrize("text", [OMEGA, f"{W} {W}", f"{W} {W} y", "(\\x. x x x) (\\x. x x x)"])
+    def test_divergent_terms(self, text):
+        t = parse(text)
+        assert outcome(reference_normalize, t, 300) == (None, 0)
+        assert outcome(single_pass, t, 300) == (None, 0)
+
+    def test_typed_terms(self):
+        for i in range(500):
+            t = gen_typed_term(random.Random(i), max_size=16)
+            expected = outcome(reference_normalize, t, 10_000)
+            assert expected[0] is not None
+            assert outcome(stlc_normalize, t, 10_000) == expected, i
+
+    def test_eta_pass_matches_stepping(self):
+        for i in range(2000):
+            t = gen_term(random.Random(i), max_size=14)
+            budget = Fuel(100)
+            stepped = t
+            steps = 0
+            while (t2 := eta_step(stepped)) is not None:
+                stepped = t2
+                steps += 1
+            assert eta_normal(t, budget) == stepped
+            assert budget.remaining == 100 - steps
+
+
+class TestDepthLimit:
+    def test_binder_growth_hits_the_limit_fast(self):
+        t0 = time.perf_counter()
+        budget = Fuel(10**7)
+        with pytest.raises(DepthLimit, match="depth limit"):
+            normalize(parse(f"{W} {W}"), budget)
+        assert time.perf_counter() - t0 < 1.0
+        assert 10**7 - budget.remaining <= MAX_DEPTH + 1
+
+    def test_church_two_to_the_ninth_normalizes(self):
+        # Compared as text: dataclass equality recurses two frames a level.
+        assert show(normalize(parse(power_of_two(9)), 10**7).term) == show(church(512))
+
+    def test_cli_reports_the_depth_limit(self, capsys):
+        assert run(["normalize", power_of_two(10), "--fuel", "10000000"]) == EXIT_FUEL
+        err = capsys.readouterr().err
+        assert err.startswith("depth limit exceeded") and err.count("\n") == 1
+
+    def test_recursion_backstop(self):
+        # The spine is shallow, but subst0 shifts a 1500-deep argument.
+        deep = fvar("y")
+        for _ in range(1500):
+            deep = Abs(deep)
+        with pytest.raises(DepthLimit, match="recursion"):
+            normalize(App(Abs(Abs(bvar(1))), deep))
+
+    def test_message_names_recursion(self):
+        # Tracing tells a depth miss from a step-budget miss by this word.
+        with pytest.raises(DepthLimit, match="recursion"):
+            normalize(parse(power_of_two(10)), 10**7)
+
+    def test_harness_counts_a_depth_miss_as_skipped(self):
+        deep, shallow = parse(f"{W} {W}"), parse(f"{W} y")
+
+        def prop(n):
+            normalize(deep if n % 2 else shallow, 10**7)
+            return None
+
+        check = sampled_law(
+            "deep", samples=30, seed=0, gen=lambda rng: (rng.randrange(10),), prop=prop
+        )
+        assert check.passed and check.counterexample is None
+        assert check.skipped > 0 and check.checked > 0
+        assert check.checked + check.skipped == 30
