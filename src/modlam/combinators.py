@@ -16,7 +16,6 @@ from typing import Any, Callable, Mapping
 
 from .errors import ConfigError, MalformedTermError
 from .harness import (
-    LawReport,
     ModuleInstance,
     MonadInstance,
     MonadMorphism,
@@ -28,18 +27,13 @@ from .scan import end_of_input, expect, ident, skip_ws
 # ---------- derivation ----------
 
 
-@dataclass(frozen=True)
-class DerivedModule(ModuleInstance):
-    base: ModuleInstance = None  # type: ignore[assignment]
-    marker: str = ""
-
-
-def derive(mod: ModuleInstance, marker_bias: float = 0.7) -> DerivedModule:
-    """Extend the module's alphabet by one fresh marker.
+def derive(mod: ModuleInstance) -> ModuleInstance:
+    """Extend the module's alphabet by one fresh marker, the last of
+    the derived module's fresh_markers.
 
     The derived action protects the marker (it is never substituted);
-    the carrier generator seeds the marker into a sampled value through
-    the base action so the fresh slot is actually exercised.
+    the carrier generator seeds the marker into seven in ten sampled
+    values through the base action so the fresh slot is exercised.
     """
     marker = fresh_name(len(mod.fresh_markers))
     m = mod.monad
@@ -51,21 +45,18 @@ def derive(mod: ModuleInstance, marker_bias: float = 0.7) -> DerivedModule:
 
     def gen_value(rng: random.Random) -> Any:
         v = mod.gen_value(rng)
-        if rng.random() < marker_bias:
+        if rng.random() < 0.7:
             name = m.names[rng.randrange(len(m.names))]
             v = mod.mbind({name: m.unit(marker)}, v)
         return v
 
-    return DerivedModule(
+    return ModuleInstance(
         name=f"{mod.name}'",
         monad=m,
         mbind=mbind,
         gen_value=gen_value,
-        equal=mod.equal,
         show_value=mod.show_value,
         fresh_markers=protected,
-        base=mod,
-        marker=marker,
     )
 
 
@@ -85,7 +76,7 @@ def second_derivative_inclusions(
         return v
 
     def outer(v: Any) -> Any:
-        return mod.mbind({first.marker: mod.monad.unit(second.marker)}, v)
+        return mod.mbind({first.fresh_markers[-1]: mod.monad.unit(second.fresh_markers[-1])}, v)
 
     return inner, outer
 
@@ -108,40 +99,30 @@ def eval_morphism(mod: ModuleInstance) -> Callable[[tuple[Any, Any]], Any]:
 # ---------- products ----------
 
 
-@dataclass(frozen=True)
-class ProductModule(ModuleInstance):
-    left: ModuleInstance = None  # type: ignore[assignment]
-    right: ModuleInstance = None  # type: ignore[assignment]
-
-
-def product(m1: ModuleInstance, m2: ModuleInstance) -> ProductModule:
+def product(m1: ModuleInstance, m2: ModuleInstance) -> ModuleInstance:
     """The product module: pairs, acted on componentwise."""
     if m1.monad.name != m2.monad.name:
         raise ConfigError(
             f"product needs a shared base monad, got {m1.monad.name} and {m2.monad.name}"
         )
 
-    return ProductModule(
+    return ModuleInstance(
         name=f"{m1.name} x {m2.name}",
         monad=m1.monad,
         mbind=lambda s, v: (m1.mbind(s, v[0]), m2.mbind(s, v[1])),
         gen_value=lambda rng: (m1.gen_value(rng), m2.gen_value(rng)),
-        equal=lambda a, b: m1.equal(a[0], b[0]) and m2.equal(a[1], b[1]),
         show_value=lambda v: f"({m1.show_value(v[0])}, {m2.show_value(v[1])})",
         fresh_markers=tuple(sorted(set(m1.fresh_markers) | set(m2.fresh_markers))),
-        left=m1,
-        right=m2,
     )
 
 
-def constant_module(monad: MonadInstance, point: Any = "point") -> ModuleInstance:
+def constant_module(monad: MonadInstance) -> ModuleInstance:
     """A one-point carrier with the trivial action."""
     return ModuleInstance(
         name="constant",
         monad=monad,
         mbind=lambda s, v: v,
-        gen_value=lambda rng: point,
-        equal=lambda a, b: a == b,
+        gen_value=lambda rng: "point",
         show_value=str,
     )
 
@@ -149,29 +130,18 @@ def constant_module(monad: MonadInstance, point: Any = "point") -> ModuleInstanc
 # ---------- base change ----------
 
 
-@dataclass(frozen=True)
-class BaseChangedModule(ModuleInstance):
-    morphism: MonadMorphism = None  # type: ignore[assignment]
-    inner: ModuleInstance = None  # type: ignore[assignment]
-
-
-def base_change(
-    f: MonadMorphism,
-    mod: ModuleInstance,
-    validate_samples: int = 64,
-    validate_seed: int = 0,
-) -> BaseChangedModule:
+def base_change(f: MonadMorphism, mod: ModuleInstance) -> ModuleInstance:
     """Pull a module over the target monad back along a monad morphism.
 
     The carrier is unchanged; substitutions over the source monad act
     through their image under f.  The morphism squares are checked on
-    samples up front; a failing morphism is a configuration error.
+    64 samples up front; a failing morphism is a configuration error.
     """
     if f.dst.name != mod.monad.name:
         raise ConfigError(
             f"base change along {f.name} lands in {f.dst.name}, module is over {mod.monad.name}"
         )
-    report = check_monad_morphism(f, samples=validate_samples, seed=validate_seed)
+    report = check_monad_morphism(f, samples=64, seed=0)
     for check in report.checks:
         if check.counterexample is not None:
             raise ConfigError(
@@ -182,16 +152,13 @@ def base_change(
     def mbind(s: Mapping, v: Any) -> Any:
         return mod.mbind({k: f.map(img) for k, img in s.items()}, v)
 
-    return BaseChangedModule(
+    return ModuleInstance(
         name=f"{f.name}*{mod.name}",
         monad=f.src,
         mbind=mbind,
         gen_value=mod.gen_value,
-        equal=mod.equal,
         show_value=mod.show_value,
         fresh_markers=mod.fresh_markers,
-        morphism=f,
-        inner=mod,
     )
 
 
@@ -335,7 +302,6 @@ def pt_monad() -> MonadInstance:
             for name in PT_NAMES
             if rng.random() < 0.4
         },
-        equal=lambda a, b: a == b,
         show_value=show_pt,
     )
 

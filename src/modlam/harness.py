@@ -2,10 +2,11 @@
 randomized harness that checks their laws on seeded samples.
 
 A descriptor bundles the operations of an instance with a generator and
-an equality predicate, so every commuting diagram in the development can
-be run rather than assumed.  Reports are deterministic for a fixed seed:
-each sample draws from its own sub-generator keyed by (seed, index), so
-the outcome does not depend on evaluation order.
+a printer, so every commuting diagram in the development can be run
+rather than assumed.  The checkers compare values with ==, which on the
+pairs of a product module is componentwise.  Reports are deterministic
+for a fixed seed: each sample draws from its own sub-generator keyed by
+(seed, index), so the outcome does not depend on evaluation order.
 
 Samples that run out of fuel (possible for normalization-backed
 instances) are counted as skipped rather than failed, and a sample
@@ -74,7 +75,6 @@ class MonadInstance:
     bind: Callable[[Mapping, Any], Any]
     gen_value: Callable[[random.Random], Any]
     gen_subst: Callable[[random.Random], dict]
-    equal: Callable[[Any, Any], bool]
     show_value: Callable[[Any], str] = repr
     # Fibered alphabets carry structured elements; `key` projects an
     # element to the substitution-map key it is addressed by.
@@ -90,7 +90,6 @@ class ModuleInstance:
     monad: MonadInstance
     mbind: Callable[[Mapping, Any], Any]
     gen_value: Callable[[random.Random], Any]
-    equal: Callable[[Any, Any], bool]
     show_value: Callable[[Any], str] = repr
     fresh_markers: tuple[str, ...] = ()
 
@@ -117,7 +116,6 @@ class MonoidAlgebra:
     unit: Any
     product: Callable[[Any, Any], Any]
     gen_element: Callable[[random.Random], Any]
-    equal: Callable[[Any, Any], bool] = lambda a, b: a == b
     show_value: Callable[[Any], str] = repr
 
     def action(self, xs: Iterable[Any]) -> Any:
@@ -131,7 +129,6 @@ def tautological_module(m: MonadInstance) -> ModuleInstance:
         monad=m,
         mbind=m.bind,
         gen_value=m.gen_value,
-        equal=m.equal,
         show_value=m.show_value,
     )
 
@@ -230,18 +227,6 @@ class LawReport:
             lines.append(c.format())
         lines.append(f"result: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines)
-
-
-def combine_reports(suite: str, instance: str, reports: Iterable[LawReport]) -> LawReport:
-    reports = list(reports)
-    if not reports:
-        raise ConfigError("no reports to combine")
-    samples = reports[0].samples
-    seed = reports[0].seed
-    checks: list[LawCheck] = []
-    for r in reports:
-        checks.extend(r.checks)
-    return LawReport(suite, instance, samples, seed, tuple(checks))
 
 
 # ---------- the sampling engine ----------
@@ -347,7 +332,7 @@ def check_monad_laws(m: MonadInstance, samples: int = 1000, seed: int = 0) -> La
     def bind_bind(x, f, g, a):
         lhs = m.bind(g, m.bind(f, x))
         rhs = m.bind(compose_subst(m, f, g), x)
-        if m.equal(lhs, rhs):
+        if lhs == rhs:
             return None
         return _refuted(
             m,
@@ -361,13 +346,13 @@ def check_monad_laws(m: MonadInstance, samples: int = 1000, seed: int = 0) -> La
     def bind_unit(x, f, g, a):
         lhs = m.bind(f, m.unit(a))
         rhs = subst_total(m, f, a)
-        if m.equal(lhs, rhs):
+        if lhs == rhs:
             return None
         return _refuted(m, lhs, rhs, ("name", m.show_name(a)), ("subst f", show_subst(m, f)))
 
     def unit_bind(x, f, g, a):
         lhs = m.bind({}, x)
-        if m.equal(lhs, x):
+        if lhs == x:
             return None
         return _refuted(m, lhs, x, ("value", m.show_value(x)))
 
@@ -390,7 +375,7 @@ def check_module_laws(mod: ModuleInstance, samples: int = 1000, seed: int = 0) -
     def mbind_mbind(x, f, g):
         lhs = mod.mbind(g, mod.mbind(f, x))
         rhs = mod.mbind(compose_subst(m, f, g), x)
-        if mod.equal(lhs, rhs):
+        if lhs == rhs:
             return None
         return _refuted(
             mod,
@@ -403,7 +388,7 @@ def check_module_laws(mod: ModuleInstance, samples: int = 1000, seed: int = 0) -
 
     def unit_mbind(x, f, g):
         lhs = mod.mbind({}, x)
-        if mod.equal(lhs, x):
+        if lhs == x:
             return None
         return _refuted(mod, lhs, x, ("value", mod.show_value(x)))
 
@@ -440,7 +425,7 @@ def check_linearity(
     def square(s, x):
         lhs = tau(src.mbind(s, x))
         rhs = dst.mbind(s, tau(x))
-        if dst.equal(lhs, rhs):
+        if lhs == rhs:
             return None
         return _refuted(
             dst, lhs, rhs, ("value", src.show_value(x)), ("substitution", show_subst(m, s))
@@ -468,14 +453,14 @@ def check_monad_morphism(
     def unit_square(x, s, a):
         lhs = f.map(src.unit(a))
         rhs = dst.unit(a)
-        if dst.equal(lhs, rhs):
+        if lhs == rhs:
             return None
         return _refuted(dst, lhs, rhs, ("name", src.show_name(a)))
 
     def bind_square(x, s, a):
         lhs = f.map(src.bind(s, x))
         rhs = dst.bind({k: f.map(v) for k, v in s.items()}, f.map(x))
-        if dst.equal(lhs, rhs):
+        if lhs == rhs:
             return None
         return _refuted(
             dst, lhs, rhs, ("value", src.show_value(x)), ("substitution", show_subst(src, s))
@@ -506,14 +491,14 @@ def algebra_check(alg: MonoidAlgebra, samples: int = 1000, seed: int = 0) -> Law
 
     def unit_law(x, xss):
         lhs = alg.action([x])
-        if alg.equal(lhs, x):
+        if lhs == x:
             return None
         return _refuted(alg, lhs, x, ("element", alg.show_value(x)))
 
     def square_law(x, xss):
         lhs = alg.action([y for xs in xss for y in xs])
         rhs = alg.action([alg.action(xs) for xs in xss])
-        if alg.equal(lhs, rhs):
+        if lhs == rhs:
             return None
         return _refuted(
             alg, lhs, rhs, ("lists", "[" + ", ".join(show_list(xs) for xs in xss) + "]")

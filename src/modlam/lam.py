@@ -417,7 +417,24 @@ def beta_eta_equiv(t1: LcTerm, t2: LcTerm, fuel: Fuel | int = DEFAULT_FUEL) -> E
         n2 = normalize(t2, b2)
     except FuelExhausted:
         return Equivalence.INCONCLUSIVE
-    return Equivalence.EQUIVALENT if n1 == n2 else Equivalence.INEQUIVALENT
+    same = _same_term(n1.term, n2.term)
+    return Equivalence.EQUIVALENT if same else Equivalence.INEQUIVALENT
+
+
+def _same_term(t1: LcTerm, t2: LcTerm) -> bool:
+    # Structural equality on an explicit stack: the dataclass __eq__
+    # recurses about two frames per level, too many for a normal form
+    # nested near MAX_DEPTH.
+    todo = [(t1, t2)]
+    while todo:
+        a, b = todo.pop()
+        if isinstance(a, App) and isinstance(b, App):
+            todo += ((a.fun, b.fun), (a.arg, b.arg))
+        elif isinstance(a, Abs) and type(a) is type(b) and a.annotation == b.annotation:
+            todo.append((a.body, b.body))
+        elif not (isinstance(a, Var) and a == b):
+            return False
+    return True
 
 
 # ---------- normal forms as a monad ----------
@@ -733,7 +750,6 @@ def gen_term(
     rng: random.Random,
     max_size: int = 8,
     depth: int = 0,
-    names: tuple[str, ...] = NAME_POOL,
 ) -> LcTerm:
     """A random well-scoped term, geometrically smaller toward the leaves."""
 
@@ -741,7 +757,7 @@ def gen_term(
         if budget <= 1 or rng.random() < 0.3:
             if depth > 0 and rng.random() < 0.5:
                 return bvar(rng.randrange(depth))
-            return fvar(names[rng.randrange(len(names))])
+            return fvar(NAME_POOL[rng.randrange(len(NAME_POOL))])
         if rng.random() < 0.45:
             return Abs(go(budget - 1, depth + 1))
         k = rng.randint(1, budget - 1)
@@ -754,7 +770,6 @@ def gen_normal(
     rng: random.Random,
     max_size: int = 8,
     depth: int = 0,
-    names: tuple[str, ...] = NAME_POOL,
 ) -> NfTerm:
     """A random normal form: built beta-normal by construction, then
     eta-contracted to a fixed point (which preserves beta-normality)."""
@@ -762,7 +777,7 @@ def gen_normal(
     def leaf(depth: int) -> LcTerm:
         if depth > 0 and rng.random() < 0.5:
             return bvar(rng.randrange(depth))
-        return fvar(names[rng.randrange(len(names))])
+        return fvar(NAME_POOL[rng.randrange(len(NAME_POOL))])
 
     def neutral(budget: int, depth: int) -> LcTerm:
         if budget <= 1 or rng.random() < 0.4:
@@ -805,7 +820,6 @@ def lc_monad() -> MonadInstance:
         bind=subst,
         gen_value=lambda rng: gen_term(rng),
         gen_subst=_gen_subst,
-        equal=lambda a, b: a == b,
         show_value=show,
     )
 
@@ -818,35 +832,31 @@ def nf_monad(fuel: int = DEFAULT_FUEL) -> MonadInstance:
         bind=lambda s, t: nf_bind(s, t, fuel),
         gen_value=lambda rng: gen_normal(rng),
         gen_subst=_gen_nf_subst,
-        equal=lambda a, b: a == b,
         show_value=show_nf,
     )
 
 
-def scope_derived_lc_module(monad: Optional[MonadInstance] = None) -> ModuleInstance:
+def scope_derived_lc_module() -> ModuleInstance:
     """The derived module of the calculus in scope form: carriers are
     terms one scope deeper, the dangling index 0 standing for the fresh
     variable, and the action is ordinary substitution (which shifts
     images under binders, exactly the derived action)."""
-    m = monad if monad is not None else LC
     return ModuleInstance(
         name="lc-scope-derived",
-        monad=m,
+        monad=LC,
         mbind=subst,
         gen_value=lambda rng: gen_term(rng, depth=1),
-        equal=lambda a, b: a == b,
         show_value=show,
     )
 
 
-def scope_derived_nf_module(fuel: int = DEFAULT_FUEL) -> ModuleInstance:
+def scope_derived_nf_module() -> ModuleInstance:
     """Normal forms one scope deeper, acted on by substitute-and-renormalize."""
     return ModuleInstance(
         name="nf-scope-derived",
         monad=NF,
-        mbind=lambda s, t: nf_bind(s, t, fuel),
+        mbind=nf_bind,
         gen_value=lambda rng: gen_normal(rng, depth=1),
-        equal=lambda a, b: a == b,
         show_value=show_nf,
     )
 
@@ -867,7 +877,6 @@ def naive_prime_monad() -> MonadInstance:
             for name in NAME_POOL
             if rng.random() < 0.4
         },
-        equal=lambda a, b: a == b,
         show_value=show,
     )
 

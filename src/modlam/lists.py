@@ -57,7 +57,6 @@ def list_monad() -> MonadInstance:
         bind=bind_subst,
         gen_value=_gen_value,
         gen_subst=_gen_subst,
-        equal=lambda a, b: a == b,
         show_value=_show,
     )
 
@@ -81,7 +80,6 @@ def broken_list_monad() -> MonadInstance:
         bind=bad_bind,
         gen_value=good.gen_value,
         gen_subst=good.gen_subst,
-        equal=good.equal,
         show_value=good.show_value,
     )
 

@@ -17,15 +17,7 @@ from typing import Callable, Mapping, Optional
 
 from .errors import MalformedTermError, ParseError, TypeCheckError
 from .fuel import DEFAULT_FUEL, Fuel
-from .harness import (
-    LawReport,
-    ModuleInstance,
-    MonadInstance,
-    check_linearity,
-    counterexample,
-    sampled_law,
-    show_subst,
-)
+from .harness import ModuleInstance, MonadInstance
 from .lam import (
     Abs,
     App,
@@ -36,6 +28,7 @@ from .lam import (
     shift,
     show,
     size,
+    subst,
 )
 from .scan import end_of_input, expect, ident, nat, skip_ws
 from .terms import Bound, Free, Var
@@ -114,16 +107,21 @@ stlc_eta_step = eta_step
 
 
 def typed_frees(t: StlcTerm) -> set[TFree]:
-    match t:
-        case TVar(TFree(_, _) as tf):
-            return {tf}
-        case TVar(Bound(_)):
-            return set()
-        case TApp(f, a):
-            return typed_frees(f) | typed_frees(a)
-        case TAbs(_, b):
-            return typed_frees(b)
-    raise MalformedTermError(f"not a typed term: {t!r}")
+    """The typed free variables of a term, found by a loop with
+    isinstance tests: stlc_subst walks its term and every image here."""
+    out: set[TFree] = set()
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, App):
+            todo += (t.fun, t.arg)
+        elif isinstance(t, TAbs):
+            todo.append(t.body)
+        elif isinstance(t, Var) and isinstance(t.ref, TFree):
+            out.add(t.ref)
+        elif not (isinstance(t, Var) and isinstance(t.ref, Bound)):
+            raise MalformedTermError(f"not a typed term: {t!r}")
+    return out
 
 
 def typecheck(
@@ -178,33 +176,25 @@ def type_of(t: StlcTerm) -> SimpleType:
 
 
 def stlc_subst(s: Mapping[str, StlcTerm], t: StlcTerm) -> StlcTerm:
-    """Type-checked substitution of free names.
+    """Type-checked substitution of free names, on lam's engine.
 
     Every image is synthesized once up front; an occurrence whose
-    declared type differs from its image's type is an error.
+    declared type differs from its image's type is an error (of several,
+    the first by name, then declared type, is reported).
     """
     image_types = {name: type_of(img) for name, img in s.items()}
-
-    def go(t: StlcTerm, depth: int) -> StlcTerm:
-        match t:
-            case TVar(TFree(name, ty)):
-                if name in s:
-                    if image_types[name] != ty:
-                        raise TypeCheckError(
-                            f"image for {name!r} has type {show_type(image_types[name])}, "
-                            f"occurrence declares {show_type(ty)}"
-                        )
-                    return shift(s[name], depth) if depth else s[name]
-                return t
-            case TVar(Bound(_)):
-                return t
-            case TApp(f, a):
-                return TApp(go(f, depth), go(a, depth))
-            case TAbs(ty, b):
-                return TAbs(ty, go(b, depth + 1))
-        raise MalformedTermError(f"not a typed term: {t!r}")
-
-    return go(t, 0)
+    clashes = sorted(
+        (tf.name, show_type(tf.type))
+        for tf in typed_frees(t)
+        if tf.name in s and image_types[tf.name] != tf.type
+    )
+    if clashes:
+        name, declared = clashes[0]
+        raise TypeCheckError(
+            f"image for {name!r} has type {show_type(image_types[name])}, "
+            f"occurrence declares {declared}"
+        )
+    return subst(s, t)
 
 
 def stlc_normalize(t: StlcTerm, fuel: Fuel | int = DEFAULT_FUEL) -> StlcTerm:
@@ -335,21 +325,19 @@ def stlc_monad() -> MonadInstance:
         bind=stlc_subst,
         gen_value=lambda rng: gen_typed_term(rng),
         gen_subst=_gen_stlc_subst,
-        equal=lambda a, b: a == b,
         show_value=show_stlc,
         key=lambda tf: tf.name,
         show_name=lambda tf: f"{tf.name}:{show_type(tf.type)}",
     )
 
 
-def fiber_module(ty: SimpleType, max_size: int = 10) -> ModuleInstance:
+def fiber_module(ty: SimpleType) -> ModuleInstance:
     """Terms of one fixed type, acted on by typed substitution."""
     return ModuleInstance(
         name=f"stlc@{show_type(ty)}",
         monad=STLC,
         mbind=stlc_subst,
-        gen_value=lambda rng: gen_typed_term(rng, ty, max_size=max_size),
-        equal=lambda a, b: a == b,
+        gen_value=lambda rng: gen_typed_term(rng, ty, max_size=10),
         show_value=show_stlc,
     )
 
@@ -362,31 +350,28 @@ def scope_extended_module(slot_type: SimpleType, ty: SimpleType) -> ModuleInstan
         monad=STLC,
         mbind=stlc_subst,
         gen_value=lambda rng: gen_typed_term(rng, ty, max_size=8, binders=(slot_type,)),
-        equal=lambda a, b: a == b,
         show_value=show_stlc,
     )
 
 
-def _normal_forms(mod: ModuleInstance, name: str, fuel: int) -> ModuleInstance:
+def _normal_forms(mod: ModuleInstance, name: str) -> ModuleInstance:
     # The carrier's normal forms, acted on by substitute-then-normalize.
     return replace(
         mod,
         name=name,
-        mbind=lambda s, t: stlc_normalize(stlc_subst(s, t), fuel),
-        gen_value=lambda rng: stlc_normalize(mod.gen_value(rng), fuel),
+        mbind=lambda s, t: stlc_normalize(stlc_subst(s, t)),
+        gen_value=lambda rng: stlc_normalize(mod.gen_value(rng)),
     )
 
 
-def semantic_fiber_module(ty: SimpleType, fuel: int = DEFAULT_FUEL) -> ModuleInstance:
+def semantic_fiber_module(ty: SimpleType) -> ModuleInstance:
     """Normal forms of one fixed type, acted on by substitute-then-normalize."""
-    return _normal_forms(fiber_module(ty), f"stlc-nf@{show_type(ty)}", fuel)
+    return _normal_forms(fiber_module(ty), f"stlc-nf@{show_type(ty)}")
 
 
-def semantic_scope_extended_module(
-    slot_type: SimpleType, ty: SimpleType, fuel: int = DEFAULT_FUEL
-) -> ModuleInstance:
+def semantic_scope_extended_module(slot_type: SimpleType, ty: SimpleType) -> ModuleInstance:
     name = f"stlc-nf-d{show_type(slot_type)}@{show_type(ty)}"
-    return _normal_forms(scope_extended_module(slot_type, ty), name, fuel)
+    return _normal_forms(scope_extended_module(slot_type, ty), name)
 
 
 STLC = stlc_monad()
@@ -559,7 +544,6 @@ def tlist_monad() -> MonadInstance:
             for v in TLIST_POOL
             if rng.random() < 0.35
         },
-        equal=lambda a, b: a == b,
         show_value=show_tlist,
         key=lambda v: v.name,
         show_name=show_tlist,
@@ -573,88 +557,9 @@ def tlist_sort_module(sort: int) -> ModuleInstance:
         monad=TLIST,
         mbind=tlist_subst,
         gen_value=lambda rng: gen_tlist(rng, sort),
-        equal=lambda a, b: a == b,
         show_value=show_tlist,
     )
 
 
 TLIST = tlist_monad()
 
-
-# ---------- linearity suites ----------
-
-
-def stlc_linearity_suite(
-    samples: int = 1000,
-    seed: int = 0,
-    pairs: tuple[tuple[SimpleType, SimpleType], ...] = ((BASE, BASE),),
-) -> LawReport:
-    """Typed application and abstraction commute with substitution, both
-    on raw syntax and after normalization, at each sampled type pair."""
-    from .combinators import product
-
-    checks = []
-    for s, t in pairs:
-        squares = (
-            (
-                "app",
-                product(fiber_module(Arrow(s, t)), fiber_module(s)),
-                fiber_module(t),
-                lambda p: TApp(p[0], p[1]),
-            ),
-            ("abs", scope_extended_module(s, t), fiber_module(Arrow(s, t)), partial(TAbs, s)),
-            (
-                "app-nf",
-                product(semantic_fiber_module(Arrow(s, t)), semantic_fiber_module(s)),
-                semantic_fiber_module(t),
-                lambda p: stlc_normalize(TApp(p[0], p[1])),
-            ),
-            (
-                "abs-nf",
-                semantic_scope_extended_module(s, t),
-                semantic_fiber_module(Arrow(s, t)),
-                lambda b: stlc_normalize(TAbs(s, b)),
-            ),
-        )
-        label = f"{show_type(s)},{show_type(t)}"
-        for name, src, dst, tau in squares:
-            report = check_linearity(src, dst, tau, samples, seed, name=f"{name}@{label}")
-            checks.extend(report.checks)
-    return LawReport("linearity", "stlc", samples, seed, tuple(checks))
-
-
-def tlist_linearity_suite(samples: int = 1000, seed: int = 0) -> LawReport:
-    """Nil and cons commute with sort-checked substitution, and the
-    sort-shift on values commutes with it as well."""
-    from .combinators import constant_module, product
-
-    squares = (
-        ("nil", constant_module(TLIST), tlist_sort_module(1), lambda _: Nil(0)),
-        (
-            "cons",
-            product(tlist_sort_module(0), tlist_sort_module(1)),
-            tlist_sort_module(1),
-            lambda p: Cons(p[0], p[1]),
-        ),
-    )
-    checks = []
-    for name, src, dst, tau in squares:
-        checks.extend(check_linearity(src, dst, tau, samples, seed, name=name).checks)
-
-    def gen(rng: random.Random):
-        return (TLIST.gen_subst(rng), gen_tlist(rng))
-
-    def prop(s, t):
-        lhs = tlist_shift(tlist_subst(s, t), 1)
-        shifted = {k: tlist_shift(v, 1) for k, v in s.items()}
-        rhs = tlist_subst(shifted, tlist_shift(t, 1))
-        if lhs == rhs:
-            return None
-        return counterexample(
-            (("value", show_tlist(t)), ("substitution", show_subst(TLIST, s))),
-            show_tlist(lhs),
-            show_tlist(rhs),
-        )
-
-    checks.append(sampled_law("shift-commute", samples, seed, gen, prop))
-    return LawReport("linearity", "tlist", samples, seed, tuple(checks))

@@ -1,6 +1,10 @@
+import contextlib
 import io
 import subprocess
 import sys
+from unittest import mock
+
+from hypothesis import given, settings, strategies as st
 
 from modlam.cli import (
     EXIT_FUEL,
@@ -14,6 +18,15 @@ from modlam.cli import (
 
 OMEGA = "(\\x. x x) (\\x. x x)"
 DEEP = "(" * 3000 + "x" + ")" * 3000
+PLUS = "(\\m. \\n. \\f. \\x. m f (n f x))"
+
+
+def numeral(n: int) -> str:
+    return f"(\\f. \\x. {'f (' * n}x{')' * n})"
+
+
+# 2^9, whose normal form nests 514 levels deep
+TWO_TO_NINE = f"(\\m. \\n. n m) {numeral(2)} {numeral(9)}"
 
 
 class TestParse:
@@ -61,6 +74,14 @@ class TestEquiv:
     def test_inconclusive(self, capsys):
         assert run(["equiv", OMEGA, "y", "--fuel", "50"]) == EXIT_FUEL
         assert capsys.readouterr().out == "inconclusive\n"
+
+    def test_deep_normal_forms(self, capsys):
+        assert run(["equiv", TWO_TO_NINE, TWO_TO_NINE]) == EXIT_OK
+        assert capsys.readouterr().out == "equivalent\n"
+        assert run(["equiv", TWO_TO_NINE, f"{PLUS} {numeral(256)} {numeral(256)}"]) == EXIT_OK
+        assert capsys.readouterr().out == "equivalent\n"
+        assert run(["equiv", TWO_TO_NINE, f"{PLUS} {numeral(256)} {numeral(255)}"]) == EXIT_NO
+        assert capsys.readouterr() == ("inequivalent\n", "")
 
 
 class TestLeq:
@@ -177,3 +198,43 @@ class TestInternalError:
         assert proc.returncode == EXIT_SOFTWARE
         assert b"Traceback" not in proc.stderr
         assert proc.stderr.count(b"\n") == 1
+
+
+# Short inputs over the grammars' characters plus any others; numeric
+# flags stay small so that every request ends quickly.
+TEXT = st.text(st.sampled_from("\\.()xyzf:*->,=@ λ01") | st.characters(), max_size=24)
+SMALL = st.integers(-2, 60).map(str)
+FLAGS = ["--debruijn", "--fuel", "--depth", "--map", "-", "--", "-q"]
+EXTRA = st.lists(st.sampled_from(FLAGS), max_size=2)
+REQUESTS = st.one_of(
+    st.tuples(st.just("parse"), st.lists(TEXT, max_size=2)),
+    st.tuples(st.just("normalize"), st.tuples(TEXT, st.just("--fuel"), SMALL)),
+    st.tuples(st.just("equiv"), st.tuples(TEXT, TEXT, st.just("--fuel"), SMALL)),
+    st.tuples(
+        st.just("leq"), st.tuples(TEXT, TEXT, st.just("--depth"), st.integers(-2, 3).map(str))
+    ),
+    st.tuples(st.just("subst"), st.tuples(TEXT, st.just("--map"), TEXT)),
+    st.tuples(
+        st.just("fold"),
+        st.tuples(
+            TEXT, st.just("--target"), st.sampled_from(["nf", "x"]), st.just("--fuel"), SMALL
+        ),
+    ),
+    st.tuples(st.just("typecheck"), st.lists(TEXT, max_size=2)),
+)
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(REQUESTS, EXTRA, TEXT)
+    def test_every_request_ends_in_a_documented_code(self, request, extra, stdin):
+        command, args = request
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch("sys.stdin", io.StringIO(stdin)):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = run([command, *args, *extra])
+                except SystemExit as e:  # argparse's --help, as main() would exit
+                    code = e.code
+        assert code in (EXIT_OK, EXIT_NO, EXIT_PARSE, EXIT_FUEL, EXIT_USAGE, EXIT_SOFTWARE)
+        assert "Traceback" not in err.getvalue()

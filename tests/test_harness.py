@@ -9,7 +9,6 @@ from modlam.harness import (
     LawReport,
     check_linearity,
     check_monad_laws,
-    combine_reports,
     compose_subst,
     counterexample,
     fresh_name,
@@ -91,14 +90,6 @@ class TestReportFormatting:
         assert report.check("demo").passed
         with pytest.raises(KeyError):
             report.check("absent")
-
-    def test_combine_reports(self):
-        a = check_monad_laws(LIST, samples=5, seed=0)
-        b = check_monad_laws(LIST, samples=5, seed=0)
-        both = combine_reports("monad", "twice", [a, b])
-        assert len(both.checks) == 6
-        with pytest.raises(ConfigError):
-            combine_reports("monad", "none", [])
 
 
 class TestSamplingEngine:
@@ -189,3 +180,20 @@ class TestSamplingEngine:
         taut = tautological_module(LIST)
         report = check_linearity(taut, taut, lambda x: x, samples=50, seed=0)
         assert report.passed
+
+    def test_linearity_suites_check_their_squares(self):
+        from modlam.catalog import run_suite
+
+        squares = {
+            "lc": ["app", "abs"],
+            "nf": ["abs", "app1"],
+            "list": ["concat"],
+            "pt": ["double-and-swap"],
+            "stlc": ["app@*,*", "abs@*,*", "app-nf@*,*", "abs-nf@*,*"],
+            "tlist": ["nil", "cons", "shift-commute"],
+            "derived-lc": ["inner-inclusion", "outer-inclusion", "eval"],
+            "product-lc": ["fst", "snd"],
+        }
+        for instance, names in squares.items():
+            report = run_suite("linearity", instance, 20, 0)
+            assert [c.name for c in report.checks] == names

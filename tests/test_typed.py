@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from modlam.catalog import run_suite
 from modlam.errors import ParseError, TypeCheckError
 from modlam.harness import check_module_laws, check_monad_laws
 from modlam.terms import Bound
@@ -33,11 +34,9 @@ from modlam.typed import (
     show_type,
     stlc_beta_step,
     stlc_eta_step,
-    stlc_linearity_suite,
     stlc_normalize,
     stlc_size,
     stlc_subst,
-    tlist_linearity_suite,
     tlist_shift,
     tlist_sort,
     tlist_sort_module,
@@ -222,7 +221,7 @@ class TestStlcInstances:
         assert report.passed, report.format()
 
     def test_linearity_suite(self):
-        report = stlc_linearity_suite(samples=150, seed=0)
+        report = run_suite("linearity", "stlc", 150, 0)
         assert report.passed, report.format()
         names = [c.name for c in report.checks]
         assert names == ["app@*,*", "abs@*,*", "app-nf@*,*", "abs-nf@*,*"]
@@ -288,7 +287,7 @@ class TestTypedLists:
             assert check_module_laws(tlist_sort_module(sort), samples=150, seed=0).passed
 
     def test_linearity_suite(self):
-        report = tlist_linearity_suite(samples=150, seed=0)
+        report = run_suite("linearity", "tlist", 150, 0)
         assert report.passed, report.format()
         names = [c.name for c in report.checks]
         assert names == ["nil", "cons", "shift-commute"]
