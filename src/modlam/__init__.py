@@ -22,7 +22,6 @@ from .harness import (
     check_module_laws,
     check_monad_laws,
     check_monad_morphism,
-    maybe_gamma,
     tautological_module,
 )
 from .terms import (
@@ -71,7 +70,6 @@ __all__ = [
     "check_monad_morphism",
     "fold",
     "fvar",
-    "maybe_gamma",
     "rename",
     "substitute",
     "tautological_module",

@@ -32,6 +32,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _nonnegative_int(text: str) -> int:
+    # The type of every bound: a nonnegative int, so a negative one is a
+    # usage error and never reaches a budget or a verdict.
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {n}")
+    return n
+
+
 def _read_term_arg(text: str) -> str:
     if text == "-":
         return sys.stdin.read().strip()
@@ -48,18 +60,18 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("normalize", help="reduce to beta-eta normal form")
     p.add_argument("term")
-    p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
+    p.add_argument("--fuel", type=_nonnegative_int, default=DEFAULT_FUEL)
     p.add_argument("--debruijn", action="store_true")
 
     p = sub.add_parser("equiv", help="decide beta-eta equivalence within fuel")
     p.add_argument("term1")
     p.add_argument("term2")
-    p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
+    p.add_argument("--fuel", type=_nonnegative_int, default=DEFAULT_FUEL)
 
     p = sub.add_parser("leq", help="search the reduction preorder up to a depth")
     p.add_argument("term1")
     p.add_argument("term2")
-    p.add_argument("--depth", type=int, default=20)
+    p.add_argument("--depth", type=_nonnegative_int, default=20)
 
     p = sub.add_parser("subst", help="substitute free names in a term")
     p.add_argument("term")
@@ -68,13 +80,13 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("laws", help="run a law suite and print its report")
     p.add_argument("--suite", required=True, choices=catalog.SUITES)
     p.add_argument("--instance", required=True, choices=catalog.INSTANCES)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_nonnegative_int, default=1000)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("fold", help="fold a term into an exponential target")
     p.add_argument("term")
     p.add_argument("--target", required=True, choices=["nf"])
-    p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
+    p.add_argument("--fuel", type=_nonnegative_int, default=DEFAULT_FUEL)
 
     p = sub.add_parser("typecheck", help="synthesize the type of a typed term")
     p.add_argument("term")

@@ -11,7 +11,6 @@ slot are just substitutions at that name.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from .errors import ConfigError, MalformedTermError
@@ -23,6 +22,7 @@ from .harness import (
     fresh_name,
 )
 from .scan import end_of_input, expect, ident, skip_ws
+from .terms import Free, Op, ScopedTerm, Signature, Var, fvar, substitute
 
 # ---------- derivation ----------
 
@@ -167,38 +167,27 @@ def identity_morphism(m: MonadInstance) -> MonadMorphism:
 
 
 # ---------- a syntax whose plus/times swap is not linear ----------
+#
+# Terms over a binder-free signature, so substitution is the generic one.
 
 
-@dataclass(frozen=True)
-class PVar:
-    name: str
+SIG_PT = Signature((("plus", (0, 0)), ("times", (0, 0))))
+_PLUS, _TIMES = 0, 1
+PtTerm = ScopedTerm
+PVar = fvar
 
 
-@dataclass(frozen=True)
-class Plus:
-    left: "PtTerm"
-    right: "PtTerm"
+def Plus(left: PtTerm, right: PtTerm) -> PtTerm:
+    return Op(_PLUS, (left, right))
 
 
-@dataclass(frozen=True)
-class Times:
-    left: "PtTerm"
-    right: "PtTerm"
-
-
-PtTerm = PVar | Plus | Times
+def Times(left: PtTerm, right: PtTerm) -> PtTerm:
+    return Op(_TIMES, (left, right))
 
 
 def pt_bind(s: Mapping[str, PtTerm], t: PtTerm) -> PtTerm:
     """Homomorphic substitution: this binder-free syntax is a monad."""
-    match t:
-        case PVar(name):
-            return s.get(name, t)
-        case Plus(l, r):
-            return Plus(pt_bind(s, l), pt_bind(s, r))
-        case Times(l, r):
-            return Times(pt_bind(s, l), pt_bind(s, r))
-    raise MalformedTermError(f"not a plus/times term: {t!r}")
+    return substitute(SIG_PT, s, t)
 
 
 def double_and_swap(t: PtTerm) -> PtTerm:
@@ -208,11 +197,11 @@ def double_and_swap(t: PtTerm) -> PtTerm:
     commute with substitution; the harness finds the witness.
     """
     match t:
-        case PVar(_):
+        case Var(Free(_)):
             return Plus(t, t)
-        case Plus(l, r):
+        case Op(op, (l, r)) if op == _PLUS:
             return Times(double_and_swap(l), double_and_swap(r))
-        case Times(l, r):
+        case Op(op, (l, r)) if op == _TIMES:
             return Plus(double_and_swap(l), double_and_swap(r))
     raise MalformedTermError(f"not a plus/times term: {t!r}")
 
@@ -263,12 +252,12 @@ def parse_pt(text: str) -> PtTerm:
 def show_pt(t: PtTerm) -> str:
     def go(t: PtTerm, level: int) -> str:
         match t:
-            case PVar(name):
+            case Var(Free(name)):
                 return name
-            case Plus(l, r):
+            case Op(op, (l, r)) if op == _PLUS:
                 s = f"{go(l, 0)}+{go(r, 1)}"
                 return f"({s})" if level > 0 else s
-            case Times(l, r):
+            case Op(op, (l, r)) if op == _TIMES:
                 s = f"{go(l, 1)}*{go(r, 2)}"
                 return f"({s})" if level > 1 else s
         raise MalformedTermError(f"not a plus/times term: {t!r}")

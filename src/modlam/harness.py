@@ -11,9 +11,9 @@ for a fixed seed: each sample draws from its own sub-generator keyed by
 Samples that run out of fuel (possible for normalization-backed
 instances) are counted as skipped rather than failed, and a sample
 whose terms pass the normalizer's explicit depth limit (DepthLimit, a
-kind of FuelExhausted) is the same kind of resource miss, as is a
-RecursionError from any other deep recursion; a law with no evaluated
-samples at all is reported inconclusive.
+kind of FuelExhausted) is the same kind of resource miss; a law with no
+evaluated samples at all is reported inconclusive.  Any other exception,
+a RecursionError included, propagates out of the checker.
 """
 
 from __future__ import annotations
@@ -35,26 +35,6 @@ from .fuel import FuelExhausted
 
 def fresh_name(i: int) -> str:
     return f"*{i}"
-
-
-def is_fresh_name(name: str) -> bool:
-    return name.startswith("*")
-
-
-#: Sentinel standing for the added point of a one-point alphabet extension.
-FRESH_SLOT = object()
-
-
-def maybe_gamma(monad: "MonadInstance", v: Any) -> Any:
-    """Distribute a one-point extension over a monad value.
-
-    The fresh marker goes to unit(fresh); an existing value is renamed
-    along the alphabet inclusion, which is the identity on the chosen
-    representation (old names stay themselves).
-    """
-    if v is FRESH_SLOT:
-        return monad.unit(fresh_name(0))
-    return v
 
 
 # ---------- descriptors ----------
@@ -254,9 +234,6 @@ def _refuted(inst: Any, lhs: Any, rhs: Any, *inputs: tuple[str, str]) -> Counter
     return Counterexample("", inputs, inst.show_value(lhs), inst.show_value(rhs))
 
 
-_MISSES = (FuelExhausted, RecursionError)
-
-
 def _sweep(
     key: str,
     samples: int,
@@ -267,8 +244,8 @@ def _sweep(
 ) -> tuple[LawCheck, ...]:
     """The one sampling loop.  Probes run first; then sample i draws its
     inputs from the sub-generator keyed "{key}:{i}" and every law runs on
-    them.  A draw that runs out of fuel or stack skips the sample for
-    every law; a law stops at its first counterexample."""
+    them.  A draw that runs out of fuel skips the sample for every law;
+    a law stops at its first counterexample."""
     checked = [0] * len(laws)
     skipped = [0] * len(laws)
     found: list[Optional[Counterexample]] = [None] * len(laws)
@@ -279,7 +256,7 @@ def _sweep(
             where = f"sample {i}"
             try:
                 inputs = gen(_sample_rng(seed, f"{key}:{i}"))
-            except _MISSES:
+            except FuelExhausted:
                 inputs = None
         for k, (_, prop) in enumerate(laws):
             if found[k] is not None:
@@ -289,7 +266,7 @@ def _sweep(
                 continue
             try:
                 ce = prop(*inputs)
-            except _MISSES:
+            except FuelExhausted:
                 skipped[k] += 1
                 continue
             if ce is None:

@@ -25,7 +25,18 @@ from .errors import ConfigError, MalformedTermError
 from .fuel import DEFAULT_FUEL, DepthLimit, Fuel, FuelExhausted
 from .harness import MonadInstance, ModuleInstance
 from .scan import end_of_input, expect, ident, skip_ws
-from .terms import Bound, Free, Op, ScopedTerm, Signature, Var, bvar, fvar
+from .terms import (
+    Bound,
+    Free,
+    Op,
+    Representation,
+    ScopedTerm,
+    Signature,
+    Var,
+    bvar,
+    fold,
+    fvar,
+)
 
 
 @dataclass(frozen=True)
@@ -72,19 +83,6 @@ def free_names(t: LcTerm) -> set[str]:
         case Abs(b):
             return free_names(b)
     raise MalformedTermError(f"not a lambda term: {t!r}")
-
-
-def well_scoped(t: LcTerm, depth: int = 0) -> bool:
-    match t:
-        case Var(Free(_)):
-            return True
-        case Var(Bound(k)):
-            return 0 <= k < depth
-        case App(f, a):
-            return well_scoped(f, depth) and well_scoped(a, depth)
-        case Abs(b):
-            return well_scoped(b, depth + 1)
-    return False
 
 
 # ---------- shifting and substitution ----------
@@ -177,7 +175,8 @@ def beta_step(t: LcTerm) -> Optional[LcTerm]:
     """Contract the leftmost-outermost beta redex, or return None.
 
     One step from the root: the reference for reduce_to_normal, which
-    takes the same steps in the same order without the search."""
+    takes the same steps in the same order without the search, and the
+    check behind NfTerm."""
     match t:
         case App(Abs(b), a):
             return subst0(b, a)
@@ -190,8 +189,9 @@ def beta_step(t: LcTerm) -> Optional[LcTerm]:
         case Abs(b):
             b2 = beta_step(b)
             return t.with_body(b2) if b2 is not None else None
-        case _:
+        case Var(_):
             return None
+    raise MalformedTermError(f"not a lambda term: {t!r}")
 
 
 def _eta_contract(t: LcTerm) -> Optional[LcTerm]:
@@ -205,7 +205,7 @@ def _eta_contract(t: LcTerm) -> Optional[LcTerm]:
 
 def eta_step(t: LcTerm) -> Optional[LcTerm]:
     """Contract the leftmost-outermost eta redex, or return None (the
-    one-step reference for eta_normal)."""
+    one-step reference for eta_normal, and the check behind NfTerm)."""
     contracted = _eta_contract(t)
     if contracted is not None:
         return contracted
@@ -219,46 +219,22 @@ def eta_step(t: LcTerm) -> Optional[LcTerm]:
         case Abs(b):
             b2 = eta_step(b)
             return t.with_body(b2) if b2 is not None else None
-        case _:
+        case Var(_):
             return None
-
-
-def is_beta_normal(t: LcTerm) -> bool:
-    match t:
-        case Var(_):
-            return True
-        case App(Abs(_), _):
-            return False
-        case App(f, a):
-            return is_beta_normal(f) and is_beta_normal(a)
-        case Abs(b):
-            return is_beta_normal(b)
-    return False
-
-
-def is_eta_normal(t: LcTerm) -> bool:
-    if _eta_contract(t) is not None:
-        return False
-    match t:
-        case Var(_):
-            return True
-        case App(f, a):
-            return is_eta_normal(f) and is_eta_normal(a)
-        case Abs(b):
-            return is_eta_normal(b)
-    return False
+    raise MalformedTermError(f"not a lambda term: {t!r}")
 
 
 @dataclass(frozen=True)
 class NfTerm:
-    """A lambda term certified beta-normal and eta-reduced."""
+    """A lambda term certified beta-normal and eta-reduced: the
+    reference stepper finds no redex in it."""
 
     term: LcTerm
 
     def __post_init__(self):
-        if not is_beta_normal(self.term):
+        if beta_step(self.term) is not None:
             raise ValueError("term is not beta-normal")
-        if not is_eta_normal(self.term):
+        if eta_step(self.term) is not None:
             raise ValueError("term is not eta-reduced")
 
 
@@ -511,7 +487,8 @@ def iota_fold(
     env: Optional[Mapping[str, Any]] = None,
     fuel: Fuel | int = DEFAULT_FUEL,
 ) -> Any:
-    """Fold a lambda term into an exponential target.
+    """Fold a lambda term into an exponential target: terms.fold along
+    the representation of SIG_LC that the structure defines.
 
     Variables go through env (default: the target's unit); an
     abstraction folds its body one scope deeper and closes it with abs1;
@@ -521,27 +498,13 @@ def iota_fold(
     if not isinstance(exp, ExpStructure):
         raise ConfigError("iota_fold target must carry an exponential structure")
     budget = Fuel.coerce(fuel)
-
-    def lookup(name: str) -> Any:
-        if env is None:
-            return exp.monad.unit(name)
-        if name not in env:
-            raise ConfigError(f"fold env not total: missing {name!r}")
-        return env[name]
-
-    def go(t: LcTerm) -> Any:
-        match t:
-            case Var(Free(name)):
-                return lookup(name)
-            case Var(Bound(k)):
-                return exp.fresh_var(k)
-            case Abs(b):
-                return exp.abs1(go(b))
-            case App(f, a):
-                return exp.subst_fresh(exp.app1(go(f)), go(a), budget)
-        raise MalformedTermError(f"not a lambda term: {t!r}")
-
-    return go(t)
+    rep = Representation(
+        SIG_LC,
+        (lambda f, a: exp.subst_fresh(exp.app1(f), a, budget), exp.abs1),
+        bound_value=exp.fresh_var,
+        monad=exp.monad,
+    )
+    return fold(rep, to_scoped(t), env)
 
 
 # ---------- the reduction preorder ----------
@@ -690,11 +653,11 @@ def show(t: LcTerm, debruijn: bool = False) -> str:
 
     Named mode invents binder names v0, v1, ... avoiding the free names
     of the whole term; a dangling index (possible on scope-extended
-    carriers) prints as #k, a diagnostic form outside the grammar.
+    carriers) prints as #k, a diagnostic form outside the grammar.  De
+    Bruijn mode prints every binder as λ and every bound variable as
+    its index.
     """
-    if debruijn:
-        return _show_debruijn(t, 0)
-    taken = free_names(t)
+    taken = set() if debruijn else free_names(t)
     counter = [0]
 
     def next_name() -> str:
@@ -709,32 +672,22 @@ def show(t: LcTerm, debruijn: bool = False) -> str:
             case Var(Free(name)):
                 return name
             case Var(Bound(k)):
+                if debruijn:
+                    return str(k)
                 return binders[k] if k < len(binders) else f"#{k - len(binders)}"
             case App(f, a):
                 s = f"{go(f, 1, binders)} {go(a, 2, binders)}"
                 return f"({s})" if level > 1 else s
             case Abs(b):
-                name = next_name()
-                s = f"\\{name}{t.annotation}. {go(b, 0, (name,) + binders)}"
+                if debruijn:
+                    s = f"λ. {go(b, 0, binders)}"
+                else:
+                    name = next_name()
+                    s = f"\\{name}{t.annotation}. {go(b, 0, (name,) + binders)}"
                 return f"({s})" if level > 0 else s
         raise MalformedTermError(f"not a lambda term: {t!r}")
 
     return go(t, 0, ())
-
-
-def _show_debruijn(t: LcTerm, level: int) -> str:
-    match t:
-        case Var(Free(name)):
-            return name
-        case Var(Bound(k)):
-            return str(k)
-        case App(f, a):
-            s = f"{_show_debruijn(f, 1)} {_show_debruijn(a, 2)}"
-            return f"({s})" if level > 1 else s
-        case Abs(b):
-            s = f"λ. {_show_debruijn(b, 0)}"
-            return f"({s})" if level > 0 else s
-    raise MalformedTermError(f"not a lambda term: {t!r}")
 
 
 def show_nf(t: NfTerm, debruijn: bool = False) -> str:

@@ -272,7 +272,7 @@ def fold(
                     raise MalformedTermError(
                         f"operator {sig.name(op)} expects {len(arity)} arguments, got {len(args)}"
                     )
-                return rep.ops[op](*[go(a) for a in args])
+                return rep.ops[op](*map(go, args))
         raise MalformedTermError(f"not a term: {t!r}")
 
     return go(t)

@@ -61,6 +61,14 @@ class TestNormalize:
         assert run(["normalize", OMEGA, "--fuel", "50"]) == EXIT_FUEL
         assert capsys.readouterr().err == "fuel exhausted\n"
 
+    def test_negative_fuel(self, capsys):
+        assert run(["normalize", "x", "--fuel", "-1"]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "usage error: argument --fuel: must be nonnegative, got -1\n"
+        )
+        assert run(["normalize", "x", "--fuel", "0"]) == EXIT_OK
+        assert capsys.readouterr().out == "x\n"
+
 
 class TestEquiv:
     def test_equivalent(self, capsys):
@@ -74,6 +82,13 @@ class TestEquiv:
     def test_inconclusive(self, capsys):
         assert run(["equiv", OMEGA, "y", "--fuel", "50"]) == EXIT_FUEL
         assert capsys.readouterr().out == "inconclusive\n"
+
+    def test_negative_fuel(self, capsys):
+        assert run(["equiv", "x", "x", "--fuel", "-1"]) == EXIT_USAGE
+        assert capsys.readouterr() == (
+            "",
+            "usage error: argument --fuel: must be nonnegative, got -1\n",
+        )
 
     def test_deep_normal_forms(self, capsys):
         assert run(["equiv", TWO_TO_NINE, TWO_TO_NINE]) == EXIT_OK
@@ -98,6 +113,14 @@ class TestLeq:
         assert run(["leq", t, "y", "--depth", "1"]) == EXIT_NO
         assert capsys.readouterr().out == "not related within depth 1\n"
         assert run(["leq", t, "y", "--depth", "2"]) == EXIT_OK
+
+    def test_negative_depth(self, capsys):
+        assert run(["leq", "x", "x", "--depth", "-1"]) == EXIT_USAGE
+        assert capsys.readouterr() == (
+            "",
+            "usage error: argument --depth: must be nonnegative, got -1\n",
+        )
+        assert run(["leq", "x", "x", "--depth", "0"]) == EXIT_OK
 
 
 class TestSubst:
@@ -140,6 +163,14 @@ class TestLaws:
     def test_unknown_instance(self, capsys):
         assert run(["laws", "--suite", "monad", "--instance", "bogus"]) == EXIT_USAGE
 
+    def test_negative_samples(self, capsys):
+        argv = ["laws", "--suite", "monad", "--instance", "pt", "--samples", "-1"]
+        assert run(argv) == EXIT_USAGE
+        assert capsys.readouterr() == (
+            "",
+            "usage error: argument --samples: must be nonnegative, got -1\n",
+        )
+
 
 class TestFold:
     def test_fold_to_nf(self, capsys):
@@ -148,6 +179,13 @@ class TestFold:
 
     def test_fold_fuel(self, capsys):
         assert run(["fold", OMEGA, "--target", "nf", "--fuel", "50"]) == EXIT_FUEL
+
+    def test_negative_fuel(self, capsys):
+        assert run(["fold", "x", "--target", "nf", "--fuel", "-1"]) == EXIT_USAGE
+        assert capsys.readouterr() == (
+            "",
+            "usage error: argument --fuel: must be nonnegative, got -1\n",
+        )
 
 
 class TestTypecheck:

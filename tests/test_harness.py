@@ -1,9 +1,10 @@
+import dataclasses
+
 import pytest
 
 from modlam.errors import ConfigError
 from modlam.fuel import FuelExhausted
 from modlam.harness import (
-    FRESH_SLOT,
     Counterexample,
     LawCheck,
     LawReport,
@@ -12,8 +13,6 @@ from modlam.harness import (
     compose_subst,
     counterexample,
     fresh_name,
-    is_fresh_name,
-    maybe_gamma,
     sampled_law,
     show_subst,
     subst_total,
@@ -26,15 +25,6 @@ class TestFreshMarkers:
     def test_fresh_name_family(self):
         assert fresh_name(0) == "*0"
         assert fresh_name(3) == "*3"
-        assert is_fresh_name("*0")
-        assert not is_fresh_name("x0")
-
-    def test_maybe_gamma(self):
-        # The added point becomes unit of the reserved marker; everything
-        # else is left in place (the alphabet inclusion is the identity).
-        assert maybe_gamma(LIST, FRESH_SLOT) == ("*0",)
-        assert maybe_gamma(LIST, (1, 2)) == (1, 2)
-        assert maybe_gamma(LIST, ()) == ()
 
 
 class TestSubstHelpers:
@@ -164,6 +154,16 @@ class TestSamplingEngine:
         assert check.passed
         assert check.checked + check.skipped == 30
         assert check.skipped > 0
+
+    def test_recursion_error_is_not_a_skip(self):
+        # Only running out of fuel is a skip: a bind that never returns
+        # is a fault of the instance, not a resource miss.
+        def bind(s, v):
+            return bind(s, v)
+
+        looping = dataclasses.replace(LIST, name="looping", bind=bind)
+        with pytest.raises(RecursionError):
+            check_monad_laws(looping, samples=5, seed=0)
 
     def test_linearity_requires_shared_monad(self):
         from modlam.lam import LC

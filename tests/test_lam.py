@@ -26,8 +26,6 @@ from modlam.lam import (
     gen_normal,
     gen_term,
     iota_fold,
-    is_beta_normal,
-    is_eta_normal,
     naive_prime_monad,
     nf_abs,
     nf_app1,
@@ -48,9 +46,8 @@ from modlam.lam import (
     subst0,
     to_scoped,
     uses_bound,
-    well_scoped,
 )
-from modlam.terms import Op, bvar, fvar, parse_sexpr
+from modlam.terms import Op, bvar, fvar, parse_sexpr, well_scoped
 
 NAMES = ("x", "y", "z")
 
@@ -106,7 +103,7 @@ class TestShiftAndSubst:
 
     @given(lc_substs(), lc_terms())
     def test_preserves_scoping(self, s, t):
-        assert well_scoped(subst(s, t))
+        assert well_scoped(SIG_LC, to_scoped(subst(s, t)))
 
     @given(lc_substs(), lc_substs(), lc_terms())
     def test_associativity(self, f, g, t):
@@ -150,18 +147,16 @@ class TestReduction:
         assert eta_step(t) == Abs(fvar("z"))
         assert eta_step(Abs(fvar("z"))) is None
 
-    def test_normal_form_predicates(self):
-        assert is_beta_normal(parse("\\x. x y"))
-        assert not is_beta_normal(parse("(\\x. x) y"))
-        assert is_eta_normal(parse("\\x. x x"))
-        assert not is_eta_normal(parse("\\x. y x"))
-
     def test_nfterm_validates(self):
         with pytest.raises(ValueError):
             NfTerm(parse("(\\x. x) y"))
         with pytest.raises(ValueError):
             NfTerm(parse("\\x. y x"))
         assert NfTerm(parse("\\x. x y")).term == parse("\\x. x y")
+
+    def test_nfterm_rejects_malformed(self):
+        with pytest.raises(MalformedTermError):
+            NfTerm(App(fvar("x"), "junk"))
 
     def test_normalize_beta_then_eta(self):
         assert normalize(parse("(\\x. x) y")) == NfTerm(fvar("y"))
@@ -258,6 +253,15 @@ class TestIotaFold:
     def test_fold_needs_exp_structure(self):
         with pytest.raises(ConfigError):
             iota_fold(None, parse("x"))
+
+    def test_fold_deep_chain(self):
+        # Each level of the fold costs one frame, so a chain this deep
+        # folds below the default recursion limit.
+        t = bvar(699)
+        for _ in range(700):
+            t = Abs(t)
+        out = iota_fold(nf_exp(), t)
+        assert show_nf(out, debruijn=True) == show(t, debruijn=True)
 
     def test_fold_can_exhaust(self):
         omega = parse("(\\x. x x) (\\x. x x)")
