@@ -4,9 +4,9 @@ exponential structure on normal forms.
 Terms use the same variable discipline as the generic core: bound
 variables are de Bruijn indices, free variables are names, substitution
 rewrites names only.  Reduction is leftmost-outermost beta to normal
-form followed by an eta postpass; beta-normal forms are closed under
-eta contraction, so the postpass terminates and cannot reintroduce a
-beta redex.
+form, eta-contracting each abstraction as it is closed; eta contraction
+can be postponed past beta and beta-normal forms are closed under it,
+so this reaches the beta-eta normal form in one pass.
 
 Normal forms carry a monad structure of their own (substitute, then
 renormalize) and support abstraction and application-to-a-fresh-variable
@@ -205,7 +205,7 @@ def _eta_contract(t: LcTerm) -> Optional[LcTerm]:
 
 def eta_step(t: LcTerm) -> Optional[LcTerm]:
     """Contract the leftmost-outermost eta redex, or return None (the
-    one-step reference for eta_normal, and the check behind NfTerm)."""
+    one-step reference for reduce_to_normal, and the check behind NfTerm)."""
     contracted = _eta_contract(t)
     if contracted is not None:
         return contracted
@@ -226,8 +226,9 @@ def eta_step(t: LcTerm) -> Optional[LcTerm]:
 
 @dataclass(frozen=True)
 class NfTerm:
-    """A lambda term certified beta-normal and eta-reduced: the
-    reference stepper finds no redex in it."""
+    """A lambda term certified beta-normal and eta-reduced: NfTerm(t)
+    checks that the reference stepper finds no redex in t.  This module's
+    producers, normal by construction, seal with _sealed instead."""
 
     term: LcTerm
 
@@ -236,6 +237,13 @@ class NfTerm:
             raise ValueError("term is not beta-normal")
         if eta_step(self.term) is not None:
             raise ValueError("term is not eta-reduced")
+
+
+def _sealed(t: LcTerm) -> NfTerm:
+    # An NfTerm without the stepper walk, for a term normal by construction.
+    nf = object.__new__(NfTerm)
+    object.__setattr__(nf, "term", t)
+    return nf
 
 
 # Nesting that the normalizer allows: binders entered, plus App nodes above
@@ -254,7 +262,8 @@ def _too_deep() -> DepthLimit:
 
 
 def _beta_normal(t: LcTerm, budget: Fuel) -> LcTerm:
-    """Leftmost-outermost beta normal form by unwinding the head spine.
+    """Leftmost-outermost beta normal form by unwinding the head spine,
+    eta-contracting each abstraction as it is closed.
 
     Arguments wait on a stack that survives each head contraction, so a
     step costs one subst0 and never a walk from the root.  A variable
@@ -264,6 +273,10 @@ def _beta_normal(t: LcTerm, budget: Fuel) -> LcTerm:
     context to rebuild: an abstraction around a body, or a list
     [neutral so far, arguments still to normalize]; depth counts the
     binders and App nodes that context puts above the focus.
+
+    A closed abstraction is never reduced again and its body is already
+    normal, so an eta contraction there (one fuel unit) gives the result
+    and step count of an eta postpass over the beta-normal form.
     """
     frames: list = []
     depth = 0
@@ -285,8 +298,10 @@ def _beta_normal(t: LcTerm, budget: Fuel) -> LcTerm:
                 if depth > MAX_DEPTH:
                     raise _too_deep()
                 t = t.body
-            else:
+            elif isinstance(t, Var):
                 break
+            else:
+                raise MalformedTermError(f"not a lambda term: {t!r}")
         if args:
             frames.append([t, args])
             depth += len(args)
@@ -304,55 +319,20 @@ def _beta_normal(t: LcTerm, budget: Fuel) -> LcTerm:
                 t = frame[0]
             else:
                 t = frame.with_body(t)
+                contracted = _eta_contract(t)
+                if contracted is not None:
+                    budget.spend()
+                    t = contracted
             frames.pop()
         else:
             return t
 
 
-def eta_normal(t: LcTerm, budget: Optional[Fuel] = None) -> LcTerm:
-    """Contract every eta redex in one bottom-up pass, spending one fuel
-    unit per contraction when a budget is given.
-
-    A node is checked after its children, and a contraction's result is
-    already eta-normal, so one pass reaches the fixed point.  The
-    eta-normal form is unique and each contraction removes three nodes,
-    so the count matches contracting one redex at a time from the root.
-    """
-    work: list = [t]
-    done: list[LcTerm] = []
-    while work:
-        item = work.pop()
-        if type(item) is tuple:  # a node whose children are in done
-            node = item[0]
-            if type(node) is App:
-                a = done.pop()
-                f = done.pop()
-                done.append(node if f is node.fun and a is node.arg else App(f, a))
-                continue
-            b = done.pop()
-            rebuilt = node if b is node.body else node.with_body(b)
-            contracted = _eta_contract(rebuilt)
-            if contracted is None:
-                done.append(rebuilt)
-            else:
-                if budget is not None:
-                    budget.spend()
-                done.append(contracted)
-        elif type(item) is App:
-            work += ((item,), item.arg, item.fun)
-        elif isinstance(item, Abs):
-            work += ((item,), item.body)
-        else:
-            done.append(item)
-    return done[0]
-
-
-def reduce_to_normal(
-    t: LcTerm, fuel: Fuel | int = DEFAULT_FUEL, seal: Callable[[LcTerm], Any] = lambda t: t
-) -> Any:
-    """Reduce to beta normal form (leftmost-outermost), then eta-contract
-    to a fixed point, and hand the result to seal.  Spends one fuel unit
-    per rewrite step and raises FuelExhausted when the budget runs out.
+def reduce_to_normal(t: LcTerm, fuel: Fuel | int = DEFAULT_FUEL) -> LcTerm:
+    """The beta-eta normal form: leftmost-outermost beta, each abstraction
+    eta-contracted as it is closed.  Spends one fuel unit per rewrite
+    step and raises FuelExhausted when the budget runs out.  This is the
+    one code path that establishes a normal form.
 
     A term nested deeper than MAX_DEPTH raises DepthLimit, a kind of
     FuelExhausted: nesting is a resource ceiling of the same kind as the
@@ -362,7 +342,7 @@ def reduce_to_normal(
     """
     budget = Fuel.coerce(fuel)
     try:
-        return seal(eta_normal(_beta_normal(t, budget), budget))
+        return _beta_normal(t, budget)
     except RecursionError:
         raise DepthLimit(
             "a substitution outgrew the recursion limit within the depth limit"
@@ -371,7 +351,7 @@ def reduce_to_normal(
 
 def normalize(t: LcTerm, fuel: Fuel | int = DEFAULT_FUEL) -> NfTerm:
     """The certified beta-eta normal form (see reduce_to_normal)."""
-    return reduce_to_normal(t, fuel, NfTerm)
+    return _sealed(reduce_to_normal(t, fuel))
 
 
 class Equivalence(Enum):
@@ -446,9 +426,7 @@ def nf_abs(t: NfTerm) -> NfTerm:
     form, contracting a root eta redex if one appears."""
     wrapped = Abs(t.term)
     contracted = _eta_contract(wrapped)
-    if contracted is not None:
-        return NfTerm(contracted)
-    return NfTerm(wrapped)
+    return _sealed(wrapped if contracted is None else contracted)
 
 
 # ---------- the exponential structure and its fold ----------
@@ -477,7 +455,7 @@ def nf_exp(fuel: int = DEFAULT_FUEL) -> ExpStructure:
         abs1=nf_abs,
         app1=nf_app1,
         subst_fresh=subst_fresh,
-        fresh_var=lambda k: NfTerm(bvar(k)),
+        fresh_var=lambda k: _sealed(bvar(k)),
     )
 
 
@@ -725,7 +703,7 @@ def gen_normal(
     depth: int = 0,
 ) -> NfTerm:
     """A random normal form: built beta-normal by construction, then
-    eta-contracted to a fixed point (which preserves beta-normality)."""
+    eta-contracted by reduce_to_normal, which finds no beta redex in it."""
 
     def leaf(depth: int) -> LcTerm:
         if depth > 0 and rng.random() < 0.5:
@@ -743,7 +721,7 @@ def gen_normal(
             return Abs(nf(budget - 1, depth + 1))
         return neutral(budget, depth)
 
-    return NfTerm(eta_normal(nf(rng.randint(1, max_size), depth)))
+    return _sealed(reduce_to_normal(nf(rng.randint(1, max_size), depth)))
 
 
 def _gen_subst(rng: random.Random) -> dict:
@@ -781,7 +759,7 @@ def nf_monad(fuel: int = DEFAULT_FUEL) -> MonadInstance:
     return MonadInstance(
         name="nf",
         names=NAME_POOL,
-        unit=lambda name: NfTerm(fvar(name)),
+        unit=lambda name: _sealed(fvar(name)),
         bind=lambda s, t: nf_bind(s, t, fuel),
         gen_value=lambda rng: gen_normal(rng),
         gen_subst=_gen_nf_subst,

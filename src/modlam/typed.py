@@ -21,13 +21,10 @@ from .harness import ModuleInstance, MonadInstance
 from .lam import (
     Abs,
     App,
-    beta_step,
-    eta_step,
     parse_binding,
     reduce_to_normal,
     shift,
     show,
-    size,
     subst,
 )
 from .scan import end_of_input, expect, ident, nat, skip_ws
@@ -99,11 +96,6 @@ class TAbs(Abs):
 
 
 StlcTerm = TVar | TApp | TAbs
-
-# lam's operations, under their typed names
-stlc_size = size
-stlc_beta_step = beta_step
-stlc_eta_step = eta_step
 
 
 def typed_frees(t: StlcTerm) -> set[TFree]:
@@ -198,9 +190,9 @@ def stlc_subst(s: Mapping[str, StlcTerm], t: StlcTerm) -> StlcTerm:
 
 
 def stlc_normalize(t: StlcTerm, fuel: Fuel | int = DEFAULT_FUEL) -> StlcTerm:
-    """Leftmost-outermost beta to normal form, then eta to a fixed point,
-    on lam's engine; binder types survive every step.  A term nested
-    deeper than lam.MAX_DEPTH raises DepthLimit, a kind of exhaustion."""
+    """The beta-eta normal form by lam.reduce_to_normal, on lam's engine;
+    binder types survive every step.  A term nested deeper than
+    lam.MAX_DEPTH raises DepthLimit, a kind of exhaustion."""
     return reduce_to_normal(t, fuel)
 
 

@@ -36,6 +36,8 @@ from modlam.lam import (
     SIG_LC,
     Abs,
     App,
+    beta_step,
+    eta_step,
     gen_normal,
     gen_term,
     iota_fold,
@@ -47,6 +49,7 @@ from modlam.lam import (
     normalize,
     parse,
     preorder_leq,
+    size,
     step_successors,
     subst,
     subst0,
@@ -58,10 +61,7 @@ from modlam.typed import (
     BASE,
     gen_typed_term,
     scope_extended_module,
-    stlc_beta_step,
-    stlc_eta_step,
     stlc_normalize,
-    stlc_size,
     type_of,
 )
 from modlam import catalog
@@ -223,18 +223,18 @@ def test_c08_typed_discipline():
         ty = type_of(t)
         walker = t
         for _ in range(FUEL):
-            nxt = stlc_beta_step(walker)
+            nxt = beta_step(walker)
             if nxt is None:
                 break
             walker = nxt
             if type_of(walker) != ty:
                 ok = False
                 break
-        while ok and (nxt := stlc_eta_step(walker)) is not None:
+        while ok and (nxt := eta_step(walker)) is not None:
             walker = nxt
             if type_of(walker) != ty:
                 ok = False
-        if stlc_size(t) <= 30:
+        if size(t) <= 30:
             small += 1
             try:
                 stlc_normalize(t, FUEL)

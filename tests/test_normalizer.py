@@ -7,6 +7,7 @@ import time
 import pytest
 
 from modlam.cli import EXIT_FUEL, run
+from modlam.errors import MalformedTermError
 from modlam.fuel import DepthLimit, Fuel, FuelExhausted
 from modlam.harness import sampled_law
 from modlam.lam import (
@@ -14,10 +15,13 @@ from modlam.lam import (
     Abs,
     App,
     LcTerm,
+    NfTerm,
     beta_step,
-    eta_normal,
     eta_step,
+    gen_normal,
     gen_term,
+    nf_abs,
+    nf_app1,
     normalize,
     parse,
     show,
@@ -52,6 +56,10 @@ def outcome(normalizer, t, fuel: int):
     return out, budget.remaining
 
 
+def stepper_finds_no_redex(t) -> bool:
+    return beta_step(t) is None and eta_step(t) is None
+
+
 OMEGA = "(\\x. x x) (\\x. x x)"
 W = "(\\a. \\b. a a)"  # W W gains a binder per step
 CHURCH_2 = "(\\f. \\x. f (f x))"
@@ -75,7 +83,9 @@ class TestDifferentialOracle:
         for i in range(3000):
             t = gen_term(random.Random(i), max_size=14)
             expected = outcome(reference_normalize, t, 300)
-            assert outcome(single_pass, t, 300) == expected, i
+            got = outcome(single_pass, t, 300)
+            assert got == expected, i
+            assert got[0] is None or stepper_finds_no_redex(got[0]), i
             # One unit short of the steps needed: both run out at once.
             short = 300 - expected[1] - 1
             if short >= 0:
@@ -95,19 +105,26 @@ class TestDifferentialOracle:
             t = gen_typed_term(random.Random(i), max_size=16)
             expected = outcome(reference_normalize, t, 10_000)
             assert expected[0] is not None
-            assert outcome(stlc_normalize, t, 10_000) == expected, i
+            got = outcome(stlc_normalize, t, 10_000)
+            assert got == expected and stepper_finds_no_redex(got[0]), i
 
-    def test_eta_pass_matches_stepping(self):
+    @pytest.mark.parametrize("normalizer", [normalize, stlc_normalize], ids=["lam", "typed"])
+    def test_non_term_leaf_is_rejected(self, normalizer):
+        with pytest.raises(MalformedTermError, match="not a lambda term"):
+            normalizer(App(fvar("x"), "junk"))
+
+
+class TestSeal:
+    def test_sealed_producers_pass_the_stepper_check(self):
+        # gen_normal, nf_abs and nf_app1 seal without the stepper walk;
+        # certifying their output from outside must agree.
         for i in range(2000):
-            t = gen_term(random.Random(i), max_size=14)
-            budget = Fuel(100)
-            stepped = t
-            steps = 0
-            while (t2 := eta_step(stepped)) is not None:
-                stepped = t2
-                steps += 1
-            assert eta_normal(t, budget) == stepped
-            assert budget.remaining == 100 - steps
+            x = gen_normal(random.Random(i), depth=i % 2)
+            opened, closed = nf_app1(x), nf_abs(x)
+            back = nf_abs(opened), nf_app1(closed)
+            for nf in (x, opened, closed, *back):
+                NfTerm(nf.term)
+            assert back == (x, x), i
 
 
 class TestDepthLimit:

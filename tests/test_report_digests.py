@@ -1,11 +1,12 @@
 """Byte-level pins of the law reports.
 
 Each of the 23 (suite, instance) pairs is run at 200 samples for seeds 0
-and 1, and the SHA-256 of its formatted report is compared with a pinned
-digest.  A digest that moves means a report changed: other samples were
-drawn, checked or skipped, or a report prints differently.  Skips caused
-by running out of stack depend on stack depth, so a refactoring that
-moves one must shed frames, not re-record the digest.
+and 1, the three nf pairs also at 1000, and the SHA-256 of each formatted
+report is compared with a pinned digest.  A digest that moves means a
+report changed: other samples were drawn, checked or skipped, or a
+report prints differently.  Skips caused by running out of stack depend
+on stack depth, so a refactoring that moves one must shed frames, not
+re-record the digest.
 """
 
 import hashlib
@@ -72,13 +73,30 @@ DIGESTS = {
 }
 ALL = "807731c6925b58ff204c61bf00d449b637a12bef3e662da89014ce89b7f108fb"
 
+# At 1000 samples the nf pairs skip 20 samples over both seeds, against 1 at
+# 200: the samples whose fuel accounting a normalizer change can move.
+DIGESTS_1000 = {
+    ("monad", "nf", 0): "986d4cd57535b56c8f7ae0bf76677f16ae523b6440c8b1651e49f8c2e9c306c1",
+    ("module", "nf", 0): "cd8d71a48b7238e987ccdac9492a0b7f41e222d34d21b0970d14d439e06c38d6",
+    ("linearity", "nf", 0): "cd2aac1a6a2b5db13dd1e51540394ce9e0c65e0fe559bf0954ee76ee3ed3322b",
+    ("monad", "nf", 1): "ae8096f13b8cbfc65b63b908d7bd6b2a864391cbcc781377a55754671ce18367",
+    ("module", "nf", 1): "f3544e149997b78ea3ceee461cd14aa0c216a3f30d27abc84e6007ad38709119",
+    ("linearity", "nf", 1): "dc4c41c41380a48b9190e623b13aa03225385992757ae91acc4872457a46aad3",
+}
+
+RUNS = {(s, i, seed, 200): DIGESTS[s, i, seed] for seed in SEEDS for s, i in PAIRS}
+RUNS.update({(s, i, seed, 1000): digest for (s, i, seed), digest in DIGESTS_1000.items()})
+
+
+def run_id(suite, instance, seed, samples):
+    return f"{suite}-{instance}-{seed}" + ("" if samples == 200 else f"-{samples}")
+
 
 @pytest.fixture(scope="module")
 def reports():
     return {
-        (suite, instance, seed): catalog.run_suite(suite, instance, 200, seed).format()
-        for seed in SEEDS
-        for suite, instance in PAIRS
+        (suite, instance, seed, samples): catalog.run_suite(suite, instance, samples, seed).format()
+        for suite, instance, seed, samples in RUNS
     }
 
 
@@ -86,12 +104,11 @@ def sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("suite, instance", PAIRS)
-def test_report_digest(reports, suite, instance, seed):
-    assert sha(reports[suite, instance, seed]) == DIGESTS[suite, instance, seed]
+@pytest.mark.parametrize("key", [pytest.param(key, id=run_id(*key)) for key in RUNS])
+def test_report_digest(reports, key):
+    assert sha(reports[key]) == RUNS[key]
 
 
 def test_concatenated_digest(reports):
-    assert len(reports) == 46
-    assert sha("".join(reports[s, i, seed] for seed in SEEDS for s, i in PAIRS)) == ALL
+    assert len(reports) == len(DIGESTS) + len(DIGESTS_1000) == 52
+    assert sha("".join(reports[s, i, seed, 200] for seed in SEEDS for s, i in PAIRS)) == ALL

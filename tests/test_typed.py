@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from modlam.catalog import run_suite
 from modlam.errors import ParseError, TypeCheckError
 from modlam.harness import check_module_laws, check_monad_laws
+from modlam.lam import beta_step, eta_step
 from modlam.terms import Bound
 from modlam.typed import (
     BASE,
@@ -32,10 +33,7 @@ from modlam.typed import (
     show_stlc,
     show_tlist,
     show_type,
-    stlc_beta_step,
-    stlc_eta_step,
     stlc_normalize,
-    stlc_size,
     stlc_subst,
     tlist_shift,
     tlist_sort,
@@ -145,7 +143,7 @@ class TestReduction:
 
     def test_eta_preserves_type(self):
         t = TAbs(BASE, TApp(free("f", ARR), TVar(Bound(0))))
-        stepped = stlc_eta_step(t)
+        stepped = eta_step(t)
         assert stepped == free("f", ARR)
         assert type_of(stepped) == type_of(t)
 
@@ -155,14 +153,14 @@ class TestReduction:
         t = gen_typed_term(rng)
         ty = type_of(t)
         for _ in range(2_000):
-            nxt = stlc_beta_step(t)
+            nxt = beta_step(t)
             if nxt is None:
                 break
             t = nxt
             assert type_of(t) == ty
         else:
             pytest.fail("did not normalize in 2000 steps")
-        while (nxt := stlc_eta_step(t)) is not None:
+        while (nxt := eta_step(t)) is not None:
             t = nxt
             assert type_of(t) == ty
 
@@ -170,8 +168,8 @@ class TestReduction:
         for i in range(100):
             t = gen_typed_term(random.Random(i))
             out = stlc_normalize(t, 10_000)
-            assert stlc_beta_step(out) is None
-            assert stlc_eta_step(out) is None
+            assert beta_step(out) is None
+            assert eta_step(out) is None
             assert type_of(out) == type_of(t)
 
 
