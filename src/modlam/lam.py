@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Callable, Iterator, Mapping, Optional
 
 from .errors import ConfigError, MalformedTermError
 from .fuel import DEFAULT_FUEL, DepthLimit, Fuel, FuelExhausted
@@ -171,29 +171,6 @@ def uses_bound(t: LcTerm, index: int) -> bool:
 # ---------- reduction ----------
 
 
-def beta_step(t: LcTerm) -> Optional[LcTerm]:
-    """Contract the leftmost-outermost beta redex, or return None.
-
-    One step from the root: the reference for reduce_to_normal, which
-    takes the same steps in the same order without the search, and the
-    check behind NfTerm."""
-    match t:
-        case App(Abs(b), a):
-            return subst0(b, a)
-        case App(f, a):
-            f2 = beta_step(f)
-            if f2 is not None:
-                return App(f2, a)
-            a2 = beta_step(a)
-            return App(f, a2) if a2 is not None else None
-        case Abs(b):
-            b2 = beta_step(b)
-            return t.with_body(b2) if b2 is not None else None
-        case Var(_):
-            return None
-    raise MalformedTermError(f"not a lambda term: {t!r}")
-
-
 def _eta_contract(t: LcTerm) -> Optional[LcTerm]:
     # Abs(App(u, #0)) with u not using #0 contracts to u un-shifted.
     match t:
@@ -203,44 +180,58 @@ def _eta_contract(t: LcTerm) -> Optional[LcTerm]:
             return None
 
 
+def _contractions(t: LcTerm) -> Iterator[tuple[str, LcTerm]]:
+    # Every single beta or eta contraction of t as (rule, reduct), over the
+    # congruence closure of the oriented rules, in leftmost-outermost order:
+    # a node's own redex, then its function's (or body's), then its argument's.
+    if isinstance(t, App):
+        if isinstance(t.fun, Abs):
+            yield "beta", subst0(t.fun.body, t.arg)
+        for rule, f2 in _contractions(t.fun):
+            yield rule, App(f2, t.arg)
+        for rule, a2 in _contractions(t.arg):
+            yield rule, App(t.fun, a2)
+    elif isinstance(t, Abs):
+        contracted = _eta_contract(t)
+        if contracted is not None:
+            yield "eta", contracted
+        for rule, b2 in _contractions(t.body):
+            yield rule, t.with_body(b2)
+    elif not isinstance(t, Var):
+        raise MalformedTermError(f"not a lambda term: {t!r}")
+
+
+def beta_step(t: LcTerm) -> Optional[LcTerm]:
+    """Contract the leftmost-outermost beta redex, or return None (the
+    one-step reference that reduce_to_normal matches step for step)."""
+    return next((u for rule, u in _contractions(t) if rule == "beta"), None)
+
+
 def eta_step(t: LcTerm) -> Optional[LcTerm]:
-    """Contract the leftmost-outermost eta redex, or return None (the
-    one-step reference for reduce_to_normal, and the check behind NfTerm)."""
-    contracted = _eta_contract(t)
-    if contracted is not None:
-        return contracted
-    match t:
-        case App(f, a):
-            f2 = eta_step(f)
-            if f2 is not None:
-                return App(f2, a)
-            a2 = eta_step(a)
-            return App(f, a2) if a2 is not None else None
-        case Abs(b):
-            b2 = eta_step(b)
-            return t.with_body(b2) if b2 is not None else None
-        case Var(_):
-            return None
-    raise MalformedTermError(f"not a lambda term: {t!r}")
+    """Contract the leftmost-outermost eta redex, or return None."""
+    return next((u for rule, u in _contractions(t) if rule == "eta"), None)
 
 
 @dataclass(frozen=True)
 class NfTerm:
-    """A lambda term certified beta-normal and eta-reduced: NfTerm(t)
-    checks that the reference stepper finds no redex in t.  This module's
+    """A lambda term certified beta-normal and eta-reduced: NfTerm(t) runs
+    reduce_to_normal on t with no fuel, so any contraction raises
+    ValueError and nesting past MAX_DEPTH raises DepthLimit.  This module's
     producers, normal by construction, seal with _sealed instead."""
 
     term: LcTerm
 
     def __post_init__(self):
-        if beta_step(self.term) is not None:
-            raise ValueError("term is not beta-normal")
-        if eta_step(self.term) is not None:
-            raise ValueError("term is not eta-reduced")
+        try:
+            reduce_to_normal(self.term, Fuel(0))
+        except DepthLimit:
+            raise
+        except FuelExhausted:
+            raise ValueError("term is not beta-eta normal") from None
 
 
 def _sealed(t: LcTerm) -> NfTerm:
-    # An NfTerm without the stepper walk, for a term normal by construction.
+    # An NfTerm without the certifying pass, for a term normal by construction.
     nf = object.__new__(NfTerm)
     object.__setattr__(nf, "term", t)
     return nf
@@ -332,7 +323,7 @@ def reduce_to_normal(t: LcTerm, fuel: Fuel | int = DEFAULT_FUEL) -> LcTerm:
     """The beta-eta normal form: leftmost-outermost beta, each abstraction
     eta-contracted as it is closed.  Spends one fuel unit per rewrite
     step and raises FuelExhausted when the budget runs out.  This is the
-    one code path that establishes a normal form.
+    one code path that establishes or checks a normal form.
 
     A term nested deeper than MAX_DEPTH raises DepthLimit, a kind of
     FuelExhausted: nesting is a resource ceiling of the same kind as the
@@ -491,19 +482,7 @@ def iota_fold(
 def step_successors(t: LcTerm) -> list[LcTerm]:
     """All terms reachable by contracting a single beta or eta redex at
     any position (the congruence closure of the oriented rules)."""
-    out: list[LcTerm] = []
-    match t:
-        case App(f, a):
-            if isinstance(f, Abs):
-                out.append(subst0(f.body, a))
-            out.extend(App(f2, a) for f2 in step_successors(f))
-            out.extend(App(f, a2) for a2 in step_successors(a))
-        case Abs(b):
-            contracted = _eta_contract(t)
-            if contracted is not None:
-                out.append(contracted)
-            out.extend(t.with_body(b2) for b2 in step_successors(b))
-    return out
+    return [u for _, u in _contractions(t)]
 
 
 def preorder_leq(t1: LcTerm, t2: LcTerm, depth: int = 20) -> bool:

@@ -87,6 +87,15 @@ class Signature:
             raise MalformedTermError(f"operator index {op} out of signature range")
         return self.ops[op][1]
 
+    def checked_arity(self, op: int, args: tuple) -> Arity:
+        """The arity of op, checked against the arguments it is given."""
+        arity = self.arity(op)
+        if len(args) != len(arity):
+            raise MalformedTermError(
+                f"operator {self.name(op)} expects {len(arity)} arguments, got {len(args)}"
+            )
+        return arity
+
     def index(self, name: str) -> int:
         for i, (n, _) in enumerate(self.ops):
             if n == name:
@@ -161,7 +170,7 @@ def _shift(sig: Signature, t: ScopedTerm, by: int, cutoff: int) -> ScopedTerm:
         case Var(Free(_)):
             return t
         case Op(op, args):
-            arity = sig.arity(op)
+            arity = sig.checked_arity(op, args)
             return Op(
                 op,
                 tuple(
@@ -198,7 +207,7 @@ def substitute(sig: Signature, s: Subst, t: ScopedTerm, depth: int = 0) -> Scope
         case Var(Bound(_)):
             return t
         case Op(op, args):
-            arity = sig.arity(op)
+            arity = sig.checked_arity(op, args)
             return Op(
                 op,
                 tuple(
@@ -267,11 +276,7 @@ def fold(
                     raise ConfigError("representation has no bound_value for binder slots")
                 return rep.bound_value(k)
             case Op(op, args):
-                arity = sig.arity(op)
-                if len(args) != len(arity):
-                    raise MalformedTermError(
-                        f"operator {sig.name(op)} expects {len(arity)} arguments, got {len(args)}"
-                    )
+                sig.checked_arity(op, args)
                 return rep.ops[op](*map(go, args))
         raise MalformedTermError(f"not a term: {t!r}")
 

@@ -23,7 +23,6 @@ from .lam import (
     App,
     parse_binding,
     reduce_to_normal,
-    shift,
     show,
     subst,
 )
@@ -144,12 +143,12 @@ def typecheck(
             ta = typecheck(ctx, a, _binders)
             if not isinstance(tf, Arrow):
                 raise TypeCheckError(
-                    f"applied a non-function of type {show_type(tf)} in {show_stlc(t)}"
+                    f"applied a non-function of type {show_type(tf)} in {show(t)}"
                 )
             if tf.dom != ta:
                 raise TypeCheckError(
                     f"argument type {show_type(ta)} does not match "
-                    f"{show_type(tf.dom)} in {show_stlc(t)}"
+                    f"{show_type(tf.dom)} in {show(t)}"
                 )
             return tf.cod
         case TAbs(ty, b):
@@ -196,12 +195,6 @@ def stlc_normalize(t: StlcTerm, fuel: Fuel | int = DEFAULT_FUEL) -> StlcTerm:
     return reduce_to_normal(t, fuel)
 
 
-def scope_extend(t: StlcTerm) -> StlcTerm:
-    """Move a term under one extra binder slot (the partial-derivative
-    inclusion); the slot's type is tracked by the surrounding module."""
-    return shift(t, 1, 0)
-
-
 # ---------- printing and parsing ----------
 #
 #   term ::= '\' ident ':' type '.' term | app
@@ -212,10 +205,6 @@ def scope_extend(t: StlcTerm) -> StlcTerm:
 # Free variables have no annotation in the grammar and are declared at
 # the base type.  Parsing and printing are lam's: a typed binder reads
 # its type after the name, and printing reads it off the node.
-
-
-def show_stlc(t: StlcTerm) -> str:
-    return show(t)
 
 
 def parse_stlc(text: str) -> StlcTerm:
@@ -317,7 +306,7 @@ def stlc_monad() -> MonadInstance:
         bind=stlc_subst,
         gen_value=lambda rng: gen_typed_term(rng),
         gen_subst=_gen_stlc_subst,
-        show_value=show_stlc,
+        show_value=show,
         key=lambda tf: tf.name,
         show_name=lambda tf: f"{tf.name}:{show_type(tf.type)}",
     )
@@ -330,7 +319,7 @@ def fiber_module(ty: SimpleType) -> ModuleInstance:
         monad=STLC,
         mbind=stlc_subst,
         gen_value=lambda rng: gen_typed_term(rng, ty, max_size=10),
-        show_value=show_stlc,
+        show_value=show,
     )
 
 
@@ -342,7 +331,7 @@ def scope_extended_module(slot_type: SimpleType, ty: SimpleType) -> ModuleInstan
         monad=STLC,
         mbind=stlc_subst,
         gen_value=lambda rng: gen_typed_term(rng, ty, max_size=8, binders=(slot_type,)),
-        show_value=show_stlc,
+        show_value=show,
     )
 
 

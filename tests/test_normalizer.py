@@ -1,6 +1,7 @@
-"""The single-pass normalizer against the one-step reference stepper, and
-its depth limit."""
+"""The single-pass normalizer against the one-step reference stepper, the
+NfTerm certificate it checks, and its depth limit."""
 
+import hashlib
 import random
 import time
 
@@ -25,9 +26,10 @@ from modlam.lam import (
     normalize,
     parse,
     show,
+    step_successors,
 )
 from modlam.terms import bvar, fvar
-from modlam.typed import gen_typed_term, stlc_normalize
+from modlam.typed import BASE, TAbs, gen_typed_term, parse_stlc, stlc_normalize
 
 
 def reference_normalize(t, budget: Fuel):
@@ -125,6 +127,57 @@ class TestSeal:
             for nf in (x, opened, closed, *back):
                 NfTerm(nf.term)
             assert back == (x, x), i
+
+
+def nf_verdict(t) -> str:
+    try:
+        NfTerm(t)
+    except Exception as e:
+        return type(e).__name__
+    return "normal"
+
+
+class TestStepper:
+    # sha256 of one repr line per panel term: beta_step, eta_step,
+    # step_successors (in order) and the NfTerm verdict.  Recorded when each
+    # of the three stepper functions was its own recursive walk and NfTerm
+    # certified through beta_step and eta_step.
+    PANEL_DIGEST = "32ccc6e3589850297db8ba52b3070773ca4be3fd412acbc212b113ad5bfeba0c"
+
+    def test_panel_digest(self):
+        panel = [gen_term(random.Random(i), max_size=14) for i in range(4000)]
+        panel += [gen_typed_term(random.Random(i), max_size=16) for i in range(1000)]
+        panel += [parse(OMEGA), parse(f"{W} {W} y"), parse("\\x. \\y. f x y"),
+                  parse("\\x. (\\y. g y) x")]
+        h = hashlib.sha256()
+        for t in panel:
+            line = repr((beta_step(t), eta_step(t), step_successors(t), nf_verdict(t)))
+            h.update(line.encode() + b"\n")
+        assert h.hexdigest() == self.PANEL_DIGEST
+
+    def test_non_term_leaf_is_rejected(self):
+        with pytest.raises(MalformedTermError, match="not a lambda term"):
+            step_successors(App(fvar("x"), "junk"))
+
+
+class TestCertificate:
+    def test_deep_spine_hits_the_depth_limit(self):
+        # Certified by the normalizer, which runs on explicit stacks.
+        with pytest.raises(DepthLimit, match="depth limit"):
+            NfTerm(church(1500))
+
+    def test_spine_within_the_limit_certifies(self):
+        NfTerm(church(590))
+
+    def test_typed_normal_form_certifies(self):
+        t = parse_stlc("\\x:*. \\y:* -> *. y x")
+        assert isinstance(NfTerm(t).term, TAbs)
+        assert nf_verdict(TAbs(BASE, App(fvar("f"), bvar(0)))) == "ValueError"
+
+    def test_any_redex_is_refused(self):
+        for text in ("(\\x. x) y", "\\x. y x", "g (\\x. y x) ((\\x. x) z)"):
+            with pytest.raises(ValueError, match="not beta-eta normal"):
+                NfTerm(parse(text))
 
 
 class TestDepthLimit:

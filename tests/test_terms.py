@@ -132,6 +132,21 @@ class TestSubstitute:
         t = abs_(bvar(0))
         assert substitute(SIG, {"x": fvar("y")}, t) == t
 
+    def test_surplus_arguments_rejected(self):
+        # substitute raises what fold raises instead of dropping the surplus;
+        # an image moved under a binder meets the malformed node in the shift.
+        x, y, z = fvar("x"), fvar("y"), fvar("z")
+        wide = Op(APP, (x, y, z))
+        message = "operator app expects 2 arguments, got 3"
+        with pytest.raises(MalformedTermError, match=message):
+            fold(self_representation(SIG), wide, env={"x": x, "y": y, "z": z})
+        with pytest.raises(MalformedTermError, match=message):
+            substitute(SIG, {}, wide)
+        with pytest.raises(MalformedTermError, match=message):
+            substitute(SIG, {"y": abs_(wide)}, abs_(fvar("y")))
+        with pytest.raises(MalformedTermError, match="expects 2 arguments, got 1"):
+            substitute(SIG, {}, abs_(Op(APP, (x,))))
+
     @given(substs(), scoped_terms())
     def test_preserves_scoping(self, s, t):
         assert well_scoped(SIG, substitute(SIG, s, t))

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from modlam.catalog import run_suite
 from modlam.errors import ParseError, TypeCheckError
 from modlam.harness import check_module_laws, check_monad_laws
-from modlam.lam import beta_step, eta_step
+from modlam.lam import beta_step, eta_step, shift, show
 from modlam.terms import Bound
 from modlam.typed import (
     BASE,
@@ -26,11 +26,9 @@ from modlam.typed import (
     gen_typed_term,
     parse_stlc,
     parse_tlist,
-    scope_extend,
     scope_extended_module,
     semantic_fiber_module,
     semantic_scope_extended_module,
-    show_stlc,
     show_tlist,
     show_type,
     stlc_normalize,
@@ -124,9 +122,9 @@ class TestSubstitution:
         assert out == TAbs(BASE, TApp(TVar(Bound(0)), free("y")))
 
     def test_scope_extend(self):
-        assert scope_extend(TVar(Bound(0))) == TVar(Bound(1))
-        assert scope_extend(free("x")) == free("x")
-        assert scope_extend(TAbs(BASE, TVar(Bound(0)))) == TAbs(BASE, TVar(Bound(0)))
+        assert shift(TVar(Bound(0))) == TVar(Bound(1))
+        assert shift(free("x")) == free("x")
+        assert shift(TAbs(BASE, TVar(Bound(0)))) == TAbs(BASE, TVar(Bound(0)))
 
     @given(st.integers(0, 5_000))
     def test_preserves_types(self, seed):
@@ -175,9 +173,9 @@ class TestReduction:
 
 class TestStlcGrammar:
     def test_show(self):
-        assert show_stlc(parse_stlc("\\x:*. x y")) == "\\v0:*. v0 y"
-        assert show_stlc(free("x")) == "x"
-        assert show_stlc(TVar(Bound(0))) == "#0"
+        assert show(parse_stlc("\\x:*. x y")) == "\\v0:*. v0 y"
+        assert show(free("x")) == "x"
+        assert show(TVar(Bound(0))) == "#0"
 
     def test_parse_errors(self):
         with pytest.raises(ParseError):
@@ -194,7 +192,7 @@ class TestStlcGrammar:
         for i in range(400):
             t = gen_typed_term(random.Random(i))
             if all(tf.type == BASE for tf in typed_frees(t)):
-                assert parse_stlc(show_stlc(t)) == t
+                assert parse_stlc(show(t)) == t
                 hits += 1
         assert hits > 50
 
