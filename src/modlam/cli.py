@@ -182,7 +182,7 @@ def _dispatch(args) -> int:
 
     if args.command == "fold":
         t = lam.parse(_read_term_arg(args.term))
-        out = lam.iota_fold(lam.nf_exp(args.fuel), t, fuel=args.fuel)
+        out = lam.iota_fold(t, fuel=args.fuel)
         print(lam.show_nf(out))
         return EXIT_OK
 

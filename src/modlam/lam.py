@@ -1,5 +1,5 @@
 """Untyped lambda calculus: syntax, reduction, normal forms, and the
-exponential structure on normal forms.
+initial representation's fold into normal forms.
 
 Terms use the same variable discipline as the generic core: bound
 variables are de Bruijn indices, free variables are names, substitution
@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Iterator, Mapping, Optional
+from typing import Callable, Iterator, Mapping, Optional
 
 from .errors import ConfigError, MalformedTermError
 from .fuel import DEFAULT_FUEL, DepthLimit, Fuel, FuelExhausted
@@ -397,19 +397,11 @@ def nf_bind(s: Mapping[str, NfTerm], t: NfTerm, fuel: Fuel | int = DEFAULT_FUEL)
 
 def nf_app1(t: NfTerm) -> NfTerm:
     """Apply to a fresh variable: t becomes App(shift t, #0), one scope
-    deeper, renormalized.  At most one beta step can appear (when t is an
-    abstraction), so the internal budget size(t)+1 always suffices; if it
-    ever does not, that is a defect in this module, not a user error.
-    Exhaustion with budget to spare means the depth limit was hit
-    instead, which stays an ordinary resource error."""
-    raw = App(shift(t.term), bvar(0))
-    budget = Fuel(size(t.term) + 1)
-    try:
-        return normalize(raw, budget)
-    except FuelExhausted:
-        if budget.remaining == 0:  # pragma: no cover
-            raise RuntimeError("internal: nf_app1 budget exhausted") from None
-        raise
+    deeper, in normal form.  An abstraction's one beta step gives back
+    its body; a neutral term applied to a fresh variable is normal."""
+    if isinstance(t.term, Abs):
+        return _sealed(t.term.body)
+    return _sealed(App(shift(t.term), bvar(0)))
 
 
 def nf_abs(t: NfTerm) -> NfTerm:
@@ -420,58 +412,30 @@ def nf_abs(t: NfTerm) -> NfTerm:
     return _sealed(wrapped if contracted is None else contracted)
 
 
-# ---------- the exponential structure and its fold ----------
-
-
-@dataclass(frozen=True)
-class ExpStructure:
-    """What a target must provide for the initial-representation fold:
-    a monad of values, inverse abs/app1 operations between values and
-    one-scope-deeper values, substitution of the fresh slot, and fresh
-    variables for open terms."""
-
-    monad: MonadInstance
-    abs1: Callable[[Any], Any]
-    app1: Callable[[Any], Any]
-    subst_fresh: Callable[[Any, Any, Fuel], Any]
-    fresh_var: Callable[[int], Any]
-
-
-def nf_exp(fuel: int = DEFAULT_FUEL) -> ExpStructure:
-    def subst_fresh(ext: NfTerm, v: NfTerm, budget: Fuel) -> NfTerm:
-        return normalize(subst0(ext.term, v.term), budget)
-
-    return ExpStructure(
-        monad=nf_monad(fuel),
-        abs1=nf_abs,
-        app1=nf_app1,
-        subst_fresh=subst_fresh,
-        fresh_var=lambda k: _sealed(bvar(k)),
-    )
+# ---------- the initial-representation fold ----------
 
 
 def iota_fold(
-    exp: ExpStructure,
     t: LcTerm,
-    env: Optional[Mapping[str, Any]] = None,
+    env: Optional[Mapping[str, NfTerm]] = None,
     fuel: Fuel | int = DEFAULT_FUEL,
-) -> Any:
-    """Fold a lambda term into an exponential target: terms.fold along
-    the representation of SIG_LC that the structure defines.
+) -> NfTerm:
+    """Fold a lambda term into normal forms: terms.fold along the
+    representation of SIG_LC in NF.  abs is nf_abs; app opens the folded
+    function with nf_app1 and substitutes the folded argument for the
+    fresh slot.  Variables go through env (default: NF's unit).
 
-    Variables go through env (default: the target's unit); an
-    abstraction folds its body one scope deeper and closes it with abs1;
-    an application folds the function, opens it with app1, and
-    substitutes the folded argument for the fresh slot.
+    That substitution is the contraction itself, so fuel is spent only by
+    renormalizing its result, one budget shared by the whole fold: a fold
+    whose applications create no new redex spends none.
     """
-    if not isinstance(exp, ExpStructure):
-        raise ConfigError("iota_fold target must carry an exponential structure")
     budget = Fuel.coerce(fuel)
+
+    def app(f: NfTerm, a: NfTerm) -> NfTerm:
+        return normalize(subst0(nf_app1(f).term, a.term), budget)
+
     rep = Representation(
-        SIG_LC,
-        (lambda f, a: exp.subst_fresh(exp.app1(f), a, budget), exp.abs1),
-        bound_value=exp.fresh_var,
-        monad=exp.monad,
+        SIG_LC, (app, nf_abs), bound_value=lambda k: _sealed(bvar(k)), monad=NF
     )
     return fold(rep, to_scoped(t), env)
 
@@ -734,12 +698,12 @@ def lc_monad() -> MonadInstance:
     )
 
 
-def nf_monad(fuel: int = DEFAULT_FUEL) -> MonadInstance:
+def nf_monad() -> MonadInstance:
     return MonadInstance(
         name="nf",
         names=NAME_POOL,
         unit=lambda name: _sealed(fvar(name)),
-        bind=lambda s, t: nf_bind(s, t, fuel),
+        bind=nf_bind,
         gen_value=lambda rng: gen_normal(rng),
         gen_subst=_gen_nf_subst,
         show_value=show_nf,

@@ -121,15 +121,6 @@ Subst = Mapping[str, ScopedTerm]
 # ---------- structural helpers ----------
 
 
-def term_size(t: ScopedTerm) -> int:
-    match t:
-        case Var(_):
-            return 1
-        case Op(_, args):
-            return 1 + sum(term_size(a) for a in args)
-    raise MalformedTermError(f"not a term: {t!r}")
-
-
 def free_names(t: ScopedTerm) -> set[str]:
     match t:
         case Var(Free(name)):
@@ -188,7 +179,7 @@ def rename(sig: Signature, f: Mapping[str, str], t: ScopedTerm) -> ScopedTerm:
         case Var(Bound(_)):
             return t
         case Op(op, args):
-            sig.arity(op)
+            sig.checked_arity(op, args)
             return Op(op, tuple(rename(sig, f, a) for a in args))
     raise MalformedTermError(f"not a term: {t!r}")
 
@@ -348,6 +339,8 @@ def show_sexpr(sig: Signature, t: ScopedTerm) -> str:
         case Var(Bound(k)):
             return f"#{k}"
         case Op(op, args):
+            if len(args) != len(sig.arity(op)):
+                sig.checked_arity(op, args)
             name = sig.name(op)
             if not args:
                 return f"({name})"

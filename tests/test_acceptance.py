@@ -45,7 +45,6 @@ from modlam.lam import (
     nf_abs,
     nf_app1,
     nf_bind,
-    nf_exp,
     normalize,
     parse,
     preorder_leq,
@@ -164,14 +163,13 @@ def test_c05_beta_square():
 
 
 def test_c06_initial_fold():
-    exp = nf_exp(FUEL)
     evaluated = 0
     agreed = 0
     for i in range(SAMPLES):
         t = gen_term(rng_for("c6a", i))
         try:
             direct = normalize(t, Fuel(FUEL))
-            folded = iota_fold(exp, t, fuel=FUEL)
+            folded = iota_fold(t, fuel=FUEL)
         except (FuelExhausted, RecursionError):
             continue
         evaluated += 1
@@ -186,9 +184,9 @@ def test_c06_initial_fold():
         t = gen_term(rng)
         s = LC.gen_subst(rng)
         try:
-            lhs = iota_fold(exp, subst(s, t), fuel=FUEL)
-            folded_s = {k: iota_fold(exp, v, fuel=FUEL) for k, v in s.items()}
-            rhs = nf_bind(folded_s, iota_fold(exp, t, fuel=FUEL), FUEL)
+            lhs = iota_fold(subst(s, t), fuel=FUEL)
+            folded_s = {k: iota_fold(v, fuel=FUEL) for k, v in s.items()}
+            rhs = nf_bind(folded_s, iota_fold(t, fuel=FUEL), FUEL)
         except (FuelExhausted, RecursionError):
             continue
         square_evaluated += 1

@@ -30,7 +30,6 @@ from modlam.lam import (
     nf_abs,
     nf_app1,
     nf_bind,
-    nf_exp,
     nf_monad,
     normalize,
     parse,
@@ -233,26 +232,29 @@ class TestNormalFormMonad:
         u = gen_normal(random.Random(seed), depth=1)
         assert nf_app1(nf_abs(u)) == u
 
+    def test_inverse_pair_at_the_depth_ceiling(self):
+        # x (x (... (x y))), nested just below MAX_DEPTH: opening and closing
+        # again is the identity.  Compared as text, since dataclass equality
+        # recurses two frames a level.
+        t = fvar("y")
+        for _ in range(600):
+            t = App(fvar("x"), t)
+        assert show(nf_abs(nf_app1(NfTerm(t))).term) == show(t)
+
     def test_monad_laws(self):
         assert check_monad_laws(nf_monad(), samples=200, seed=0).passed
 
 
 class TestIotaFold:
     def test_fold_normalizes(self):
-        exp = nf_exp()
-        assert iota_fold(exp, parse("(\\x. x) y")) == NfTerm(fvar("y"))
-        assert iota_fold(exp, parse("\\x. x y")) == NfTerm(parse("\\x. x y"))
+        assert iota_fold(parse("(\\x. x) y")) == NfTerm(fvar("y"))
+        assert iota_fold(parse("\\x. x y")) == NfTerm(parse("\\x. x y"))
 
     def test_fold_with_env(self):
-        exp = nf_exp()
-        out = iota_fold(exp, parse("x"), env={"x": NfTerm(fvar("y"))})
+        out = iota_fold(parse("x"), env={"x": NfTerm(fvar("y"))})
         assert out == NfTerm(fvar("y"))
         with pytest.raises(ConfigError):
-            iota_fold(exp, parse("q"), env={})
-
-    def test_fold_needs_exp_structure(self):
-        with pytest.raises(ConfigError):
-            iota_fold(None, parse("x"))
+            iota_fold(parse("q"), env={})
 
     def test_fold_deep_chain(self):
         # Each level of the fold costs one frame, so a chain this deep
@@ -260,30 +262,72 @@ class TestIotaFold:
         t = bvar(699)
         for _ in range(700):
             t = Abs(t)
-        out = iota_fold(nf_exp(), t)
+        out = iota_fold(t)
         assert show_nf(out, debruijn=True) == show(t, debruijn=True)
 
     def test_fold_can_exhaust(self):
         omega = parse("(\\x. x x) (\\x. x x)")
         with pytest.raises(FuelExhausted):
-            iota_fold(nf_exp(), omega, fuel=50)
+            iota_fold(omega, fuel=50)
+
+    def test_contraction_spends_no_fuel(self):
+        # Substituting for the fresh slot is the contraction; only the
+        # renormalization after it spends fuel.
+        assert iota_fold(parse("(\\x. x) y"), fuel=0) == NfTerm(fvar("y"))
 
     def test_fold_agrees_with_normalize(self):
         import random
 
-        exp = nf_exp()
         agreed = 0
         for i in range(150):
             rng = random.Random(i)
             t = gen_term(rng)
             try:
                 direct = normalize(t, 2000)
-                folded = iota_fold(exp, t, fuel=2000)
+                folded = iota_fold(t, fuel=2000)
             except FuelExhausted:
                 continue
             assert folded == direct, show(t)
             agreed += 1
         assert agreed > 100
+
+    # (normal form, fuel spent from one shared Fuel) for every term of the
+    # panel below, recorded while nf_app1 still ran the normalizer: opening
+    # a normal form by its definition must not change what a fold spends.
+    FUEL_DIGEST = "6f61b3a599493d51bc76f8e7d8ea79e9ad7b49da4a18b1677a9e8def15a6ac0f"
+
+    def test_fuel_accounting_is_pinned(self):
+        import hashlib
+        import random
+
+        def numeral(n):
+            return "(\\f. \\x. " + "f (" * n + "x" + ")" * n + ")"
+
+        def outcome(t, fuel):
+            budget = Fuel(fuel)
+            try:
+                out = show(iota_fold(t, fuel=budget).term)
+            except FuelExhausted as e:
+                out = type(e).__name__
+            return out, fuel - budget.remaining
+
+        # Few random terms create a redex by substitution, so the Church
+        # plus, mult and exp terms are the ones that spend most.
+        panel = [gen_term(random.Random(i), max_size=14) for i in range(3000)]
+        ops = ("(\\m. \\n. \\f. \\x. m f (n f x))", "(\\m. \\n. \\f. m (n f))",
+               "(\\m. \\n. n m)")
+        panel += [parse(f"{op} {numeral(a)} {numeral(b)}")
+                  for op in ops for a in range(5) for b in range(5)]
+        h = hashlib.sha256()
+        spenders = 0
+        for t in panel:
+            out, spent = outcome(t, 2000)
+            h.update(repr((out, spent)).encode() + b"\n")
+            if spent:
+                spenders += 1
+                assert outcome(t, spent - 1) == ("FuelExhausted", spent - 1), show(t)
+        assert spenders > 50
+        assert h.hexdigest() == self.FUEL_DIGEST
 
 
 class TestPreorder:

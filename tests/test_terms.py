@@ -19,7 +19,6 @@ from modlam.terms import (
     self_representation,
     show_sexpr,
     substitute,
-    term_size,
     well_scoped,
 )
 
@@ -147,6 +146,18 @@ class TestSubstitute:
         with pytest.raises(MalformedTermError, match="expects 2 arguments, got 1"):
             substitute(SIG, {}, abs_(Op(APP, (x,))))
 
+    def test_rename_and_show_reject_surplus_arguments(self):
+        # Both raise what substitute raises, instead of passing the node on.
+        x, y, z = fvar("x"), fvar("y"), fvar("z")
+        wide = Op(APP, (x, y, z))
+        message = "operator app expects 2 arguments, got 3"
+        with pytest.raises(MalformedTermError, match=message):
+            rename(SIG, {"x": "w"}, wide)
+        with pytest.raises(MalformedTermError, match=message):
+            show_sexpr(SIG, abs_(wide))
+        with pytest.raises(MalformedTermError, match="expects 1 arguments, got 0"):
+            show_sexpr(SIG, Op(ABS, ()))
+
     @given(substs(), scoped_terms())
     def test_preserves_scoping(self, s, t):
         assert well_scoped(SIG, substitute(SIG, s, t))
@@ -217,6 +228,3 @@ class TestScopeCheck:
         assert not well_scoped(SIG, bvar(0))
         assert well_scoped(SIG, bvar(0), depth=1)
         assert not well_scoped(SIG, Op(APP, (fvar("x"),)))
-
-    def test_term_size(self):
-        assert term_size(abs_(app(bvar(0), fvar("y")))) == 4
