@@ -9,7 +9,7 @@ witness (`combinators`), simply typed and sort-indexed syntax
 """
 
 from .errors import ConfigError, MalformedTermError, ParseError, TypeCheckError
-from .fuel import DEFAULT_FUEL, DepthLimit, Fuel, FuelExhausted
+from .fuel import DEFAULT_FUEL, DepthLimit, Fuel, FuelExhausted, ReductionCycle
 from .harness import (
     LawCheck,
     LawReport,
@@ -57,6 +57,7 @@ __all__ = [
     "MonoidAlgebra",
     "Op",
     "ParseError",
+    "ReductionCycle",
     "Representation",
     "ScopedTerm",
     "Signature",

@@ -19,6 +19,25 @@ class DepthLimit(FuelExhausted):
     normalizer's depth limit (lam.MAX_DEPTH)."""
 
 
+class ReductionCycle(FuelExhausted):
+    """Raised when leftmost-outermost reduction comes back to a term it
+    has already reached: it would go round forever, so the budget is
+    drained to 0 first, the outcome of stepping until it runs out.
+
+    period counts the beta steps of one round of the cycle; first_repeat
+    is the beta step, counted from the term given to the normalizer,
+    at which the repeat was found (the term there is the one period
+    steps earlier)."""
+
+    def __init__(self, period: int, first_repeat: int):
+        super().__init__(
+            f"step budget exhausted: the reduction cycles with period {period} "
+            f"(repeat found at beta step {first_repeat})"
+        )
+        self.period = period
+        self.first_repeat = first_repeat
+
+
 class Fuel:
     """A caller-local, mutable step budget."""
 

@@ -22,7 +22,7 @@ from enum import Enum
 from typing import Callable, Iterator, Mapping, Optional
 
 from .errors import ConfigError, MalformedTermError
-from .fuel import DEFAULT_FUEL, DepthLimit, Fuel, FuelExhausted
+from .fuel import DEFAULT_FUEL, DepthLimit, Fuel, FuelExhausted, ReductionCycle
 from .harness import MonadInstance, ModuleInstance
 from .scan import end_of_input, expect, ident, skip_ws
 from .terms import (
@@ -59,17 +59,6 @@ class Abs:
 
 
 LcTerm = Var | App | Abs
-
-
-def size(t: LcTerm) -> int:
-    match t:
-        case Var(_):
-            return 1
-        case App(f, a):
-            return 1 + size(f) + size(a)
-        case Abs(b):
-            return 1 + size(b)
-    raise MalformedTermError(f"not a lambda term: {t!r}")
 
 
 def free_names(t: LcTerm) -> set[str]:
@@ -268,11 +257,22 @@ def _beta_normal(t: LcTerm, budget: Fuel) -> LcTerm:
     A closed abstraction is never reduced again and its body is already
     normal, so an eta contraction there (one fuel unit) gives the result
     and step count of an eta postpass over the beta-normal form.
+
+    Each run of head contractions is checked for a cycle by Brent's
+    method: the state after a contraction is compared with a snapshot
+    retaken at power-of-two contraction counts of the run.  Within a run
+    frames only grows, so the state is the focus, the pending arguments
+    and len(frames).  Reduction is deterministic, so a repeated state
+    repeats forever: the budget is drained and ReductionCycle raised,
+    the outcome and remaining fuel of stepping until the budget is gone.
     """
     frames: list = []
     depth = 0
     args: list[LcTerm] = []
+    steps = 0  # beta contractions so far
     while True:
+        # The focus moved to an argument or out of a frame: a new run, no snapshot yet.
+        run_start, power, snap_len = steps, 1, -1
         while True:
             if type(t) is App:
                 args.append(t.arg)
@@ -283,6 +283,19 @@ def _beta_normal(t: LcTerm, budget: Fuel) -> LcTerm:
                 if args:
                     budget.spend()
                     t = subst0(t.body, args.pop())
+                    steps += 1
+                    if (
+                        len(args) == snap_len
+                        and len(frames) == snap_frames
+                        and (t is snap_t or _same_term(t, snap_t))
+                        and all(a is b or _same_term(a, b) for a, b in zip(args, snap_args))
+                    ):
+                        budget.remaining = 0
+                        raise ReductionCycle(steps - snap_steps, steps)
+                    if steps - run_start == power:
+                        snap_t, snap_args, snap_len = t, tuple(args), len(args)
+                        snap_frames, snap_steps = len(frames), steps
+                        power *= 2
                     continue
                 frames.append(t)
                 depth += 1
@@ -322,8 +335,10 @@ def _beta_normal(t: LcTerm, budget: Fuel) -> LcTerm:
 def reduce_to_normal(t: LcTerm, fuel: Fuel | int = DEFAULT_FUEL) -> LcTerm:
     """The beta-eta normal form: leftmost-outermost beta, each abstraction
     eta-contracted as it is closed.  Spends one fuel unit per rewrite
-    step and raises FuelExhausted when the budget runs out.  This is the
-    one code path that establishes or checks a normal form.
+    step and raises FuelExhausted when the budget runs out; a reduction
+    that comes back to a term it has already reached drains the budget
+    and raises ReductionCycle, a kind of FuelExhausted.  This is the one
+    code path that establishes or checks a normal form.
 
     A term nested deeper than MAX_DEPTH raises DepthLimit, a kind of
     FuelExhausted: nesting is a resource ceiling of the same kind as the

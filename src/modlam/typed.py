@@ -6,6 +6,11 @@ preserve the fiber.  Typed terms are terms of the untyped module whose
 free variables carry types and whose abstractions record their binder
 types, so checking is syntax-directed while shifting, reduction and
 printing run on the untyped engine unchanged.
+
+Simple types are interned (hash-consed): BaseType() is BASE and Arrow(d,
+c) returns one canonical instance per pair, so two types are equal
+exactly when they are the same object, and types compare and hash by
+identity.
 """
 
 from __future__ import annotations
@@ -32,20 +37,42 @@ from .terms import Bound, Free, Var
 # ---------- simple types ----------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BaseType:
-    pass
+    """The base type *; BaseType() is the one instance BASE."""
+
+    def __new__(cls):
+        return BASE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Arrow:
+    """The function type dom -> cod.  Arrow(dom, cod) returns the one
+    instance for that pair of (interned) types."""
+
     dom: "SimpleType"
     cod: "SimpleType"
+
+    def __new__(cls, dom: "SimpleType", cod: "SimpleType"):
+        # Keyed by identity: the table keeps dom and cod alive, so no id
+        # in it is ever reused by another object.
+        key = (id(dom), id(cod))
+        arrow = _ARROWS.get(key)
+        if arrow is None:
+            arrow = _ARROWS[key] = object.__new__(cls)
+            object.__setattr__(arrow, "dom", dom)
+            object.__setattr__(arrow, "cod", cod)
+        return arrow
+
+    def __reduce__(self):
+        # copy and pickle rebuild through Arrow(dom, cod): copies are canonical.
+        return Arrow, (self.dom, self.cod)
 
 
 SimpleType = BaseType | Arrow
 
-BASE = BaseType()
+BASE = object.__new__(BaseType)
+_ARROWS: dict[tuple[int, int], Arrow] = {}
 
 
 def show_type(t: SimpleType) -> str:
@@ -128,7 +155,7 @@ def typecheck(
         case TVar(TFree(name, ty)):
             if name not in ctx:
                 raise TypeCheckError(f"unbound free name {name!r}")
-            if ctx[name] != ty:
+            if ctx[name] is not ty:
                 raise TypeCheckError(
                     f"free name {name!r} declared {show_type(ty)} "
                     f"but context gives {show_type(ctx[name])}"
@@ -145,7 +172,7 @@ def typecheck(
                 raise TypeCheckError(
                     f"applied a non-function of type {show_type(tf)} in {show(t)}"
                 )
-            if tf.dom != ta:
+            if tf.dom is not ta:
                 raise TypeCheckError(
                     f"argument type {show_type(ta)} does not match "
                     f"{show_type(tf.dom)} in {show(t)}"
@@ -160,7 +187,7 @@ def type_of(t: StlcTerm) -> SimpleType:
     """Typecheck against the context read off the term's own frees."""
     ctx: dict[str, SimpleType] = {}
     for tf in sorted(typed_frees(t), key=lambda v: v.name):
-        if tf.name in ctx and ctx[tf.name] != tf.type:
+        if tf.name in ctx and ctx[tf.name] is not tf.type:
             raise TypeCheckError(f"free name {tf.name!r} used at two types")
         ctx[tf.name] = tf.type
     return typecheck(ctx, t)
@@ -177,7 +204,7 @@ def stlc_subst(s: Mapping[str, StlcTerm], t: StlcTerm) -> StlcTerm:
     clashes = sorted(
         (tf.name, show_type(tf.type))
         for tf in typed_frees(t)
-        if tf.name in s and image_types[tf.name] != tf.type
+        if tf.name in s and image_types[tf.name] is not tf.type
     )
     if clashes:
         name, declared = clashes[0]
@@ -252,6 +279,12 @@ STLC_POOL = (
     TFree("k", Arrow(BASE, Arrow(BASE, BASE))),
 )
 
+# The pool's variables of each type, in STLC_POOL order.
+_POOL_VARS = {
+    ty: tuple(TVar(tf) for tf in STLC_POOL if tf.type is ty)
+    for ty in dict.fromkeys(tf.type for tf in STLC_POOL)
+}
+
 
 def gen_typed_term(
     rng: random.Random,
@@ -264,8 +297,8 @@ def gen_typed_term(
         target = STLC_TYPES[rng.randrange(len(STLC_TYPES))]
 
     def candidates(ty: SimpleType, binders: tuple[SimpleType, ...]) -> list[StlcTerm]:
-        out: list[StlcTerm] = [TVar(Bound(i)) for i, b in enumerate(binders) if b == ty]
-        out.extend(TVar(tf) for tf in STLC_POOL if tf.type == ty)
+        out: list[StlcTerm] = [TVar(Bound(i)) for i, b in enumerate(binders) if b is ty]
+        out.extend(_POOL_VARS.get(ty, ()))
         return out
 
     def leaf(ty: SimpleType, binders: tuple[SimpleType, ...]) -> StlcTerm:

@@ -39,7 +39,6 @@ from modlam.lam import (
     shift,
     show,
     show_nf,
-    size,
     step_successors,
     subst,
     subst0,
@@ -449,9 +448,6 @@ class TestInstances:
         report = check_monad_morphism(morphism, samples=500, seed=0)
         assert not report.passed
         assert report.check("morphism-bind").counterexample is not None
-
-    def test_size(self):
-        assert size(parse("\\x. x y")) == 4
 
     def test_free_names(self):
         assert free_names(parse("\\x. x y z")) == {"y", "z"}

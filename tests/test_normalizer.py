@@ -1,5 +1,5 @@
 """The single-pass normalizer against the one-step reference stepper, the
-NfTerm certificate it checks, and its depth limit."""
+NfTerm certificate it checks, its cycle detection and its depth limit."""
 
 import hashlib
 import random
@@ -9,18 +9,22 @@ import pytest
 
 from modlam.cli import EXIT_FUEL, run
 from modlam.errors import MalformedTermError
-from modlam.fuel import DepthLimit, Fuel, FuelExhausted
+from modlam.fuel import DepthLimit, Fuel, FuelExhausted, ReductionCycle
 from modlam.harness import sampled_law
 from modlam.lam import (
     MAX_DEPTH,
     Abs,
     App,
+    Equivalence,
     LcTerm,
     NfTerm,
+    _same_term,
+    beta_eta_equiv,
     beta_step,
     eta_step,
     gen_normal,
     gen_term,
+    iota_fold,
     nf_abs,
     nf_app1,
     normalize,
@@ -178,6 +182,88 @@ class TestCertificate:
         for text in ("(\\x. x) y", "\\x. y x", "g (\\x. y x) ((\\x. x) z)"):
             with pytest.raises(ValueError, match="not beta-eta normal"):
                 NfTerm(parse(text))
+
+
+# The 12 reductions that ran out of steps in the four laws-nf suite pairs
+# (monad nf, module nf, linearity nf, linearity stlc) at law seeds 0 and 1,
+# before cycle detection: each burnt the whole default budget.
+LAWS_NF_CYCLES = (
+    "(\\v0. v0 v0) (\\v1. v1 v1)",
+    "(\\v0. v0 v0) (\\v1. v1 v1)",
+    "z ((\\v0. v0 v0) (\\v1. v1 v1) z)",
+    "\\v0. \\v1. (\\v2. v2 v2) (\\v3. v3 v3)",
+    "(\\v0. v0) (\\v1. v1 v1) (\\v2. v2 v2)",
+    "(\\v0. v0 v0) (\\v1. v1 v1)",
+    "(\\v0. \\v1. v1 v1) (w (\\v2. \\v3. v3 v3)) ((\\v4. \\v5. v5 v5) (w (\\v6. \\v7. v7 v7)))"
+    " (x (\\v8. \\v9. v9 v9) (\\v10. \\v11. v11 v11))",
+    "(\\v0. \\v1. v1 v1) ((\\v2. \\v3. v3 v3) (\\v4. \\v5. v5 v5) (\\v6. \\v7. v7 v7))"
+    " ((\\v8. \\v9. v9 v9) ((\\v10. \\v11. v11 v11) (\\v12. \\v13. v13 v13) (\\v14. \\v15. v15 v15)))"
+    " (\\v16. v16)",
+    "(\\v0. v0 v0) (\\v1. v1 v1)",
+    "(\\v0. v0 v0) (\\v1. v1 v1) (\\v2. v2) (\\v3. v3 v3)",
+    "\\v0. (\\v1. v1 v1) (\\v2. v2 v2) (\\v3. v3) v0 v0 z ((\\v4. v4 v4) (\\v5. v5 v5) (\\v6. v6))",
+    "(\\v0. v0 v0) (\\v1. v1 v1) (\\v2. v2)",
+)
+
+
+def beta_steps(t, n: int):
+    for _ in range(n):
+        t = beta_step(t)
+        assert t is not None
+    return t
+
+
+class TestCycles:
+    def test_omega_is_caught_at_once(self):
+        budget = Fuel(10**7)
+        t0 = time.perf_counter()
+        with pytest.raises(ReductionCycle) as caught:
+            normalize(parse(OMEGA), budget)
+        assert time.perf_counter() - t0 < 0.01
+        assert budget.remaining == 0
+        assert caught.value.period == 1
+        # Tracing tells a step miss from a depth miss by this word.
+        assert "recursion" not in str(caught.value)
+
+    def test_reported_cycle_is_a_cycle_of_the_stepper(self):
+        panel = [parse(OMEGA), parse("(\\x. \\y. x x y) (\\x. \\y. x x y)")]
+        panel += [parse(text) for text in LAWS_NF_CYCLES]
+        samples = [gen_term(random.Random(i), max_size=40) for i in range(10_000)]
+        found = 0
+        for t in panel + samples:
+            budget = Fuel(10**7)
+            try:
+                normalize(t, budget)
+            except ReductionCycle as e:
+                found += 1
+                assert budget.remaining == 0
+                assert 1 <= e.period <= e.first_repeat
+                at = beta_steps(t, e.first_repeat)
+                assert _same_term(beta_steps(t, e.first_repeat - e.period), at)
+                assert _same_term(beta_steps(at, e.period), at)
+            except FuelExhausted:
+                pass
+        # Every panel term cycles, and four of the samples, with periods 1 and 2.
+        assert found == len(panel) + 4
+
+    def test_shared_budget_is_drained(self):
+        budget = Fuel(500)
+        assert beta_eta_equiv(parse(OMEGA), fvar("y"), budget) is Equivalence.INCONCLUSIVE
+        assert budget.remaining == 0
+        budget = Fuel(500)
+        with pytest.raises(ReductionCycle):
+            iota_fold(parse(f"(\\x. x) ({OMEGA})"), fuel=budget)
+        assert budget.remaining == 0
+
+    def test_growing_self_application_is_not_a_cycle(self):
+        with pytest.raises(DepthLimit):
+            normalize(parse("(\\x. x x x) (\\x. x x x)"), 10**7)
+
+    def test_cli_outcome_is_unchanged(self, capsys):
+        assert run(["normalize", OMEGA, "--fuel", "50"]) == EXIT_FUEL
+        assert capsys.readouterr().err == "fuel exhausted\n"
+        assert run(["equiv", OMEGA, "y"]) == EXIT_FUEL
+        assert capsys.readouterr().out == "inconclusive\n"
 
 
 class TestDepthLimit:

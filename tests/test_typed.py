@@ -1,3 +1,6 @@
+import copy
+import hashlib
+import pickle
 import random
 
 import pytest
@@ -12,8 +15,10 @@ from modlam.typed import (
     BASE,
     STLC,
     STLC_POOL,
+    STLC_TYPES,
     TLIST,
     Arrow,
+    BaseType,
     Cons,
     LVar,
     Nil,
@@ -59,6 +64,40 @@ class TestTypes:
     def test_parse_right_associative(self):
         assert parse_stlc("\\x:* -> * -> *. x").binder_type == Arrow(BASE, ARR)
         assert parse_stlc("\\x:(* -> *) -> *. x").binder_type == Arrow(ARR, BASE)
+
+
+class TestInterning:
+    def test_arrow_is_canonical(self):
+        assert Arrow(BASE, BASE) is Arrow(BASE, BASE)
+        assert Arrow(ARR, Arrow(BASE, ARR)) is Arrow(Arrow(BASE, BASE), Arrow(BASE, ARR))
+        assert Arrow(BASE, ARR) is not Arrow(ARR, BASE)
+
+    def test_base_is_the_one_instance(self):
+        assert BaseType() is BASE
+
+    def test_parsed_types_are_canonical(self):
+        t = parse_stlc("\\x:(* -> *) -> * -> *. \\y:*. x")
+        assert t.binder_type is Arrow(ARR, ARR)
+        assert t.body.binder_type is BASE
+
+    @pytest.mark.parametrize("ty", [BASE, Arrow(ARR, Arrow(BASE, ARR))], ids=str)
+    def test_copies_are_canonical(self, ty):
+        assert copy.deepcopy(ty) is ty and pickle.loads(pickle.dumps(ty)) is ty
+
+    # sha256 over the printed term and the next draw of each sample:
+    # recorded when types were compared structurally, so generators that
+    # compare them by identity make the same draws in the same order.
+    DRAW_DIGEST = "a52c23af83688cf9976a9e6a192fc245128242d4068258526c4ed7644396705b"
+
+    def test_generator_draws_are_unchanged(self):
+        h = hashlib.sha256()
+        for slot in STLC_TYPES:
+            for ty in STLC_TYPES:
+                for seed in range(500):
+                    rng = random.Random(seed)
+                    t = gen_typed_term(rng, ty, max_size=8, binders=(slot,))
+                    h.update(f"{show(t)} {rng.random()!r}\n".encode())
+        assert h.hexdigest() == self.DRAW_DIGEST
 
 
 class TestTypecheck:
