@@ -3,10 +3,12 @@ randomized harness that checks their laws on seeded samples.
 
 A descriptor bundles the operations of an instance with a generator and
 a printer, so every commuting diagram in the development can be run
-rather than assumed.  The checkers compare values with ==, which on the
-pairs of a product module is componentwise.  Reports are deterministic
-for a fixed seed: each sample draws from its own sub-generator keyed by
-(seed, index), so the outcome does not depend on evaluation order.
+rather than assumed.  A law is its two sides: the one sampling loop
+computes both on each sample, compares them with == (componentwise on
+the pairs of a product module) and renders the inputs only on failure.
+Reports are deterministic for a fixed seed: each sample draws from its
+own sub-generator keyed by (seed, index), so the outcome does not
+depend on evaluation order.
 
 Samples that run out of fuel (possible for normalization-backed
 instances) are counted as skipped rather than failed, and a sample
@@ -211,10 +213,11 @@ class LawReport:
 
 # ---------- the sampling engine ----------
 #
-# Every checker is a generator of input tuples plus a list of
-# (law name, property) pairs; a property returns None when its law
-# holds on the inputs and a counterexample otherwise.  Properties render
-# their inputs only after a comparison has failed.
+# Every checker is a generator of input tuples plus a list of laws.  A
+# law is (name, sides, inputs): sides computes the two values the law
+# equates, inputs renders the input tuple as (label, text) pairs.  The
+# loop compares the sides with == and renders a failure with the
+# checker's printer; inputs are rendered only after a comparison fails.
 
 
 def _sample_rng(seed: int, index: Any) -> random.Random:
@@ -222,24 +225,13 @@ def _sample_rng(seed: int, index: Any) -> random.Random:
     return random.Random(f"{seed}:{index}")
 
 
-def counterexample(
-    inputs: tuple[tuple[str, str], ...], lhs: str, rhs: str
-) -> Counterexample:
-    """Build a counterexample for a property; the loop fills in where."""
-    return Counterexample("", inputs, lhs, rhs)
-
-
-def _refuted(inst: Any, lhs: Any, rhs: Any, *inputs: tuple[str, str]) -> Counterexample:
-    # The two sides of a failed square, printed by the instance compared.
-    return Counterexample("", inputs, inst.show_value(lhs), inst.show_value(rhs))
-
-
 def _sweep(
     key: str,
     samples: int,
     seed: int,
     gen: Callable[[random.Random], tuple],
-    laws: list[tuple[str, Callable[..., Optional[Counterexample]]]],
+    laws: list[tuple],
+    show: Callable[[Any], str],
     probes: tuple = (),
 ) -> tuple[LawCheck, ...]:
     """The one sampling loop.  Probes run first; then sample i draws its
@@ -251,30 +243,30 @@ def _sweep(
     found: list[Optional[Counterexample]] = [None] * len(laws)
     for i in range(-len(probes), samples):
         if i < 0:
-            where, inputs = f"probe {i + len(probes)}", probes[i]
+            where, inp = f"probe {i + len(probes)}", probes[i]
         else:
             where = f"sample {i}"
             try:
-                inputs = gen(_sample_rng(seed, f"{key}:{i}"))
+                inp = gen(_sample_rng(seed, f"{key}:{i}"))
             except FuelExhausted:
-                inputs = None
-        for k, (_, prop) in enumerate(laws):
+                inp = None
+        for k, (_, sides, inputs) in enumerate(laws):
             if found[k] is not None:
                 continue
-            if inputs is None:
+            if inp is None:
                 skipped[k] += 1
                 continue
             try:
-                ce = prop(*inputs)
+                lhs, rhs = sides(*inp)
             except FuelExhausted:
                 skipped[k] += 1
                 continue
-            if ce is None:
+            if lhs == rhs:
                 checked[k] += 1
             else:
-                found[k] = Counterexample(where, ce.inputs, ce.lhs, ce.rhs)
+                found[k] = Counterexample(where, inputs(*inp), show(lhs), show(rhs))
     return tuple(
-        LawCheck(name, checked[k], skipped[k], found[k]) for k, (name, _) in enumerate(laws)
+        LawCheck(name, checked[k], skipped[k], found[k]) for k, (name, _, _) in enumerate(laws)
     )
 
 
@@ -283,13 +275,15 @@ def sampled_law(
     samples: int,
     seed: int,
     gen: Callable[[random.Random], tuple],
-    prop: Callable[..., Optional[Counterexample]],
+    sides: Callable[..., tuple[Any, Any]],
+    inputs: Callable[..., tuple[tuple[str, str], ...]],
+    show: Callable[[Any], str],
     probes: tuple = (),
 ) -> LawCheck:
-    """Run a bespoke one-off law: gen draws an input tuple, prop returns
-    None on success or a counterexample.  Fuel exhaustion in either is a
-    skip, as in the stock suites."""
-    return _sweep(name, samples, seed, gen, [(name, prop)], probes)[0]
+    """Run a bespoke one-off law: gen draws an input tuple, sides returns
+    the two values the law equates, inputs and show render a failure.
+    Fuel exhaustion in gen or sides is a skip, as in the stock suites."""
+    return _sweep(name, samples, seed, gen, [(name, sides, inputs)], show, probes)[0]
 
 
 def check_monad_laws(m: MonadInstance, samples: int = 1000, seed: int = 0) -> LawReport:
@@ -306,35 +300,29 @@ def check_monad_laws(m: MonadInstance, samples: int = 1000, seed: int = 0) -> La
         g = m.gen_subst(rng)
         return x, f, g, m.names[rng.randrange(len(m.names))]
 
-    def bind_bind(x, f, g, a):
-        lhs = m.bind(g, m.bind(f, x))
-        rhs = m.bind(compose_subst(m, f, g), x)
-        if lhs == rhs:
-            return None
-        return _refuted(
-            m,
-            lhs,
-            rhs,
-            ("value", m.show_value(x)),
-            ("subst f", show_subst(m, f)),
-            ("subst g", show_subst(m, g)),
-        )
-
-    def bind_unit(x, f, g, a):
-        lhs = m.bind(f, m.unit(a))
-        rhs = subst_total(m, f, a)
-        if lhs == rhs:
-            return None
-        return _refuted(m, lhs, rhs, ("name", m.show_name(a)), ("subst f", show_subst(m, f)))
-
-    def unit_bind(x, f, g, a):
-        lhs = m.bind({}, x)
-        if lhs == x:
-            return None
-        return _refuted(m, lhs, x, ("value", m.show_value(x)))
-
-    laws = [("bind-bind", bind_bind), ("bind-unit", bind_unit), ("unit-bind", unit_bind)]
-    return LawReport("monad", m.name, samples, seed, _sweep("monad", samples, seed, gen, laws))
+    laws = [
+        (
+            "bind-bind",
+            lambda x, f, g, a: (m.bind(g, m.bind(f, x)), m.bind(compose_subst(m, f, g), x)),
+            lambda x, f, g, a: (
+                ("value", m.show_value(x)),
+                ("subst f", show_subst(m, f)),
+                ("subst g", show_subst(m, g)),
+            ),
+        ),
+        (
+            "bind-unit",
+            lambda x, f, g, a: (m.bind(f, m.unit(a)), subst_total(m, f, a)),
+            lambda x, f, g, a: (("name", m.show_name(a)), ("subst f", show_subst(m, f))),
+        ),
+        (
+            "unit-bind",
+            lambda x, f, g, a: (m.bind({}, x), x),
+            lambda x, f, g, a: (("value", m.show_value(x)),),
+        ),
+    ]
+    checks = _sweep("monad", samples, seed, gen, laws, m.show_value)
+    return LawReport("monad", m.name, samples, seed, checks)
 
 
 def check_module_laws(mod: ModuleInstance, samples: int = 1000, seed: int = 0) -> LawReport:
@@ -349,28 +337,24 @@ def check_module_laws(mod: ModuleInstance, samples: int = 1000, seed: int = 0) -
         x = mod.gen_value(rng)
         return x, m.gen_subst(rng), m.gen_subst(rng)
 
-    def mbind_mbind(x, f, g):
-        lhs = mod.mbind(g, mod.mbind(f, x))
-        rhs = mod.mbind(compose_subst(m, f, g), x)
-        if lhs == rhs:
-            return None
-        return _refuted(
-            mod,
-            lhs,
-            rhs,
-            ("value", mod.show_value(x)),
-            ("subst f", show_subst(m, f)),
-            ("subst g", show_subst(m, g)),
-        )
-
-    def unit_mbind(x, f, g):
-        lhs = mod.mbind({}, x)
-        if lhs == x:
-            return None
-        return _refuted(mod, lhs, x, ("value", mod.show_value(x)))
-
-    laws = [("mbind-mbind", mbind_mbind), ("unit-mbind", unit_mbind)]
-    return LawReport("module", mod.name, samples, seed, _sweep("module", samples, seed, gen, laws))
+    laws = [
+        (
+            "mbind-mbind",
+            lambda x, f, g: (mod.mbind(g, mod.mbind(f, x)), mod.mbind(compose_subst(m, f, g), x)),
+            lambda x, f, g: (
+                ("value", mod.show_value(x)),
+                ("subst f", show_subst(m, f)),
+                ("subst g", show_subst(m, g)),
+            ),
+        ),
+        (
+            "unit-mbind",
+            lambda x, f, g: (mod.mbind({}, x), x),
+            lambda x, f, g: (("value", mod.show_value(x)),),
+        ),
+    ]
+    checks = _sweep("module", samples, seed, gen, laws, mod.show_value)
+    return LawReport("module", mod.name, samples, seed, checks)
 
 
 def check_linearity(
@@ -399,16 +383,12 @@ def check_linearity(
         s = m.gen_subst(rng)
         return s, src.gen_value(rng)
 
-    def square(s, x):
-        lhs = tau(src.mbind(s, x))
-        rhs = dst.mbind(s, tau(x))
-        if lhs == rhs:
-            return None
-        return _refuted(
-            dst, lhs, rhs, ("value", src.show_value(x)), ("substitution", show_subst(m, s))
-        )
-
-    checks = _sweep(f"linearity:{name}", samples, seed, gen, [(name, square)], probes)
+    square = (
+        name,
+        lambda s, x: (tau(src.mbind(s, x)), dst.mbind(s, tau(x))),
+        lambda s, x: (("value", src.show_value(x)), ("substitution", show_subst(m, s))),
+    )
+    checks = _sweep(f"linearity:{name}", samples, seed, gen, [square], dst.show_value, probes)
     return LawReport("linearity", f"{src.name} -> {dst.name}", samples, seed, checks)
 
 
@@ -427,24 +407,22 @@ def check_monad_morphism(
         s = src.gen_subst(rng)
         return x, s, src.names[rng.randrange(len(src.names))]
 
-    def unit_square(x, s, a):
-        lhs = f.map(src.unit(a))
-        rhs = dst.unit(a)
-        if lhs == rhs:
-            return None
-        return _refuted(dst, lhs, rhs, ("name", src.show_name(a)))
-
-    def bind_square(x, s, a):
-        lhs = f.map(src.bind(s, x))
-        rhs = dst.bind({k: f.map(v) for k, v in s.items()}, f.map(x))
-        if lhs == rhs:
-            return None
-        return _refuted(
-            dst, lhs, rhs, ("value", src.show_value(x)), ("substitution", show_subst(src, s))
-        )
-
-    laws = [("morphism-unit", unit_square), ("morphism-bind", bind_square)]
-    checks = _sweep(f"morphism:{f.name}", samples, seed, gen, laws)
+    laws = [
+        (
+            "morphism-unit",
+            lambda x, s, a: (f.map(src.unit(a)), dst.unit(a)),
+            lambda x, s, a: (("name", src.show_name(a)),),
+        ),
+        (
+            "morphism-bind",
+            lambda x, s, a: (
+                f.map(src.bind(s, x)),
+                dst.bind({k: f.map(v) for k, v in s.items()}, f.map(x)),
+            ),
+            lambda x, s, a: (("value", src.show_value(x)), ("substitution", show_subst(src, s))),
+        ),
+    ]
+    checks = _sweep(f"morphism:{f.name}", samples, seed, gen, laws, dst.show_value)
     return LawReport("morphism", f.name, samples, seed, checks)
 
 
@@ -466,21 +444,20 @@ def algebra_check(alg: MonoidAlgebra, samples: int = 1000, seed: int = 0) -> Law
         ]
         return x, xss
 
-    def unit_law(x, xss):
-        lhs = alg.action([x])
-        if lhs == x:
-            return None
-        return _refuted(alg, lhs, x, ("element", alg.show_value(x)))
-
-    def square_law(x, xss):
-        lhs = alg.action([y for xs in xss for y in xs])
-        rhs = alg.action([alg.action(xs) for xs in xss])
-        if lhs == rhs:
-            return None
-        return _refuted(
-            alg, lhs, rhs, ("lists", "[" + ", ".join(show_list(xs) for xs in xss) + "]")
-        )
-
-    laws = [("algebra-unit", unit_law), ("algebra-square", square_law)]
-    checks = _sweep("algebra", samples, seed, gen, laws)
+    laws = [
+        (
+            "algebra-unit",
+            lambda x, xss: (alg.action([x]), x),
+            lambda x, xss: (("element", alg.show_value(x)),),
+        ),
+        (
+            "algebra-square",
+            lambda x, xss: (
+                alg.action([y for xs in xss for y in xs]),
+                alg.action([alg.action(xs) for xs in xss]),
+            ),
+            lambda x, xss: (("lists", "[" + ", ".join(show_list(xs) for xs in xss) + "]"),),
+        ),
+    ]
+    checks = _sweep("algebra", samples, seed, gen, laws, alg.show_value)
     return LawReport("algebra", alg.name, samples, seed, checks)

@@ -172,16 +172,8 @@ def _shift(sig: Signature, t: ScopedTerm, by: int, cutoff: int) -> ScopedTerm:
 
 
 def rename(sig: Signature, f: Mapping[str, str], t: ScopedTerm) -> ScopedTerm:
-    """Rename free variables along a finite name map (identity default)."""
-    match t:
-        case Var(Free(name)):
-            return fvar(f.get(name, name))
-        case Var(Bound(_)):
-            return t
-        case Op(op, args):
-            sig.checked_arity(op, args)
-            return Op(op, tuple(rename(sig, f, a) for a in args))
-    raise MalformedTermError(f"not a term: {t!r}")
+    """Rename free names along a finite map (identity elsewhere) by substitution."""
+    return substitute(sig, {old: fvar(new) for old, new in f.items()}, t)
 
 
 def substitute(sig: Signature, s: Subst, t: ScopedTerm, depth: int = 0) -> ScopedTerm:

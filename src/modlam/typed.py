@@ -124,10 +124,10 @@ class TAbs(Abs):
 StlcTerm = TVar | TApp | TAbs
 
 
-def typed_frees(t: StlcTerm) -> set[TFree]:
-    """The typed free variables of a term, found by a loop with
+def free_types(t: StlcTerm) -> dict[str, SimpleType]:
+    """The type each free name of a term declares, found by a loop with
     isinstance tests: stlc_subst walks its term and every image here."""
-    out: set[TFree] = set()
+    out: dict[str, SimpleType] = {}
     todo = [t]
     while todo:
         t = todo.pop()
@@ -136,7 +136,8 @@ def typed_frees(t: StlcTerm) -> set[TFree]:
         elif isinstance(t, TAbs):
             todo.append(t.body)
         elif isinstance(t, Var) and isinstance(t.ref, TFree):
-            out.add(t.ref)
+            if out.setdefault(t.ref.name, t.ref.type) is not t.ref.type:
+                raise TypeCheckError(f"free name {t.ref.name!r} used at two types")
         elif not (isinstance(t, Var) and isinstance(t.ref, Bound)):
             raise MalformedTermError(f"not a typed term: {t!r}")
     return out
@@ -185,12 +186,7 @@ def typecheck(
 
 def type_of(t: StlcTerm) -> SimpleType:
     """Typecheck against the context read off the term's own frees."""
-    ctx: dict[str, SimpleType] = {}
-    for tf in sorted(typed_frees(t), key=lambda v: v.name):
-        if tf.name in ctx and ctx[tf.name] is not tf.type:
-            raise TypeCheckError(f"free name {tf.name!r} used at two types")
-        ctx[tf.name] = tf.type
-    return typecheck(ctx, t)
+    return typecheck(free_types(t), t)
 
 
 def stlc_subst(s: Mapping[str, StlcTerm], t: StlcTerm) -> StlcTerm:
@@ -198,20 +194,17 @@ def stlc_subst(s: Mapping[str, StlcTerm], t: StlcTerm) -> StlcTerm:
 
     Every image is synthesized once up front; an occurrence whose
     declared type differs from its image's type is an error (of several,
-    the first by name, then declared type, is reported).
+    the first by name is reported), and so is a term that declares one
+    free name at two types.
     """
     image_types = {name: type_of(img) for name, img in s.items()}
-    clashes = sorted(
-        (tf.name, show_type(tf.type))
-        for tf in typed_frees(t)
-        if tf.name in s and image_types[tf.name] is not tf.type
-    )
-    if clashes:
-        name, declared = clashes[0]
-        raise TypeCheckError(
-            f"image for {name!r} has type {show_type(image_types[name])}, "
-            f"occurrence declares {declared}"
-        )
+    declared = free_types(t)
+    for name in sorted(declared.keys() & image_types.keys()):
+        if image_types[name] is not declared[name]:
+            raise TypeCheckError(
+                f"image for {name!r} has type {show_type(image_types[name])}, "
+                f"occurrence declares {show_type(declared[name])}"
+            )
     return subst(s, t)
 
 

@@ -11,7 +11,6 @@ from modlam.harness import (
     check_linearity,
     check_monad_laws,
     compose_subst,
-    counterexample,
     fresh_name,
     sampled_law,
     show_subst,
@@ -94,38 +93,71 @@ class TestSamplingEngine:
             samples=20,
             seed=0,
             gen=lambda rng: (rng.randrange(10),),
-            prop=lambda n: None,
+            sides=lambda n: (n, n),
+            inputs=lambda n: (("n", str(n)),),
+            show=str,
         )
         assert check.passed
         assert check.checked == 20
 
     def test_sampled_law_failure_stops(self):
-        def prop(n):
-            return counterexample((("n", str(n)),), "left", "right")
-
         check = sampled_law(
             "always-wrong",
             samples=20,
             seed=0,
             gen=lambda rng: (rng.randrange(10),),
-            prop=prop,
+            sides=lambda n: ("left", "right"),
+            inputs=lambda n: (("n", str(n)),),
+            show=str,
         )
         assert not check.passed
         assert check.checked == 0
         assert check.counterexample.where == "sample 0"
 
-    def test_sampled_law_probes_run_first(self):
-        def prop(n):
-            if n == 99:
-                return counterexample((("n", str(n)),), "left", "right")
-            return None
+    def test_sampled_law_renders_with_show(self):
+        check = sampled_law(
+            "off-by-one",
+            samples=20,
+            seed=0,
+            gen=lambda rng: (rng.randrange(10),),
+            sides=lambda n: ([n], [n + 1]),
+            inputs=lambda n: (("n", str(n)),),
+            show=lambda xs: "<" + ",".join(map(str, xs)) + ">",
+        )
+        n = check.counterexample.inputs[0][1]
+        assert check.counterexample == Counterexample(
+            "sample 0", (("n", n),), f"<{n}>", f"<{int(n) + 1}>"
+        )
 
+    def test_sampled_law_renders_inputs_only_on_failure(self):
+        rendered = []
+
+        def inputs(n):
+            rendered.append(n)
+            return (("n", str(n)),)
+
+        check = sampled_law(
+            "fails-late",
+            samples=20,
+            seed=0,
+            gen=lambda rng: (rng.randrange(10),),
+            sides=lambda n: (n, n if n != 7 else -1),
+            inputs=inputs,
+            show=str,
+        )
+        assert check.checked > 0
+        assert check.counterexample.inputs == (("n", "7"),)
+        assert rendered == [7]
+
+    def test_sampled_law_probes_run_first(self):
         check = sampled_law(
             "probed",
             samples=20,
             seed=0,
             gen=lambda rng: (rng.randrange(10),),
-            prop=prop,
+            sides=lambda n: (n, n if n != 99 else 0),
+            inputs=lambda n: (("n", str(n)),),
+            show=str,
             probes=((99,),),
         )
         assert check.counterexample.where == "probe 0"
@@ -134,22 +166,32 @@ class TestSamplingEngine:
         def gen(rng):
             raise FuelExhausted("out of fuel")
 
-        check = sampled_law("starved", samples=15, seed=0, gen=gen, prop=lambda: None)
+        check = sampled_law(
+            "starved",
+            samples=15,
+            seed=0,
+            gen=gen,
+            sides=lambda: (0, 0),
+            inputs=lambda: (),
+            show=str,
+        )
         assert check.inconclusive
         assert check.skipped == 15
 
     def test_property_exhaustion_is_skip(self):
-        def prop(n):
+        def sides(n):
             if n % 2:
                 raise FuelExhausted("out of fuel")
-            return None
+            return n, n
 
         check = sampled_law(
             "flaky",
             samples=30,
             seed=0,
             gen=lambda rng: (rng.randrange(10),),
-            prop=prop,
+            sides=sides,
+            inputs=lambda n: (("n", str(n)),),
+            show=str,
         )
         assert check.passed
         assert check.checked + check.skipped == 30

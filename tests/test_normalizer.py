@@ -300,12 +300,18 @@ class TestDepthLimit:
     def test_harness_counts_a_depth_miss_as_skipped(self):
         deep, shallow = parse(f"{W} {W}"), parse(f"{W} y")
 
-        def prop(n):
-            normalize(deep if n % 2 else shallow, 10**7)
-            return None
+        def sides(n):
+            nf = normalize(deep if n % 2 else shallow, 10**7)
+            return nf, nf
 
         check = sampled_law(
-            "deep", samples=30, seed=0, gen=lambda rng: (rng.randrange(10),), prop=prop
+            "deep",
+            samples=30,
+            seed=0,
+            gen=lambda rng: (rng.randrange(10),),
+            sides=sides,
+            inputs=lambda n: (("n", str(n)),),
+            show=str,
         )
         assert check.passed and check.counterexample is None
         assert check.skipped > 0 and check.checked > 0

@@ -7,6 +7,11 @@ report changed: other samples were drawn, checked or skipped, or a
 report prints differently.  Skips caused by running out of stack depend
 on stack depth, so a refactoring that moves one must shed frames, not
 re-record the digest.
+
+The stock suites print only one counterexample (pt linearity), so five
+deliberately broken instances are pinned too, at 200 samples for seeds 0
+and 1.  Together they fail every law of every checker, which pins how
+each law renders its inputs and both of its sides.
 """
 
 import hashlib
@@ -14,6 +19,16 @@ import hashlib
 import pytest
 
 from modlam import catalog
+from modlam.harness import (
+    MonadMorphism,
+    algebra_check,
+    check_module_laws,
+    check_monad_laws,
+    check_monad_morphism,
+    tautological_module,
+)
+from modlam.lam import LC, Abs, fvar, naive_prime_monad
+from modlam.lists import broken_list_monad, int_sub_algebra
 
 PAIRS = (
     [("monad", i) for i in ("lc", "nf", "list", "pt", "stlc", "tlist")]
@@ -112,3 +127,64 @@ def test_report_digest(reports, key):
 def test_concatenated_digest(reports):
     assert len(reports) == len(DIGESTS) + len(DIGESTS_1000) == 52
     assert sha("".join(reports[s, i, seed, 200] for seed in SEEDS for s, i in PAIRS)) == ALL
+
+
+FAILING = {
+    "monad-broken-list": lambda seed: check_monad_laws(broken_list_monad(), 200, seed),
+    "module-broken-list": lambda seed: check_module_laws(
+        tautological_module(broken_list_monad()), 200, seed
+    ),
+    "morphism-collapse": lambda seed: check_monad_morphism(
+        MonadMorphism("collapse", LC, LC, lambda t: fvar("x")), 200, seed
+    ),
+    "morphism-abs": lambda seed: check_monad_morphism(
+        MonadMorphism("abs", naive_prime_monad(), LC, Abs), 200, seed
+    ),
+    "algebra-int-sub": lambda seed: algebra_check(int_sub_algebra(), 200, seed),
+}
+
+FAILING_DIGESTS = {
+    ("monad-broken-list", 0): "3c269c19bee0eeaedf14f3cf379860e4f576fca2dc4ff1914c64783fde7641d0",
+    ("monad-broken-list", 1): "f1cc711eae7b3eab640b097d65fd85eb0429ce9bc700303e1c25d1169afd69d5",
+    ("module-broken-list", 0): "11a5c6aafa7419efbe4edd76535bf22f1fefc56f2d6700e9a1426b95b6843a30",
+    ("module-broken-list", 1): "38f389629e65ad517e3b279a5731d1db086eeebb822d5ee0793ab4408166a7e7",
+    ("morphism-collapse", 0): "d1d251ab237fa4f13723b924bdde6299131e6f22778f10b72263fdc3ad3fab1b",
+    ("morphism-collapse", 1): "8fcdf46c4b80ec9935f3edce83b9c969138c906d707aa88651ec6c43f5a455cc",
+    ("morphism-abs", 0): "a3f9ca408326c8a7a10582c96461eefce770137fc816e59b534d011f3902b223",
+    ("morphism-abs", 1): "0e4f50482358c23df5d7c3063e97b9aacc71ac5cac94ec45f0854d1b22a80b3b",
+    ("algebra-int-sub", 0): "4bbdecf2bf11b6e73f1f20756267d86a3773a919523640db6c2b4d238c0f2c16",
+    ("algebra-int-sub", 1): "bdec4a61a56f7b495f001be39b28cb5451945665f690583ee203fd8b5cfe4884",
+}
+
+
+@pytest.fixture(scope="module")
+def failing_reports():
+    return {(name, seed): FAILING[name](seed) for name, seed in FAILING_DIGESTS}
+
+
+@pytest.mark.parametrize(
+    "key", [pytest.param(key, id=f"{key[0]}-{key[1]}") for key in FAILING_DIGESTS]
+)
+def test_failing_report_digest(failing_reports, key):
+    assert not failing_reports[key].passed
+    assert sha(failing_reports[key].format()) == FAILING_DIGESTS[key]
+
+
+def test_failing_reports_fail_every_law(failing_reports):
+    failed = {
+        (report.suite, c.name)
+        for report in failing_reports.values()
+        for c in report.checks
+        if c.counterexample is not None
+    }
+    assert failed == {
+        ("monad", "bind-bind"),
+        ("monad", "bind-unit"),
+        ("monad", "unit-bind"),
+        ("module", "mbind-mbind"),
+        ("module", "unit-mbind"),
+        ("morphism", "morphism-unit"),
+        ("morphism", "morphism-bind"),
+        ("algebra", "algebra-unit"),
+        ("algebra", "algebra-square"),
+    }

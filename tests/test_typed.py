@@ -27,6 +27,7 @@ from modlam.typed import (
     TFree,
     TVar,
     fiber_module,
+    free_types,
     gen_tlist,
     gen_typed_term,
     parse_stlc,
@@ -44,7 +45,6 @@ from modlam.typed import (
     tlist_subst,
     type_of,
     typecheck,
-    typed_frees,
 )
 
 ARR = Arrow(BASE, BASE)
@@ -135,6 +135,12 @@ class TestTypecheck:
             type_of(t)
         assert "two types" in str(exc.value)
 
+    def test_free_types_reads_each_declaration(self):
+        t = TAbs(BASE, TApp(free("f", ARR), TApp(TVar(Bound(0)), free("x"))))
+        assert free_types(t) == {"f": ARR, "x": BASE}
+        with pytest.raises(TypeCheckError, match="'x' used at two types"):
+            free_types(TApp(free("x", ARR), free("x")))
+
     def test_escaping_index(self):
         with pytest.raises(TypeCheckError) as exc:
             typecheck({}, TVar(Bound(0)))
@@ -150,6 +156,10 @@ class TestSubstitution:
         with pytest.raises(TypeCheckError) as exc:
             stlc_subst({"y": free("f", ARR)}, free("y"))
         assert "occurrence declares" in str(exc.value)
+
+    def test_one_name_two_types_rejected(self):
+        with pytest.raises(TypeCheckError, match="two types"):
+            stlc_subst({"y": free("z")}, TApp(free("x", ARR), free("x")))
 
     def test_unused_mismatch_is_fine(self):
         # The image is only checked against occurrences it replaces.
@@ -230,7 +240,7 @@ class TestStlcGrammar:
         hits = 0
         for i in range(400):
             t = gen_typed_term(random.Random(i))
-            if all(tf.type == BASE for tf in typed_frees(t)):
+            if all(ty is BASE for ty in free_types(t).values()):
                 assert parse_stlc(show(t)) == t
                 hits += 1
         assert hits > 50
