@@ -163,6 +163,8 @@ def _dispatch(args) -> int:
             name = name.strip()
             if not name.isidentifier():
                 raise _UsageError(f"bad name {name!r} in --map")
+            if name in s:
+                raise _UsageError(f"name {name!r} mapped twice in --map")
             s[name] = lam.parse(image)
         print(lam.show(lam.subst(s, t)))
         return EXIT_OK

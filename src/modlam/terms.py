@@ -370,10 +370,3 @@ def parse_signature(text: str) -> Signature:
             arity = ()
         ops.append((name, arity))
     return Signature(tuple(ops))
-
-
-def format_signature(sig: Signature) -> str:
-    lines = []
-    for name, arity in sig.ops:
-        lines.append(f"{name}: [{', '.join(str(n) for n in arity)}]")
-    return "\n".join(lines) + "\n"

@@ -11,6 +11,13 @@ Simple types are interned (hash-consed): BaseType() is BASE and Arrow(d,
 c) returns one canonical instance per pair, so two types are equal
 exactly when they are the same object, and types compare and hash by
 identity.
+
+A term that stlc_subst has typed as an image keeps its type in a slot
+on the node, the instance attribute _type, set only after type_of
+succeeds.  The slot is not a dataclass field, so equality, hashing,
+repr and dataclasses.replace do not see it; copy and pickle carry it,
+and the copied type is the canonical one.  Nodes are immutable, so a
+kept type stays right.
 """
 
 from __future__ import annotations
@@ -29,7 +36,6 @@ from .lam import (
     parse_binding,
     reduce_to_normal,
     show,
-    subst,
 )
 from .scan import end_of_input, expect, ident, nat, skip_ws
 from .terms import Bound, Free, Var
@@ -126,7 +132,7 @@ StlcTerm = TVar | TApp | TAbs
 
 def free_types(t: StlcTerm) -> dict[str, SimpleType]:
     """The type each free name of a term declares, found by a loop with
-    isinstance tests: stlc_subst walks its term and every image here."""
+    isinstance tests: type_of reads a term's context here."""
     out: dict[str, SimpleType] = {}
     todo = [t]
     while todo:
@@ -189,23 +195,65 @@ def type_of(t: StlcTerm) -> SimpleType:
     return typecheck(free_types(t), t)
 
 
-def stlc_subst(s: Mapping[str, StlcTerm], t: StlcTerm) -> StlcTerm:
-    """Type-checked substitution of free names, on lam's engine.
+def _image_type(img: StlcTerm) -> SimpleType:
+    # type_of, kept in the image's type slot once it succeeds.
+    ty = getattr(img, "_type", None)
+    if ty is None:
+        ty = type_of(img)
+        object.__setattr__(img, "_type", ty)
+    return ty
 
-    Every image is synthesized once up front; an occurrence whose
-    declared type differs from its image's type is an error (of several,
-    the first by name is reported), and so is a term that declares one
-    free name at two types.
+
+def stlc_subst(s: Mapping[str, StlcTerm], t: StlcTerm) -> StlcTerm:
+    """Type-checked substitution of free names in one walk of the term.
+
+    Every image is typed first, at most once per image object (its type
+    slot); an image that fails to type raises.  Then one walk of t, in
+    free_types' order, rejects a leaf that is not a typed term and a free
+    name declared at two types, and replaces each name that s maps.  An
+    occurrence whose declared type differs from its image's type is an
+    error too, reported after the walk: of several, the first by name.
+    An image that types is closed (typecheck rejects a dangling index),
+    so shifting it under binders is the identity and the walk places the
+    image itself.  Subterms with nothing replaced are shared with t.
     """
-    image_types = {name: type_of(img) for name, img in s.items()}
-    declared = free_types(t)
-    for name in sorted(declared.keys() & image_types.keys()):
-        if image_types[name] is not declared[name]:
-            raise TypeCheckError(
-                f"image for {name!r} has type {show_type(image_types[name])}, "
-                f"occurrence declares {show_type(declared[name])}"
-            )
-    return subst(s, t)
+    image_types = {name: _image_type(img) for name, img in s.items()}
+    declared: dict[str, SimpleType] = {}
+    clashes: list[str] = []
+
+    def go(t: StlcTerm) -> StlcTerm:
+        if isinstance(t, Var):
+            ref = t.ref
+            if isinstance(ref, TFree):
+                name = ref.name
+                ty = declared.setdefault(name, ref.type)
+                if ty is not ref.type:
+                    raise TypeCheckError(f"free name {name!r} used at two types")
+                if name in s:
+                    if image_types[name] is not ty:
+                        clashes.append(name)
+                    return s[name]
+                return t
+            if isinstance(ref, Bound):
+                return t
+        elif isinstance(t, App):
+            # The argument first, as free_types pops it first.
+            a = go(t.arg)
+            f = go(t.fun)
+            return t if f is t.fun and a is t.arg else App(f, a)
+        elif isinstance(t, TAbs):
+            b = go(t.body)
+            return t if b is t.body else TAbs(t.binder_type, b)
+        raise MalformedTermError(f"not a typed term: {t!r}")
+
+    out = go(t)
+    if clashes:
+        name = min(clashes)
+        raise TypeCheckError(
+            f"image for {name!r} has type {show_type(image_types[name])}, "
+            f"occurrence declares {show_type(declared[name])}"
+        )
+    return out
 
 
 def stlc_normalize(t: StlcTerm, fuel: Fuel | int = DEFAULT_FUEL) -> StlcTerm:

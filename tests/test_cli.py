@@ -135,6 +135,12 @@ class TestSubst:
     def test_image_parse_error(self, capsys):
         assert run(["subst", "x", "--map", "x=(y"]) == EXIT_PARSE
 
+    def test_repeated_name(self, capsys):
+        # A name mapped twice is refused, not resolved by the last entry.
+        assert run(["subst", "x", "--map", "x=y,x=z"]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "usage error: name 'x' mapped twice in --map\n")
+        assert run(["subst", "x", "--map", "x=y, x =z"]) == EXIT_USAGE
+
 
 class TestLaws:
     def test_passing_suite(self, capsys):

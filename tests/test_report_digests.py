@@ -1,12 +1,12 @@
 """Byte-level pins of the law reports.
 
 Each of the 23 (suite, instance) pairs is run at 200 samples for seeds 0
-and 1, the three nf pairs also at 1000, and the SHA-256 of each formatted
-report is compared with a pinned digest.  A digest that moves means a
-report changed: other samples were drawn, checked or skipped, or a
-report prints differently.  Skips caused by running out of stack depend
-on stack depth, so a refactoring that moves one must shed frames, not
-re-record the digest.
+and 1, the three nf and the three stlc pairs also at 1000, and the
+SHA-256 of each formatted report is compared with a pinned digest.  A
+digest that moves means a report changed: other samples were drawn,
+checked or skipped, or a report prints differently.  Skips caused by
+running out of stack depend on stack depth, so a refactoring that moves
+one must shed frames, not re-record the digest.
 
 The stock suites print only one counterexample (pt linearity), so five
 deliberately broken instances are pinned too, at 200 samples for seeds 0
@@ -97,6 +97,14 @@ DIGESTS_1000 = {
     ("monad", "nf", 1): "ae8096f13b8cbfc65b63b908d7bd6b2a864391cbcc781377a55754671ce18367",
     ("module", "nf", 1): "f3544e149997b78ea3ceee461cd14aa0c216a3f30d27abc84e6007ad38709119",
     ("linearity", "nf", 1): "dc4c41c41380a48b9190e623b13aa03225385992757ae91acc4872457a46aad3",
+    # The stlc pairs at 1000 samples pin the typed substitution that every
+    # sample of them runs, recorded before it became a single walk.
+    ("monad", "stlc", 0): "e96e23d1591bc77a52b7a5d7a0b95889b2e145606eb38e7ee38d9d7a90a60ce3",
+    ("module", "stlc", 0): "c8e81c6d2a5bca37ba04922818e91bd274927b82563107039d98f5f0cd0cd4cb",
+    ("linearity", "stlc", 0): "93f26c56357eb59ac7b4ce7c475fc720db06d2b6276b59b34a5ce3e6770244e0",
+    ("monad", "stlc", 1): "d603fea9d1e3e88e7b81fad4c3a376d8b2aad90c45a0b04e2bd6d4498df842eb",
+    ("module", "stlc", 1): "5c3eef33c04c938f5d552e95f830a2fa67fd9e199083055c612bf10c22191bbd",
+    ("linearity", "stlc", 1): "396b7766b9deab837acaa00974b34d2fba94fb5c4caf2a0a46100ae4598273fe",
 }
 
 RUNS = {(s, i, seed, 200): DIGESTS[s, i, seed] for seed in SEEDS for s, i in PAIRS}
@@ -125,7 +133,7 @@ def test_report_digest(reports, key):
 
 
 def test_concatenated_digest(reports):
-    assert len(reports) == len(DIGESTS) + len(DIGESTS_1000) == 52
+    assert len(reports) == len(DIGESTS) + len(DIGESTS_1000) == 58
     assert sha("".join(reports[s, i, seed, 200] for seed in SEEDS for s, i in PAIRS)) == ALL
 
 

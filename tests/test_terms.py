@@ -10,7 +10,6 @@ from modlam.terms import (
     Signature,
     bvar,
     fold,
-    format_signature,
     free_names,
     fvar,
     parse_sexpr,
@@ -27,6 +26,11 @@ APP, ABS = 0, 1
 
 # A signature with constants and a flat binary operator, for fold tests.
 SUM = Signature((("one", ()), ("plus", (0, 0))))
+
+
+def format_signature(sig: Signature) -> str:
+    """The signature file text that parse_signature reads back."""
+    return "".join(f"{name}: [{', '.join(map(str, arity))}]\n" for name, arity in sig.ops)
 
 
 def app(f, a):

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from modlam.catalog import run_suite
-from modlam.errors import ParseError, TypeCheckError
+from modlam import lam, typed
+from modlam.errors import MalformedTermError, ParseError, TypeCheckError
 from modlam.harness import check_module_laws, check_monad_laws
-from modlam.lam import beta_step, eta_step, shift, show
-from modlam.terms import Bound
+from modlam.lam import Abs, beta_step, eta_step, shift, show, subst
+from modlam.terms import Bound, Free
 from modlam.typed import (
     BASE,
     STLC,
@@ -181,6 +182,213 @@ class TestSubstitution:
         t = gen_typed_term(rng)
         s = STLC.gen_subst(rng)
         assert type_of(stlc_subst(s, t)) == type_of(t)
+
+
+def reference_stlc_subst(s, t):
+    """stlc_subst as three passes, the oracle for the one-walk version:
+    type every image, read the term's declared frees, compare them by
+    name, then substitute on lam's engine."""
+    image_types = {name: type_of(img) for name, img in s.items()}
+    declared = free_types(t)
+    for name in sorted(declared.keys() & image_types.keys()):
+        if image_types[name] is not declared[name]:
+            raise TypeCheckError(
+                f"image for {name!r} has type {show_type(image_types[name])}, "
+                f"occurrence declares {show_type(declared[name])}"
+            )
+    return subst(s, t)
+
+
+def outcome(fn, s, t):
+    try:
+        return repr(fn(s, t))
+    except Exception as e:
+        return type(e).__name__, str(e)
+
+
+NON_TERMS = (None, "junk", Abs(free("x")), Free("x"), TVar(Free("x")))
+
+
+def plant(rng, t, leaf):
+    """t with one variable occurrence, reached by a random path, replaced by leaf."""
+    if isinstance(t, TApp):
+        if rng.random() < 0.5:
+            return TApp(plant(rng, t.fun, leaf), t.arg)
+        return TApp(t.fun, plant(rng, t.arg, leaf))
+    if isinstance(t, TAbs):
+        return TAbs(t.binder_type, plant(rng, t.body, leaf))
+    return leaf
+
+
+def gen_image(rng, ty, reused):
+    r = rng.random()
+    if r < 0.45:
+        img = gen_typed_term(rng, ty, max_size=6)
+    elif r < 0.6:  # wrong-typed
+        img = gen_typed_term(rng, STLC_TYPES[rng.randrange(len(STLC_TYPES))], max_size=6)
+    elif r < 0.68:  # ill-typed: applies a base-typed term, or mismatches an argument
+        img = TApp(gen_typed_term(rng, rng.choice((BASE, ARR)), max_size=4), free("x"))
+    elif r < 0.76:  # a dangling index, bare or under a generated context
+        img = rng.choice((TVar(Bound(0)), gen_typed_term(rng, ty, max_size=6, binders=(BASE,))))
+    elif r < 0.82:  # one name at two types inside the image
+        img = plant(rng, gen_typed_term(rng, ty, max_size=6), free("x", ARR))
+    elif r < 0.87:
+        img = rng.choice(NON_TERMS)
+    else:  # an image object seen before: its type slot, or its failure, again
+        return rng.choice(reused) if reused else free("y")
+    reused.append(img)
+    del reused[:-64]
+    return img
+
+
+def gen_case(rng, reused):
+    s = {}
+    for name in ("x", "y", "f", "g", "h", "k", "z"):
+        if rng.random() < 0.4:
+            tf = next((tf for tf in STLC_POOL if tf.name == name), TFree(name, BASE))
+            s[name] = gen_image(rng, tf.type, reused)
+    slot = STLC_TYPES[rng.randrange(len(STLC_TYPES))]
+    t = gen_typed_term(rng, binders=(slot,) if rng.random() < 0.3 else ())
+    # Faults of several kinds in one term, so the walk's order decides
+    # which is reported.
+    for _ in range(rng.choice((0, 0, 0, 0, 0, 1, 2))):  # a name at a second type
+        tf = STLC_POOL[rng.randrange(len(STLC_POOL))]
+        other = next(ty for ty in STLC_TYPES if ty is not tf.type)
+        t = TApp(t, plant(rng, gen_typed_term(rng), TVar(TFree(tf.name, other))))
+    for _ in range(rng.choice((0, 0, 0, 0, 0, 0, 1, 2))):  # a leaf that is not a term
+        t = plant(rng, t, rng.choice(NON_TERMS))
+    if rng.random() < 0.03:
+        t = rng.choice(NON_TERMS)
+    return s, t
+
+
+class TestOneWalkSubstitution:
+    """stlc_subst against its three-pass reference: the same term, or the
+    same exception with the same message."""
+
+    CASES = 20_000
+
+    FRAGMENTS = (
+        "not a typed term",
+        "used at two types",
+        "occurrence declares",
+        "escapes its scope",
+        "applied a non-function",
+        "does not match",
+    )
+
+    def test_matches_three_pass_reference(self):
+        rng = random.Random(20061)
+        reused = []
+        kinds = dict.fromkeys(("ok", "several clashes") + self.FRAGMENTS, 0)
+        for _ in range(self.CASES):
+            s, t = gen_case(rng, reused)
+            expected = outcome(reference_stlc_subst, s, t)
+            assert outcome(stlc_subst, s, t) == expected, (s, t)
+            if isinstance(expected, str):
+                kinds["ok"] += 1
+                continue
+            kinds[next(f for f in self.FRAGMENTS if f in expected[1])] += 1
+            if "occurrence declares" in expected[1]:
+                declared = free_types(t)
+                clashes = [n for n in s if n in declared and type_of(s[n]) is not declared[n]]
+                kinds["several clashes"] += len(clashes) > 1
+        # Every path is taken many times: success, each image error, the
+        # two-type rejection, a malformed leaf and occurrence clashes.
+        assert min(kinds.values()) >= 100, kinds
+
+    def test_first_clash_by_name(self):
+        # The walk meets y (the argument) first, but of the two clashing
+        # names the report gives the first by name, f.
+        s = {"y": free("g", ARR), "f": free("x"), "x": free("z")}
+        t = TApp(free("f", ARR), free("y"))
+        with pytest.raises(TypeCheckError, match="image for 'f' has type \\*, occurrence declares"):
+            stlc_subst(s, t)
+
+    def test_malformed_leaf_before_a_clash(self):
+        with pytest.raises(MalformedTermError, match="not a typed term: None"):
+            stlc_subst({"x": free("f", ARR)}, TApp(None, free("x")))
+
+    def test_walk_order_picks_the_first_error(self):
+        # Like free_types, the walk takes an application's argument first.
+        t = TApp(TApp(free("x", ARR), None), free("x"))
+        with pytest.raises(MalformedTermError):
+            stlc_subst({}, t)
+        t = TApp(None, TApp(free("x", ARR), free("x")))
+        with pytest.raises(TypeCheckError, match="'x' used at two types"):
+            stlc_subst({}, t)
+
+    def test_one_walk_and_no_retyping(self, monkeypatch):
+        img = TAbs(BASE, TApp(free("f", ARR), TVar(Bound(0))))
+        t = TAbs(ARR, TApp(TVar(Bound(0)), TApp(free("g", ARR), free("x"))))
+        expected = reference_stlc_subst({"g": img}, t)
+        assert stlc_subst({"g": img}, t) == expected
+
+        def forbidden(*args):
+            raise AssertionError("called")
+
+        for owner, attr in ((typed, "type_of"), (typed, "free_types"), (typed, "typecheck"),
+                            (lam, "subst"), (lam, "shift")):
+            monkeypatch.setattr(owner, attr, forbidden)
+        assert stlc_subst({"g": img}, t) == expected
+
+
+class TestTypeSlot:
+    """The type an image is given by stlc_subst is kept on the node, out
+    of sight of equality, hashing and printing, and only once it typed."""
+
+    def typed_image(self):
+        img = TAbs(ARR, TApp(TVar(Bound(0)), free("x")))
+        assert stlc_subst({"h": img}, free("h", Arrow(ARR, BASE))) is img
+        return img
+
+    def test_invisible(self):
+        img = self.typed_image()
+        assert vars(img)["_type"] is Arrow(ARR, BASE)
+        fresh = TAbs(ARR, TApp(TVar(Bound(0)), free("x")))
+        assert img == fresh and fresh == img
+        assert hash(img) == hash(fresh) and repr(img) == repr(fresh)
+        assert {img: 1}[fresh] == 1
+
+    @pytest.mark.parametrize("copier", [copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))],
+                             ids=["deepcopy", "pickle"])
+    def test_copies(self, copier):
+        img = self.typed_image()
+        c = copier(img)
+        assert c == img and hash(c) == hash(img) and repr(c) == repr(img)
+        assert c.binder_type is ARR and c.body.arg.ref.type is BASE
+        assert vars(c).get("_type", Arrow(ARR, BASE)) is Arrow(ARR, BASE)
+        # A kept type is compared by identity, so a copy that kept a
+        # non-canonical one would be refused here.
+        assert stlc_subst({"h": c}, free("h", Arrow(ARR, BASE))) is c
+        with pytest.raises(TypeCheckError, match="occurrence declares"):
+            stlc_subst({"h": c}, free("h", ARR))
+
+    @pytest.mark.parametrize(
+        "img, error, message",
+        [
+            (TApp(free("x"), free("y")), TypeCheckError, "non-function"),
+            (TApp(free("x", ARR), free("x")), TypeCheckError, "used at two types"),
+            (TVar(Bound(0)), TypeCheckError, "escapes its scope"),
+        ]
+        + [(leaf, MalformedTermError, f"not a typed term: {leaf!r}") for leaf in NON_TERMS],
+        ids=["ill-typed", "two-types", "dangling", "none", "junk", "untyped-abs", "free",
+             "untyped-var"],
+    )
+    def test_failure_is_never_kept(self, img, error, message):
+        for _ in range(3):
+            with pytest.raises(error) as exc:
+                stlc_subst({"x": img}, free("y"))
+            assert message in str(exc.value)
+            assert "_type" not in getattr(img, "__dict__", {})
+
+    def test_each_image_typed_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(typed, "type_of", lambda t: calls.append(t) or type_of(t))
+        img = TApp(free("f", ARR), free("y"))
+        for t in (free("x"), TAbs(BASE, free("x")), free("z")):
+            stlc_subst({"x": img}, t)
+        assert calls == [img]
 
 
 class TestReduction:
