@@ -266,12 +266,13 @@ def show_pt(t: PtTerm) -> str:
 
 
 PT_NAMES = ("x", "y", "z")
+_PT_VARS = tuple(PVar(name) for name in PT_NAMES)
 
 
 def gen_pt(rng: random.Random, max_size: int = 6) -> PtTerm:
     def go(budget: int) -> PtTerm:
         if budget <= 1 or rng.random() < 0.35:
-            return PVar(PT_NAMES[rng.randrange(len(PT_NAMES))])
+            return _PT_VARS[rng.randrange(len(_PT_VARS))]
         k = rng.randint(1, budget - 1)
         ctor = Plus if rng.random() < 0.5 else Times
         return ctor(go(k), go(budget - 1 - k))

@@ -101,19 +101,27 @@ def subst(s: Mapping[str, LcTerm], t: LcTerm, depth: int = 0) -> LcTerm:
     Images are shifted by the binder depth at their point of use; for
     closed images (the monad case) the shift is the identity, and for
     scope-extended images (the derived module case) it protects the
-    dangling index that plays the role of the fresh variable.
+    dangling index that plays the role of the fresh variable.  Subterms
+    with nothing replaced are shared with t, t itself included, and an
+    abstraction is rebuilt (with_body, keeping its binder data) only
+    when its body changed.
     """
-    match t:
-        case Var(Free(name)):
+    if isinstance(t, Var):
+        ref = t.ref
+        if isinstance(ref, Free):
+            name = ref.name
             if name in s:
                 return shift(s[name], depth) if depth else s[name]
             return t
-        case Var(Bound(_)):
+        if isinstance(ref, Bound):
             return t
-        case App(f, a):
-            return App(subst(s, f, depth), subst(s, a, depth))
-        case Abs(b):
-            return t.with_body(subst(s, b, depth + 1))
+    elif isinstance(t, App):
+        f = subst(s, t.fun, depth)
+        a = subst(s, t.arg, depth)
+        return t if f is t.fun and a is t.arg else App(f, a)
+    elif isinstance(t, Abs):
+        b = subst(s, t.body, depth + 1)
+        return t if b is t.body else t.with_body(b)
     raise MalformedTermError(f"not a lambda term: {t!r}")
 
 
@@ -634,6 +642,9 @@ def show_nf(t: NfTerm, debruijn: bool = False) -> str:
 
 NAME_POOL = ("x", "y", "z", "w")
 
+# The pool's free variables, in NAME_POOL order: the generators' leaves.
+_POOL_VARS = tuple(fvar(name) for name in NAME_POOL)
+
 
 def gen_term(
     rng: random.Random,
@@ -646,7 +657,7 @@ def gen_term(
         if budget <= 1 or rng.random() < 0.3:
             if depth > 0 and rng.random() < 0.5:
                 return bvar(rng.randrange(depth))
-            return fvar(NAME_POOL[rng.randrange(len(NAME_POOL))])
+            return _POOL_VARS[rng.randrange(len(_POOL_VARS))]
         if rng.random() < 0.45:
             return Abs(go(budget - 1, depth + 1))
         k = rng.randint(1, budget - 1)
@@ -666,7 +677,7 @@ def gen_normal(
     def leaf(depth: int) -> LcTerm:
         if depth > 0 and rng.random() < 0.5:
             return bvar(rng.randrange(depth))
-        return fvar(NAME_POOL[rng.randrange(len(NAME_POOL))])
+        return _POOL_VARS[rng.randrange(len(_POOL_VARS))]
 
     def neutral(budget: int, depth: int) -> LcTerm:
         if budget <= 1 or rng.random() < 0.4:

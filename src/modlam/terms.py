@@ -16,6 +16,7 @@ dangling index plays the role of a fresh variable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_
 from typing import Any, Callable, Mapping, Optional
 
 from .errors import ConfigError, MalformedTermError, ParseError
@@ -180,24 +181,25 @@ def substitute(sig: Signature, s: Subst, t: ScopedTerm, depth: int = 0) -> Scope
     """Capture-avoiding simultaneous substitution of free names.
 
     Under k binder slots an image is shifted by k, which leaves closed
-    images untouched; bound variables are never rewritten.
+    images untouched; bound variables are never rewritten.  Subterms
+    with nothing replaced are shared with t, t itself included.
     """
-    match t:
-        case Var(Free(name)):
+    if isinstance(t, Var):
+        ref = t.ref
+        if isinstance(ref, Free):
+            name = ref.name
             if name in s:
                 return _shift(sig, s[name], depth, 0) if depth else s[name]
             return t
-        case Var(Bound(_)):
+        if isinstance(ref, Bound):
             return t
-        case Op(op, args):
-            arity = sig.checked_arity(op, args)
-            return Op(
-                op,
-                tuple(
-                    substitute(sig, s, a, depth + n)
-                    for a, n in zip(args, arity)
-                ),
-            )
+    elif isinstance(t, Op):
+        args = t.args
+        arity = sig.checked_arity(t.op, args)
+        new = []
+        for a, n in zip(args, arity):
+            new.append(substitute(sig, s, a, depth + n))
+        return t if all(map(is_, new, args)) else Op(t.op, tuple(new))
     raise MalformedTermError(f"not a term: {t!r}")
 
 

@@ -14,10 +14,13 @@ identity.
 
 A term that stlc_subst has typed as an image keeps its type in a slot
 on the node, the instance attribute _type, set only after type_of
-succeeds.  The slot is not a dataclass field, so equality, hashing,
-repr and dataclasses.replace do not see it; copy and pickle carry it,
-and the copied type is the canonical one.  Nodes are immutable, so a
-kept type stays right.
+succeeds.  Likewise a list term that tlist_subst has sorted as an image
+keeps its sort in the instance attribute _sort, set only after
+tlist_sort succeeds, so an ill-sorted image raises on every call.
+Neither slot is a dataclass field, so equality, hashing, repr and
+dataclasses.replace do not see them; copy and pickle carry them, and a
+copied type is the canonical one.  Nodes are immutable, so a kept type
+or sort stays right.
 """
 
 from __future__ import annotations
@@ -195,13 +198,15 @@ def type_of(t: StlcTerm) -> SimpleType:
     return typecheck(free_types(t), t)
 
 
-def _image_type(img: StlcTerm) -> SimpleType:
-    # type_of, kept in the image's type slot once it succeeds.
-    ty = getattr(img, "_type", None)
-    if ty is None:
-        ty = type_of(img)
-        object.__setattr__(img, "_type", ty)
-    return ty
+def _kept(img, slot: str, compute: Callable):
+    # compute(img), kept in the image's slot once it succeeds.  Callers
+    # look compute up at each call, so a function that replaces the
+    # module global (a monkeypatch, a profiling wrapper) is the one run.
+    value = getattr(img, slot, None)
+    if value is None:
+        value = compute(img)
+        object.__setattr__(img, slot, value)
+    return value
 
 
 def stlc_subst(s: Mapping[str, StlcTerm], t: StlcTerm) -> StlcTerm:
@@ -217,7 +222,7 @@ def stlc_subst(s: Mapping[str, StlcTerm], t: StlcTerm) -> StlcTerm:
     so shifting it under binders is the identity and the walk places the
     image itself.  Subterms with nothing replaced are shared with t.
     """
-    image_types = {name: _image_type(img) for name, img in s.items()}
+    image_types = {name: _kept(img, "_type", type_of) for name, img in s.items()}
     declared: dict[str, SimpleType] = {}
     clashes: list[str] = []
 
@@ -481,24 +486,29 @@ def tlist_sort(t: TListTerm) -> int:
 
 def tlist_subst(s: Mapping[str, TListTerm], t: TListTerm) -> TListTerm:
     """Sort-checked substitution: each image's sort must equal the
-    declared sort of the occurrences it replaces."""
-    image_sorts = {name: tlist_sort(img) for name, img in s.items()}
+    declared sort of the occurrences it replaces.  Every image is sorted
+    first, at most once per image object (its sort slot); then one walk
+    of t replaces the names s maps.  Cons cells with nothing replaced
+    are shared with t."""
+    image_sorts = {name: _kept(img, "_sort", tlist_sort) for name, img in s.items()}
 
     def go(t: TListTerm) -> TListTerm:
-        match t:
-            case LVar(name, sort):
-                if name in s:
-                    if image_sorts[name] != sort:
-                        raise TypeCheckError(
-                            f"image for {name!r} has sort {image_sorts[name]}, "
-                            f"occurrence declares {sort}"
-                        )
-                    return s[name]
-                return t
-            case Nil(_):
-                return t
-            case Cons(h, tl):
-                return Cons(go(h), go(tl))
+        if isinstance(t, LVar):
+            name = t.name
+            if name in s:
+                if image_sorts[name] != t.sort:
+                    raise TypeCheckError(
+                        f"image for {name!r} has sort {image_sorts[name]}, "
+                        f"occurrence declares {t.sort}"
+                    )
+                return s[name]
+            return t
+        if isinstance(t, Cons):
+            h = go(t.head)
+            tl = go(t.tail)
+            return t if h is t.head and tl is t.tail else Cons(h, tl)
+        if isinstance(t, Nil):
+            return t
         raise MalformedTermError(f"not a typed list term: {t!r}")
 
     return go(t)
@@ -566,15 +576,19 @@ TLIST_POOL = (
 )
 
 
+# The pool's variables of each sort, in TLIST_POOL order.
+_TLIST_VARS = {
+    sort: tuple(v for v in TLIST_POOL if v.sort == sort)
+    for sort in dict.fromkeys(v.sort for v in TLIST_POOL)
+}
+
+
 def gen_tlist(rng: random.Random, sort: Optional[int] = None, max_size: int = 8) -> TListTerm:
     if sort is None:
         sort = rng.randrange(3)
 
-    def vars_at(sort: int) -> list[LVar]:
-        return [v for v in TLIST_POOL if v.sort == sort]
-
     def go(sort: int, budget: int) -> TListTerm:
-        opts = vars_at(sort)
+        opts = _TLIST_VARS.get(sort, ())
         if sort == 0:
             return opts[rng.randrange(len(opts))]
         if budget <= 1 or rng.random() < 0.3:

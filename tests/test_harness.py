@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from modlam.harness import (
     Counterexample,
     LawCheck,
     LawReport,
+    _sample_rng,
     check_linearity,
     check_monad_laws,
     compose_subst,
@@ -239,3 +241,79 @@ class TestSamplingEngine:
         for instance, names in squares.items():
             report = run_suite("linearity", instance, 20, 0)
             assert [c.name for c in report.checks] == names
+
+
+# Range sizes at the edges of getrandbits(n.bit_length()): one, powers of
+# two and one past them (where rejection is likeliest), and sizes above
+# 2**64 that take more than two 32-bit words.
+SIZES = (1, 3, 5, 6, 7, 10, 100, 2**64 + 1, 3 * 2**70 + 7, 2**200 - 1) + tuple(
+    n for k in (1, 2, 5, 8, 31, 32, 33, 63, 64, 65, 100) for n in (2**k, 2**k + 1)
+)
+
+
+def draws(rng, n, i):
+    """One of each draw, with bounds that vary with the key's index i."""
+    lo = i - 500
+    out = [
+        rng.randrange(n),
+        rng.randrange(lo, lo + n),
+        rng.randint(lo, lo + n - 1),
+        rng.randrange(lo, lo + 5 * n, 5),
+        rng.random(),
+    ]
+    if n < 2**62:  # len() of a longer sequence overflows
+        out.append(rng.choice(range(lo, lo + n) if n > 1000 else tuple(range(n))))
+    return out
+
+
+class TestSampleRandom:
+    """The sweep's per-sample generator draws exactly what random.Random,
+    seeded with the same key, draws."""
+
+    def test_is_the_fast_subclass(self):
+        rng = _sample_rng(0, "monad:0")
+        assert isinstance(rng, random.Random) and type(rng) is not random.Random
+        for name in ("randrange", "randint", "choice"):
+            assert getattr(type(rng), name) is not getattr(random.Random, name)
+
+    def test_streams_match(self):
+        for i in range(2000):
+            key = f"monad:{i}"
+            ours, lib = _sample_rng(7, key), random.Random(f"7:{key}")
+            for n in SIZES:
+                assert draws(ours, n, i) == draws(lib, n, i), (key, n)
+            assert ours.getstate() == lib.getstate()
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda r: r.randrange(0),
+            lambda r: r.randrange(-3),
+            lambda r: r.randrange(5, 5),
+            lambda r: r.randrange(5, 2),
+            lambda r: r.randrange(0, 10, 0),
+            lambda r: r.randrange(10, 0, 1),
+            lambda r: r.randrange(3, step=2),
+            lambda r: r.randint(3, 2),
+            lambda r: r.choice([]),
+            lambda r: r.choice(()),
+            lambda r: r.randrange("4"),
+            lambda r: r.randint(1, None),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    def test_raises_what_the_library_raises(self, draw):
+        with pytest.raises(Exception) as ours:
+            draw(_sample_rng(0, "x"))
+        with pytest.raises(Exception) as lib:
+            draw(random.Random("0:x"))
+        assert type(ours.value) is type(lib.value)
+        assert str(ours.value) == str(lib.value)
+
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    def test_non_int_bounds_go_to_the_library(self):
+        ours, lib = _sample_rng(0, "x"), random.Random("0:x")
+        for draw in (lambda r: r.randrange(4.0), lambda r: r.randrange(1, 9.0),
+                     lambda r: r.randint(True, 6), lambda r: r.randrange(2, 9, True)):
+            assert draw(ours) == draw(lib)
+        assert ours.getstate() == lib.getstate()

@@ -45,7 +45,7 @@ from modlam.lam import (
     to_scoped,
     uses_bound,
 )
-from modlam.terms import Op, bvar, fvar, parse_sexpr, well_scoped
+from modlam.terms import Op, Var, bvar, fvar, parse_sexpr, well_scoped
 
 NAMES = ("x", "y", "z")
 
@@ -86,6 +86,25 @@ class TestShiftAndSubst:
         # it moves under, so the fresh slot is never captured.
         t = Abs(App(bvar(0), fvar("y")))
         assert subst({"y": bvar(0)}, t) == Abs(App(bvar(0), bvar(1)))
+
+    def test_subst_shares_untouched_subterms(self):
+        t = parse("\\x. x y (\\z. z w)")
+        assert subst({}, t) is t
+        assert subst({"v": fvar("u")}, t) is t
+        out = subst({"y": fvar("v")}, t)
+        assert out == parse("\\x. x v (\\z. z w)")
+        assert out.body.arg is t.body.arg and out.body.fun.fun is t.body.fun.fun
+
+    @given(lc_substs(), lc_terms(1))
+    def test_subst_shares_exactly_what_it_leaves_alone(self, s, t):
+        out = subst(s, t)
+        assert (out is t) == free_names(t).isdisjoint(s)
+
+    @pytest.mark.parametrize("s", [{}, {"x": fvar("y")}], ids=["empty", "renaming"])
+    def test_subst_rejects_a_leaf_that_is_not_a_term(self, s):
+        for t in (App(fvar("x"), "junk"), Abs(App(None, fvar("x"))), Var(None)):
+            with pytest.raises(MalformedTermError):
+                subst(s, t)
 
     def test_subst0(self):
         t = App(bvar(0), Abs(App(bvar(0), bvar(1))))

@@ -131,6 +131,18 @@ class TestSubstitute:
         t = app(fvar("x"), fvar("y"))
         assert substitute(SIG, {}, t) == t
 
+    def test_shares_untouched_subterms(self):
+        t = app(abs_(app(bvar(0), fvar("x"))), abs_(fvar("y")))
+        assert substitute(SIG, {}, t) is t
+        assert substitute(SIG, {"z": fvar("w")}, t) is t
+        out = substitute(SIG, {"y": fvar("w")}, t)
+        assert out == app(abs_(app(bvar(0), fvar("x"))), abs_(fvar("w")))
+        assert out.args[0] is t.args[0]
+
+    @given(substs(), scoped_terms())
+    def test_shares_exactly_what_it_leaves_alone(self, s, t):
+        assert (substitute(SIG, s, t) is t) == free_names(t).isdisjoint(s)
+
     def test_bound_variables_untouched(self):
         t = abs_(bvar(0))
         assert substitute(SIG, {"x": fvar("y")}, t) == t

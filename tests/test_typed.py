@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import pickle
 import random
@@ -333,6 +334,15 @@ class TestOneWalkSubstitution:
         assert stlc_subst({"g": img}, t) == expected
 
 
+def test_lam_subst_keeps_binder_types():
+    t = TAbs(ARR, TApp(TVar(Bound(0)), TAbs(BASE, free("x"))))
+    assert subst({}, t) is t
+    out = subst({"x": free("y")}, t)
+    assert out == TAbs(ARR, TApp(TVar(Bound(0)), TAbs(BASE, free("y"))))
+    assert type(out) is TAbs and out.binder_type is ARR
+    assert type(out.body.arg) is TAbs and out.body.arg.binder_type is BASE
+
+
 class TestTypeSlot:
     """The type an image is given by stlc_subst is kept on the node, out
     of sight of equality, hashing and printing, and only once it typed."""
@@ -544,6 +554,124 @@ class TestTypedLists:
         assert report.passed, report.format()
         names = [c.name for c in report.checks]
         assert names == ["nil", "cons", "shift-commute"]
+
+
+def reference_tlist_subst(s, t):
+    """tlist_subst as it was before the sort slot: every image sorted on
+    every call, every Cons rebuilt."""
+    image_sorts = {name: tlist_sort(img) for name, img in s.items()}
+
+    def go(t):
+        match t:
+            case LVar(name, sort):
+                if name in s:
+                    if image_sorts[name] != sort:
+                        raise TypeCheckError(
+                            f"image for {name!r} has sort {image_sorts[name]}, "
+                            f"occurrence declares {sort}"
+                        )
+                    return s[name]
+                return t
+            case Nil(_):
+                return t
+            case Cons(h, tl):
+                return Cons(go(h), go(tl))
+        raise MalformedTermError(f"not a typed list term: {t!r}")
+
+    return go(t)
+
+
+TLIST_NON_TERMS = (None, "junk", LVar, Cons(LVar("x", 0), None))
+
+
+def gen_tlist_image(rng, sort, reused):
+    r = rng.random()
+    if r < 0.5:
+        img = gen_tlist(rng, sort, max_size=5)
+    elif r < 0.65:  # wrong-sorted
+        img = gen_tlist(rng, rng.randrange(3), max_size=5)
+    elif r < 0.75:  # ill-sorted: a head one sort too deep, or a negative sort
+        img = rng.choice((Cons(Nil(0), Nil(0)), LVar("x", -1), Nil(-1)))
+    elif r < 0.8:
+        img = rng.choice(TLIST_NON_TERMS)
+    else:  # an image object seen before: its sort slot, or its failure, again
+        return rng.choice(reused) if reused else LVar("y", sort)
+    reused.append(img)
+    del reused[:-64]
+    return img
+
+
+class TestSortSlot:
+    """tlist_subst sorts each image object once, keeping the sort on the
+    node out of sight of equality, hashing and printing."""
+
+    def test_matches_reference(self):
+        rng = random.Random(20062)
+        reused = []
+        fragments = ("occurrence declares", "sort-", "negative sort", "not a typed list term")
+        kinds = dict.fromkeys(("ok",) + fragments, 0)
+        for _ in range(5000):
+            s = {v.name: gen_tlist_image(rng, v.sort, reused)
+                 for v in TLIST.names if rng.random() < 0.5}
+            t = gen_tlist(rng, max_size=8)
+            if rng.random() < 0.05:
+                t = Cons(t, rng.choice(TLIST_NON_TERMS))
+            expected = outcome(reference_tlist_subst, s, t)
+            assert outcome(tlist_subst, s, t) == expected, (s, t)
+            if isinstance(expected, str):
+                kinds["ok"] += 1
+            else:
+                kinds[next(f for f in fragments if f in expected[1])] += 1
+        assert min(kinds.values()) >= 50, kinds
+
+    def test_shares_what_it_leaves_alone(self):
+        t = Cons(LVar("x", 0), Cons(LVar("y", 0), Nil(0)))
+        assert tlist_subst({}, t) is t
+        assert tlist_subst({"xs": Nil(0)}, t) is t
+        out = tlist_subst({"x": LVar("z", 0)}, t)
+        assert out == Cons(LVar("z", 0), Cons(LVar("y", 0), Nil(0)))
+        assert out.tail is t.tail
+
+    def sorted_image(self):
+        img = Cons(LVar("x", 0), Nil(0))
+        assert tlist_subst({"xs": img}, LVar("xs", 1)) is img
+        return img
+
+    def test_invisible(self):
+        img = self.sorted_image()
+        assert vars(img)["_sort"] == 1
+        fresh = Cons(LVar("x", 0), Nil(0))
+        assert img == fresh and fresh == img
+        assert hash(img) == hash(fresh) and repr(img) == repr(fresh)
+        assert {img: 1}[fresh] == 1
+        assert "_sort" not in vars(dataclasses.replace(img))
+
+    @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy,
+                                        lambda t: pickle.loads(pickle.dumps(t))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copies(self, copier):
+        c = copier(self.sorted_image())
+        assert c == Cons(LVar("x", 0), Nil(0)) and vars(c)["_sort"] == 1
+        assert tlist_subst({"xs": c}, LVar("xs", 1)) is c
+        with pytest.raises(TypeCheckError, match="occurrence declares"):
+            tlist_subst({"xs": c}, LVar("xs", 2))
+
+    @pytest.mark.parametrize("img", [Cons(LVar("x", 0), Nil(1)), Nil(-1), LVar("x", -1)],
+                             ids=["cons", "nil", "var"])
+    def test_failure_is_never_kept(self, img):
+        for _ in range(3):
+            with pytest.raises(TypeCheckError):
+                tlist_subst({"xs": img}, Nil(0))
+            assert "_sort" not in vars(img)
+
+    def test_each_image_sorted_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(typed, "tlist_sort", lambda t: calls.append(t) or tlist_sort(t))
+        img = Cons(LVar("x", 0), Nil(0))
+        for t in (LVar("xs", 1), Nil(0), Cons(Nil(0), Nil(1))):
+            tlist_subst({"xs": img}, t)
+        # One top-level sort of img, with its recursion into head and tail.
+        assert calls == [img, img.head, img.tail]
 
 
 def tlist_terms(size=3):
