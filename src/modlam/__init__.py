@@ -8,6 +8,7 @@ witness (`combinators`), simply typed and sort-indexed syntax
 (`typed`), and descriptors plus law checks (`harness`).
 """
 
+from .combinators import base_change, identity_morphism
 from .errors import ConfigError, MalformedTermError, ParseError, TypeCheckError
 from .fuel import DEFAULT_FUEL, DepthLimit, Fuel, FuelExhausted, ReductionCycle
 from .harness import (
@@ -64,6 +65,7 @@ __all__ = [
     "TypeCheckError",
     "Var",
     "algebra_check",
+    "base_change",
     "bvar",
     "check_linearity",
     "check_module_laws",
@@ -71,6 +73,7 @@ __all__ = [
     "check_monad_morphism",
     "fold",
     "fvar",
+    "identity_morphism",
     "rename",
     "substitute",
     "tautological_module",

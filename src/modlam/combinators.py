@@ -21,7 +21,6 @@ from .harness import (
     check_monad_morphism,
     fresh_name,
 )
-from .scan import end_of_input, expect, ident, skip_ws
 from .terms import Free, Op, ScopedTerm, Signature, Var, fvar, substitute
 
 # ---------- derivation ----------
@@ -163,6 +162,7 @@ def base_change(f: MonadMorphism, mod: ModuleInstance) -> ModuleInstance:
 
 
 def identity_morphism(m: MonadInstance) -> MonadMorphism:
+    """The identity monad morphism of m; base change along it is the identity."""
     return MonadMorphism(name="identity", src=m, dst=m, map=lambda v: v)
 
 
@@ -206,49 +206,6 @@ def double_and_swap(t: PtTerm) -> PtTerm:
     raise MalformedTermError(f"not a plus/times term: {t!r}")
 
 
-# Grammar: t ::= ident | t '+' t | t '*' t | '(' t ')', with '*' binding
-# tighter than '+' and both left-associative.
-
-
-def parse_pt(text: str) -> PtTerm:
-    pos = 0
-
-    def atom() -> PtTerm:
-        nonlocal pos
-        pos = skip_ws(text, pos)
-        if text.startswith("(", pos):
-            pos += 1
-            t = expr()
-            pos = expect(text, pos, ")", "expected ')'")
-            return t
-        name, pos = ident(text, pos)
-        return PVar(name)
-
-    def factor() -> PtTerm:
-        nonlocal pos
-        t = atom()
-        while True:
-            pos = skip_ws(text, pos)
-            if not text.startswith("*", pos):
-                return t
-            pos += 1
-            t = Times(t, atom())
-
-    def expr() -> PtTerm:
-        nonlocal pos
-        t = factor()
-        while True:
-            pos = skip_ws(text, pos)
-            if not text.startswith("+", pos):
-                return t
-            pos += 1
-            t = Plus(t, factor())
-
-    out = expr()
-    end_of_input(text, pos)
-    return out
-
-
 def show_pt(t: PtTerm) -> str:
     def go(t: PtTerm, level: int) -> str:
         match t:
@@ -273,11 +230,11 @@ def gen_pt(rng: random.Random, max_size: int = 6) -> PtTerm:
     def go(budget: int) -> PtTerm:
         if budget <= 1 or rng.random() < 0.35:
             return _PT_VARS[rng.randrange(len(_PT_VARS))]
-        k = rng.randint(1, budget - 1)
+        k = rng.randrange(1, budget)
         ctor = Plus if rng.random() < 0.5 else Times
         return ctor(go(k), go(budget - 1 - k))
 
-    return go(rng.randint(1, max_size))
+    return go(rng.randrange(1, max_size + 1))
 
 
 def pt_monad() -> MonadInstance:

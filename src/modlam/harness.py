@@ -9,9 +9,11 @@ the pairs of a product module) and renders the inputs only on failure.
 Reports are deterministic for a fixed seed: each sample draws from its
 own sub-generator keyed by (seed, index), so the outcome does not
 depend on evaluation order.  That generator is random.Random seeded with
-the string "{seed}:{key}:{i}", in a subclass whose randrange, randint
-and choice draw the same getrandbits bits as the library's in one Python
-frame: every stream, and so every report, is the library's.
+the string "{seed}:{key}:{i}", in a subclass that overrides only
+randrange, drawing the same getrandbits bits as the library's in one
+Python frame: every stream, and so every report, is the library's.  The
+generators draw through randrange alone (randint(a, b) is randrange(a,
+b + 1), and seq[randrange(len(seq))] is what choice(seq) draws).
 
 Samples that run out of fuel (possible for normalization-backed
 instances) are counted as skipped rather than failed, and a sample
@@ -227,11 +229,10 @@ _ONE = 1  # randrange's default step, told apart by identity as the library does
 
 
 class _SampleRandom(random.Random):
-    # The library's integer draws in one Python frame each: every one
-    # rejection-samples getrandbits(n.bit_length()) below n, as
-    # _randbelow does, so the stream is the library's.  A step, a
-    # non-int bound or an empty range goes to the library, which raises
-    # what it raises.
+    # The library's randrange in one Python frame: it rejection-samples
+    # getrandbits(n.bit_length()) below n, as _randbelow does, so the
+    # stream is the library's.  A step, a non-int bound or an empty range
+    # goes to the library, which raises what it raises.
 
     def randrange(self, start, stop=None, step=_ONE):
         if start.__class__ is int and step is _ONE:
@@ -249,28 +250,6 @@ class _SampleRandom(random.Random):
                     r = getrandbits(k)
                 return lo + r
         return super().randrange(start, stop, step)
-
-    def randint(self, a, b):
-        if a.__class__ is int and b.__class__ is int and b >= a:
-            n = b - a + 1
-            getrandbits = self.getrandbits
-            k = n.bit_length()
-            r = getrandbits(k)
-            while r >= n:
-                r = getrandbits(k)
-            return a + r
-        return super().randint(a, b)
-
-    def choice(self, seq):
-        n = len(seq)
-        if n:
-            getrandbits = self.getrandbits
-            k = n.bit_length()
-            r = getrandbits(k)
-            while r >= n:
-                r = getrandbits(k)
-            return seq[r]
-        return super().choice(seq)
 
 
 def _sample_rng(seed: int, index: Any) -> random.Random:

@@ -81,17 +81,23 @@ def shift(t: LcTerm, by: int = 1, cutoff: int = 0) -> LcTerm:
     """Adjust dangling indices (>= cutoff) by `by`.
 
     shift(t) is the renaming of t along the one-point scope extension: a
-    term moved under one extra binder.  Closed terms are fixed.
+    term moved under one extra binder.  Closed terms are fixed: subterms
+    with no index at or above the cutoff are shared with t, t itself
+    included, as in subst.
     """
-    match t:
-        case Var(Bound(k)):
-            return bvar(k + by) if k >= cutoff else t
-        case Var(Free(_)):
+    if isinstance(t, Var):
+        ref = t.ref
+        if isinstance(ref, Bound):
+            return bvar(ref.index + by) if ref.index >= cutoff else t
+        if isinstance(ref, Free):
             return t
-        case App(f, a):
-            return App(shift(f, by, cutoff), shift(a, by, cutoff))
-        case Abs(b):
-            return t.with_body(shift(b, by, cutoff + 1))
+    elif isinstance(t, App):
+        f = shift(t.fun, by, cutoff)
+        a = shift(t.arg, by, cutoff)
+        return t if f is t.fun and a is t.arg else App(f, a)
+    elif isinstance(t, Abs):
+        b = shift(t.body, by, cutoff + 1)
+        return t if b is t.body else t.with_body(b)
     raise MalformedTermError(f"not a lambda term: {t!r}")
 
 
@@ -569,7 +575,7 @@ def parse_binding(
         while True:
             pos = skip_ws(text, pos)
             c = text[pos : pos + 1]
-            if c and (c.isalpha() or c in "(_"):
+            if c and c != "λ" and (c.isalpha() or c in "(_"):
                 t = App(t, atom(binders))
             else:
                 return t
@@ -660,10 +666,10 @@ def gen_term(
             return _POOL_VARS[rng.randrange(len(_POOL_VARS))]
         if rng.random() < 0.45:
             return Abs(go(budget - 1, depth + 1))
-        k = rng.randint(1, budget - 1)
+        k = rng.randrange(1, budget)
         return App(go(k, depth), go(budget - 1 - k, depth))
 
-    return go(rng.randint(1, max_size), depth)
+    return go(rng.randrange(1, max_size + 1), depth)
 
 
 def gen_normal(
@@ -682,7 +688,7 @@ def gen_normal(
     def neutral(budget: int, depth: int) -> LcTerm:
         if budget <= 1 or rng.random() < 0.4:
             return leaf(depth)
-        k = rng.randint(1, budget - 1)
+        k = rng.randrange(1, budget)
         return App(neutral(k, depth), nf(budget - 1 - k, depth))
 
     def nf(budget: int, depth: int) -> LcTerm:
@@ -690,7 +696,7 @@ def gen_normal(
             return Abs(nf(budget - 1, depth + 1))
         return neutral(budget, depth)
 
-    return _sealed(reduce_to_normal(nf(rng.randint(1, max_size), depth)))
+    return _sealed(reduce_to_normal(nf(rng.randrange(1, max_size + 1), depth)))
 
 
 def _gen_subst(rng: random.Random) -> dict:
@@ -758,26 +764,6 @@ def scope_derived_nf_module() -> ModuleInstance:
         mbind=nf_bind,
         gen_value=lambda rng: gen_normal(rng, depth=1),
         show_value=show_nf,
-    )
-
-
-def naive_prime_monad() -> MonadInstance:
-    """Scope-extended terms given the evident unit and the derived
-    action as if it were a monad bind.  This is the structure against
-    which abstraction famously fails to be a monad morphism; the harness
-    exhibits the failure rather than assuming it."""
-    return MonadInstance(
-        name="lc-prime-naive",
-        names=NAME_POOL,
-        unit=fvar,
-        bind=subst,
-        gen_value=lambda rng: gen_term(rng, depth=1),
-        gen_subst=lambda rng: {
-            name: gen_term(rng, max_size=5, depth=1)
-            for name in NAME_POOL
-            if rng.random() < 0.4
-        },
-        show_value=show,
     )
 
 

@@ -155,20 +155,19 @@ def well_scoped(sig: Signature, t: ScopedTerm, depth: int = 0) -> bool:
 
 
 def _shift(sig: Signature, t: ScopedTerm, by: int, cutoff: int) -> ScopedTerm:
-    # Adjust dangling indices (>= cutoff) by `by`; a no-op on closed terms.
-    match t:
-        case Var(Bound(k)):
-            return bvar(k + by) if k >= cutoff else t
-        case Var(Free(_)):
+    # Adjust dangling indices (>= cutoff) by `by`.  Subterms with no such
+    # index are shared with t, t itself included, as in substitute.
+    if isinstance(t, Var):
+        ref = t.ref
+        if isinstance(ref, Bound):
+            return bvar(ref.index + by) if ref.index >= cutoff else t
+        if isinstance(ref, Free):
             return t
-        case Op(op, args):
-            arity = sig.checked_arity(op, args)
-            return Op(
-                op,
-                tuple(
-                    _shift(sig, a, by, cutoff + n) for a, n in zip(args, arity)
-                ),
-            )
+    elif isinstance(t, Op):
+        args = t.args
+        arity = sig.checked_arity(t.op, args)
+        new = [_shift(sig, a, by, cutoff + n) for a, n in zip(args, arity)]
+        return t if all(map(is_, new, args)) else Op(t.op, tuple(new))
     raise MalformedTermError(f"not a term: {t!r}")
 
 

@@ -40,7 +40,7 @@ from .lam import (
     reduce_to_normal,
     show,
 )
-from .scan import end_of_input, expect, ident, nat, skip_ws
+from .scan import expect, skip_ws
 from .terms import Bound, Free, Var
 
 # ---------- simple types ----------
@@ -361,12 +361,12 @@ def gen_typed_term(
         if isinstance(ty, Arrow) and rng.random() < 0.5:
             return TAbs(ty.dom, go(ty.cod, budget - 1, (ty.dom,) + binders))
         dom = STLC_TYPES[rng.randrange(len(STLC_TYPES))]
-        k = rng.randint(1, budget - 1)
+        k = rng.randrange(1, budget)
         fun = go(Arrow(dom, ty), k, binders)
         arg = go(dom, budget - 1 - k, binders)
         return TApp(fun, arg)
 
-    return go(target, rng.randint(1, max_size), binders)
+    return go(target, rng.randrange(1, max_size + 1), binders)
 
 
 def _gen_stlc_subst(rng: random.Random) -> dict:
@@ -526,10 +526,9 @@ def tlist_shift(t: TListTerm, by: int = 1) -> TListTerm:
     raise MalformedTermError(f"not a typed list term: {t!r}")
 
 
-# Grammar: t ::= ident '@' nat | 'nil' '@' nat | 'cons' '(' t ',' t ')'
-
-
 def show_tlist(t: TListTerm) -> str:
+    """Print as name@sort, nil@sort or cons(head, tail), a form for
+    reports only: no reader parses it."""
     match t:
         case LVar(name, sort):
             return f"{name}@{sort}"
@@ -538,33 +537,6 @@ def show_tlist(t: TListTerm) -> str:
         case Cons(h, tl):
             return f"cons({show_tlist(h)}, {show_tlist(tl)})"
     raise MalformedTermError(f"not a typed list term: {t!r}")
-
-
-def parse_tlist(text: str) -> TListTerm:
-    pos = 0
-
-    def at_sort() -> int:
-        nonlocal pos
-        sort, pos = nat(text, expect(text, pos, "@", "expected '@sort'"), "expected a sort")
-        return sort
-
-    def term() -> TListTerm:
-        nonlocal pos
-        name, pos = ident(text, skip_ws(text, pos))
-        if name == "nil":
-            return Nil(at_sort())
-        if name == "cons":
-            pos = expect(text, pos, "(", "expected '(' after cons")
-            h = term()
-            pos = expect(text, pos, ",", "expected ','")
-            tl = term()
-            pos = expect(text, pos, ")", "expected ')'")
-            return Cons(h, tl)
-        return LVar(name, at_sort())
-
-    out = term()
-    end_of_input(text, pos)
-    return out
 
 
 TLIST_POOL = (
@@ -595,10 +567,10 @@ def gen_tlist(rng: random.Random, sort: Optional[int] = None, max_size: int = 8)
             if opts and rng.random() < 0.6:
                 return opts[rng.randrange(len(opts))]
             return Nil(sort - 1)
-        k = rng.randint(1, budget - 1)
+        k = rng.randrange(1, budget)
         return Cons(go(sort - 1, k), go(sort, budget - 1 - k))
 
-    return go(sort, rng.randint(1, max_size))
+    return go(sort, rng.randrange(1, max_size + 1))
 
 
 def tlist_monad() -> MonadInstance:

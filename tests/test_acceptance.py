@@ -53,7 +53,6 @@ from modlam.lam import (
     subst0,
     to_scoped,
 )
-from modlam.lists import broken_list_monad
 from modlam.terms import fold, free_names, fvar, self_representation
 from modlam.typed import (
     BASE,
@@ -63,6 +62,8 @@ from modlam.typed import (
     type_of,
 )
 from modlam import catalog
+
+from faulty_instances import broken_list_monad
 
 SAMPLES = 1000
 FUEL = 10_000

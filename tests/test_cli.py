@@ -42,6 +42,12 @@ class TestParse:
         assert run(["parse", "(x"]) == EXIT_PARSE
         assert "parse error at" in capsys.readouterr().err
 
+    def test_lambda_sign_is_not_a_name(self, capsys):
+        # λ starts a binder, as \ does, so it cannot stand as an argument.
+        assert run(["parse", "f λ x"]) == EXIT_PARSE
+        assert run(["normalize", "(\\x. x x) (\\f. f λ)"]) == EXIT_PARSE
+        assert capsys.readouterr().err.count("parse error at") == 2
+
     def test_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO("\\x. x\n"))
         assert run(["parse", "-"]) == EXIT_OK

@@ -1,7 +1,6 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
 
 from modlam.combinators import (
     PT,
@@ -15,14 +14,13 @@ from modlam.combinators import (
     double_and_swap,
     eval_morphism,
     identity_morphism,
-    parse_pt,
     product,
     pt_bind,
     pt_monad,
     second_derivative_inclusions,
     show_pt,
 )
-from modlam.errors import ConfigError, ParseError
+from modlam.errors import ConfigError
 from modlam.harness import (
     MonadMorphism,
     check_linearity,
@@ -170,17 +168,6 @@ class TestBaseChange:
         assert report.passed, report.format()
 
 
-def pt_terms(size=3):
-    leaf = st.builds(PVar, st.sampled_from(("x", "y", "z")))
-    if size <= 0:
-        return leaf
-    return (
-        leaf
-        | st.builds(Plus, pt_terms(size - 1), pt_terms(size - 1))
-        | st.builds(Times, pt_terms(size - 1), pt_terms(size - 1))
-    )
-
-
 class TestPlusTimes:
     def test_bind_is_homomorphic(self):
         s = {"x": Plus(PVar("y"), PVar("z"))}
@@ -224,28 +211,9 @@ class TestPlusTimes:
         assert ce.lhs == "x+x+(x+x)"
         assert ce.rhs == "x*x+x*x"
 
-    def test_parse_precedence(self):
-        x, y, z = PVar("x"), PVar("y"), PVar("z")
-        assert parse_pt("x+y*z") == Plus(x, Times(y, z))
-        assert parse_pt("(x+y)*z") == Times(Plus(x, y), z)
-        assert parse_pt("x+y+z") == Plus(Plus(x, y), z)
-        assert parse_pt("x*y*z") == Times(Times(x, y), z)
-
-    def test_parse_errors(self):
-        with pytest.raises(ParseError):
-            parse_pt("x+")
-        with pytest.raises(ParseError):
-            parse_pt("(x")
-        with pytest.raises(ParseError):
-            parse_pt("")
-
     def test_show_minimal_parens(self):
         x, y, z = PVar("x"), PVar("y"), PVar("z")
         assert show_pt(Plus(x, Times(y, z))) == "x+y*z"
         assert show_pt(Times(Plus(x, y), z)) == "(x+y)*z"
         assert show_pt(Plus(Plus(x, x), Plus(x, x))) == "x+x+(x+x)"
         assert show_pt(Times(x, Times(y, z))) == "x*(y*z)"
-
-    @given(pt_terms())
-    def test_roundtrip(self, t):
-        assert parse_pt(show_pt(t)) == t

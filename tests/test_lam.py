@@ -26,7 +26,6 @@ from modlam.lam import (
     gen_normal,
     gen_term,
     iota_fold,
-    naive_prime_monad,
     nf_abs,
     nf_app1,
     nf_bind,
@@ -46,6 +45,8 @@ from modlam.lam import (
     uses_bound,
 )
 from modlam.terms import Op, Var, bvar, fvar, parse_sexpr, well_scoped
+
+from faulty_instances import naive_prime_monad
 
 NAMES = ("x", "y", "z")
 
@@ -75,6 +76,16 @@ class TestShiftAndSubst:
     def test_shift_fixes_closed_terms(self):
         t = parse("\\x. x (\\y. y x)")
         assert shift(t) == t
+
+    @given(lc_terms(1))
+    def test_shift_shares_exactly_what_it_leaves_alone(self, t):
+        assert (shift(t) is t) == well_scoped(SIG_LC, to_scoped(t))
+
+    def test_shift_shares_untouched_subterms(self):
+        t = Abs(App(App(bvar(0), fvar("y")), bvar(1)))
+        out = shift(t)
+        assert out == Abs(App(App(bvar(0), fvar("y")), bvar(2)))
+        assert out.body.fun is t.body.fun
 
     def test_subst_closed_image_under_binder(self):
         assert subst({"y": parse("\\z. z")}, parse("\\x. x y")) == parse(

@@ -1,14 +1,13 @@
-"""Every ParseError site of the five term grammars and of signature
+"""Every ParseError site of the three term grammars and of signature
 files, each pinned by one malformed input: the asserted text carries
 both the message and the reported position."""
 
 import pytest
 
-from modlam.combinators import parse_pt
 from modlam.errors import ParseError
 from modlam.lam import SIG_LC, parse
 from modlam.terms import fvar, parse_sexpr, parse_signature
-from modlam.typed import parse_stlc, parse_tlist
+from modlam.typed import parse_stlc
 
 
 def sexpr(text):
@@ -32,18 +31,6 @@ CASES = [
     (parse_stlc, "\\x:* x", "parse error at 5: expected '.' after binder type"),
     (parse_stlc, "(x", "parse error at 2: expected ')'"),
     (parse_stlc, "x )", "parse error at 2: trailing input"),
-    # sorted lists
-    (parse_tlist, "@0", "parse error at 0: expected identifier"),
-    (parse_tlist, "x@ 0", "parse error at 2: expected a sort"),
-    (parse_tlist, "x", "parse error at 1: expected '@sort'"),
-    (parse_tlist, "cons x", "parse error at 5: expected '(' after cons"),
-    (parse_tlist, "cons(x@0 nil@0)", "parse error at 9: expected ','"),
-    (parse_tlist, "cons(x@0, nil@0", "parse error at 15: expected ')'"),
-    (parse_tlist, "nil@0 x", "parse error at 6: trailing input"),
-    # plus/times
-    (parse_pt, "x+", "parse error at 2: expected identifier"),
-    (parse_pt, "(x+y", "parse error at 4: expected ')'"),
-    (parse_pt, "x y", "parse error at 2: trailing input"),
     # s-expressions
     (sexpr, "   ", "parse error at 3: unexpected end of input"),
     (sexpr, "#x", "parse error at 1: expected index after '#'"),
@@ -75,5 +62,3 @@ def test_grammar_differences():
     assert sexpr("1x") == fvar("1x")
     with pytest.raises(ParseError):
         parse("1x")
-    # A sort follows its '@' with no space; whitespace may precede the '@'.
-    assert parse_tlist("nil @1") == parse_tlist("nil@1")

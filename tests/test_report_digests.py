@@ -27,8 +27,9 @@ from modlam.harness import (
     check_monad_morphism,
     tautological_module,
 )
-from modlam.lam import LC, Abs, fvar, naive_prime_monad
-from modlam.lists import broken_list_monad, int_sub_algebra
+from modlam.lam import LC, Abs, fvar
+
+from faulty_instances import broken_list_monad, int_sub_algebra, naive_prime_monad
 
 PAIRS = (
     [("monad", i) for i in ("lc", "nf", "list", "pt", "stlc", "tlist")]

@@ -143,6 +143,13 @@ class TestSubstitute:
     def test_shares_exactly_what_it_leaves_alone(self, s, t):
         assert (substitute(SIG, s, t) is t) == free_names(t).isdisjoint(s)
 
+    @given(scoped_terms(1))
+    def test_shifted_image_shares_exactly_what_it_leaves_alone(self, img):
+        # Under one binder the image is shifted: it is placed as it is
+        # exactly when no index of it dangles.
+        out = substitute(SIG, {"y": img}, abs_(fvar("y")))
+        assert (out.args[0] is img) == well_scoped(SIG, img)
+
     def test_bound_variables_untouched(self):
         t = abs_(bvar(0))
         assert substitute(SIG, {"x": fvar("y")}, t) == t

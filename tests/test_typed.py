@@ -33,7 +33,6 @@ from modlam.typed import (
     gen_tlist,
     gen_typed_term,
     parse_stlc,
-    parse_tlist,
     scope_extended_module,
     semantic_fiber_module,
     semantic_scope_extended_module,
@@ -524,17 +523,7 @@ class TestTypedLists:
         assert tlist_sort(shifted) == 2
 
     def test_grammar(self):
-        assert parse_tlist("cons(x@0, nil@0)") == Cons(LVar("x", 0), Nil(0))
-        assert parse_tlist("nil@2") == Nil(2)
         assert show_tlist(Cons(LVar("x", 0), Nil(0))) == "cons(x@0, nil@0)"
-
-    def test_parse_errors(self):
-        with pytest.raises(ParseError):
-            parse_tlist("x")
-        with pytest.raises(ParseError):
-            parse_tlist("cons(x@0)")
-        with pytest.raises(ParseError):
-            parse_tlist("nil")
 
     def test_generated_terms_are_sorted(self):
         for i in range(200):
@@ -672,20 +661,3 @@ class TestSortSlot:
             tlist_subst({"xs": img}, t)
         # One top-level sort of img, with its recursion into head and tail.
         assert calls == [img, img.head, img.tail]
-
-
-def tlist_terms(size=3):
-    leaf = st.builds(LVar, st.sampled_from(("x", "y", "z")), st.integers(0, 3)) | st.builds(
-        Nil, st.integers(0, 3)
-    )
-    if size <= 0:
-        return leaf
-    return leaf | st.builds(Cons, tlist_terms(size - 1), tlist_terms(size - 1))
-
-
-class TestTlistRoundtrip:
-    @given(tlist_terms())
-    def test_roundtrip(self, t):
-        # Printing and parsing are structural; they round-trip even for
-        # terms the sort checker would reject.
-        assert parse_tlist(show_tlist(t)) == t
