@@ -136,23 +136,34 @@ def subst0(t: LcTerm, u: LcTerm) -> LcTerm:
 
     t lives one scope deeper than its surroundings; occurrences of index
     0 become u (shifted under binders) and the remaining dangling indices
-    are decremented.  This is the beta contraction engine.
+    are decremented.  This is the beta contraction engine.  Subterms with
+    no index at or above the local cutoff are shared with t, t itself
+    included, and an abstraction is rebuilt (with_body) only when its body
+    changed.  Terms are immutable, so u is shifted at most once per binder
+    depth and every occurrence at that depth gets the same term.
     """
+    shifted = {0: u}
 
     def go(t: LcTerm, j: int) -> LcTerm:
-        match t:
-            case Var(Bound(k)):
+        if isinstance(t, Var):
+            ref = t.ref
+            if isinstance(ref, Bound):
+                k = ref.index
                 if k == j:
-                    return shift(u, j) if j else u
-                if k > j:
-                    return bvar(k - 1)
+                    image = shifted.get(j)
+                    if image is None:
+                        image = shifted[j] = shift(u, j)
+                    return image
+                return bvar(k - 1) if k > j else t
+            if isinstance(ref, Free):
                 return t
-            case Var(Free(_)):
-                return t
-            case App(f, a):
-                return App(go(f, j), go(a, j))
-            case Abs(b):
-                return t.with_body(go(b, j + 1))
+        elif isinstance(t, App):
+            f = go(t.fun, j)
+            a = go(t.arg, j)
+            return t if f is t.fun and a is t.arg else App(f, a)
+        elif isinstance(t, Abs):
+            b = go(t.body, j + 1)
+            return t if b is t.body else t.with_body(b)
         raise MalformedTermError(f"not a lambda term: {t!r}")
 
     return go(t, 0)

@@ -51,7 +51,19 @@ def fvar(name: str) -> Var:
 
 
 def bvar(index: int) -> Var:
+    """The bound variable of the given index.  Variables are immutable, so
+    one object per small nonnegative index serves every occurrence; any
+    other index (negative ones included) is built afresh."""
+    if 0 <= index < _BVAR_TABLE_SIZE:
+        return _BVARS[index]
     return Var(Bound(index))
+
+
+# Indices are binder distances, small in practice: reducing Church numerals
+# never goes past 4.  Anything larger is merely built, so no limit elsewhere
+# has to agree with this size.
+_BVAR_TABLE_SIZE = 64
+_BVARS = tuple(Var(Bound(k)) for k in range(_BVAR_TABLE_SIZE))
 
 
 # ---------- signatures ----------

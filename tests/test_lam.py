@@ -1,3 +1,5 @@
+from functools import partial
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -44,14 +46,17 @@ from modlam.lam import (
     to_scoped,
     uses_bound,
 )
-from modlam.terms import Op, Var, bvar, fvar, parse_sexpr, well_scoped
+from modlam.terms import Bound, Op, Var, bvar, fvar, parse_sexpr, well_scoped
+from modlam.typed import BASE, Arrow, TAbs
 
 from faulty_instances import naive_prime_monad
 
 NAMES = ("x", "y", "z")
 
 
-def lc_terms(depth=0, size=3):
+def lc_terms(depth=0, size=3, binders=(Abs,)):
+    """Terms whose dangling indices are below depth, with abstractions
+    built by the constructors in binders."""
     leaf = st.builds(fvar, st.sampled_from(NAMES))
     if depth:
         leaf = leaf | st.builds(bvar, st.integers(0, depth - 1))
@@ -59,13 +64,43 @@ def lc_terms(depth=0, size=3):
         return leaf
     return (
         leaf
-        | st.builds(App, lc_terms(depth, size - 1), lc_terms(depth, size - 1))
-        | st.builds(Abs, lc_terms(depth + 1, size - 1))
+        | st.builds(App, lc_terms(depth, size - 1, binders), lc_terms(depth, size - 1, binders))
+        | st.one_of(*(st.builds(make, lc_terms(depth + 1, size - 1, binders)) for make in binders))
     )
 
 
 def lc_substs(size=2):
     return st.dictionaries(st.sampled_from(NAMES), lc_terms(0, size), max_size=3)
+
+
+# Untyped and typed abstractions mixed: the engine rebuilds both through with_body.
+MIXED_BINDERS = (Abs, partial(TAbs, BASE), partial(TAbs, Arrow(BASE, BASE)))
+
+
+def naive_shift(t, by: int, cutoff: int = 0):
+    if isinstance(t, Var):
+        ref = t.ref
+        if isinstance(ref, Bound) and ref.index >= cutoff:
+            return Var(Bound(ref.index + by))
+        return Var(ref)
+    if isinstance(t, App):
+        return App(naive_shift(t.fun, by, cutoff), naive_shift(t.arg, by, cutoff))
+    return t.with_body(naive_shift(t.body, by, cutoff + 1))
+
+
+def naive_subst0(t, u, j: int = 0):
+    """The reference for subst0: rebuilds every node, shifts u afresh at
+    every occurrence."""
+    if isinstance(t, Var):
+        ref = t.ref
+        if isinstance(ref, Bound):
+            if ref.index == j:
+                return naive_shift(u, j)
+            return Var(Bound(ref.index - 1 if ref.index > j else ref.index))
+        return Var(ref)
+    if isinstance(t, App):
+        return App(naive_subst0(t.fun, u, j), naive_subst0(t.arg, u, j))
+    return t.with_body(naive_subst0(t.body, u, j + 1))
 
 
 class TestShiftAndSubst:
@@ -123,6 +158,31 @@ class TestShiftAndSubst:
 
     def test_subst0_decrements_other_danglers(self):
         assert subst0(App(bvar(0), bvar(1)), fvar("y")) == App(fvar("y"), bvar(0))
+
+    @given(lc_terms(2, binders=MIXED_BINDERS), lc_terms(1, binders=MIXED_BINDERS))
+    def test_subst0_matches_the_naive_reference(self, t, u):
+        # Dataclass equality compares classes and binder types, so a typed
+        # abstraction that lost its annotation would differ here.
+        assert subst0(t, u) == naive_subst0(t, u)
+
+    @given(lc_terms(1, binders=MIXED_BINDERS), lc_terms(binders=MIXED_BINDERS))
+    def test_subst0_shares_exactly_what_it_leaves_alone(self, t, u):
+        assert (subst0(t, u) is t) == well_scoped(SIG_LC, to_scoped(t))
+
+    def test_subst0_shares_untouched_subterms(self):
+        t = TAbs(BASE, App(App(bvar(0), fvar("y")), Abs(App(bvar(0), bvar(2)))))
+        out = subst0(t, fvar("z"))
+        assert out == TAbs(BASE, App(App(bvar(0), fvar("y")), Abs(App(bvar(0), fvar("z")))))
+        assert out.body.fun is t.body.fun
+
+    def test_subst0_shifts_the_argument_once_per_depth(self):
+        u = App(bvar(0), fvar("y"))
+        t = App(bvar(0), Abs(App(bvar(1), Abs(App(bvar(2), bvar(2))))))
+        out = subst0(t, u)
+        assert out == naive_subst0(t, u)
+        assert out.fun is u
+        inner = out.arg.body.arg.body
+        assert inner.fun is inner.arg
 
     def test_uses_bound(self):
         assert uses_bound(App(bvar(0), fvar("y")), 0)

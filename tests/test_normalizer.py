@@ -1,5 +1,6 @@
 """The single-pass normalizer against the one-step reference stepper, the
-NfTerm certificate it checks, its cycle detection and its depth limit."""
+NfTerm certificate it checks, its cycle detection, its depth limit and
+the sharing of its beta contraction."""
 
 import hashlib
 import random
@@ -7,6 +8,7 @@ import time
 
 import pytest
 
+from modlam import lam
 from modlam.cli import EXIT_FUEL, run
 from modlam.errors import MalformedTermError
 from modlam.fuel import DepthLimit, Fuel, FuelExhausted, ReductionCycle
@@ -32,7 +34,7 @@ from modlam.lam import (
     show,
     step_successors,
 )
-from modlam.terms import bvar, fvar
+from modlam.terms import Bound, Var, bvar, fvar
 from modlam.typed import BASE, TAbs, gen_typed_term, parse_stlc, stlc_normalize
 
 
@@ -78,9 +80,13 @@ def church(n: int) -> LcTerm:
     return Abs(Abs(body))
 
 
+def church_text(n: int) -> str:
+    return f"(\\f. \\x. {'f (' * n}x{')' * n})"
+
+
 def power_of_two(k: int) -> str:
     """2^k as text: the exponent is applied to the base."""
-    return f"(\\m. \\n. n m) {CHURCH_2} (\\f. \\x. {'f (' * k}x{')' * k})"
+    return f"(\\m. \\n. n m) {CHURCH_2} {church_text(k)}"
 
 
 class TestDifferentialOracle:
@@ -316,3 +322,58 @@ class TestDepthLimit:
         assert check.passed and check.counterexample is None
         assert check.skipped > 0 and check.checked > 0
         assert check.checked + check.skipped == 30
+
+
+def untouched_nodes(t) -> list:
+    """The App/Abs nodes of t under which no index reaches the local
+    cutoff: the ones subst0 has no reason to rebuild."""
+    out = []
+
+    def go(t, j: int) -> bool:  # does an index at or above j occur?
+        if isinstance(t, Var):
+            return isinstance(t.ref, Bound) and t.ref.index >= j
+        if isinstance(t, App):
+            dangles = go(t.fun, j) | go(t.arg, j)
+        else:
+            dangles = go(t.body, j + 1)
+        if not dangles:
+            out.append(t)
+        return dangles
+
+    go(t, 0)
+    return out
+
+
+def node_ids(t) -> set[int]:
+    out, todo = set(), [t]
+    while todo:
+        t = todo.pop()
+        if not isinstance(t, Var):
+            out.add(id(t))
+            todo += (t.fun, t.arg) if isinstance(t, App) else (t.body,)
+    return out
+
+
+class TestSharing:
+    def test_beta_contraction_rebuilds_no_untouched_node(self, monkeypatch):
+        # Normalizing Church 2^9 and 20*20 contracts 1067 redexes whose bodies
+        # hold 3979 untouched App/Abs nodes; a rebuilding subst0 makes 3923
+        # new ones (the rest reappear through the argument itself).
+        calls, untouched, rebuilt = 0, 0, 0
+        subst0 = lam.subst0
+
+        def counting(t, u):
+            nonlocal calls, untouched, rebuilt
+            keep = untouched_nodes(t)
+            out = subst0(t, u)
+            ids = node_ids(out)
+            calls += 1
+            untouched += len(keep)
+            rebuilt += sum(id(n) not in ids for n in keep)
+            return out
+
+        monkeypatch.setattr(lam, "subst0", counting)
+        mult = f"(\\m. \\n. \\f. m (n f)) {church_text(20)} {church_text(20)}"
+        for text, n in ((power_of_two(9), 512), (mult, 400)):
+            assert show(normalize(parse(text), 10**7).term) == show(church(n))
+        assert (calls, untouched, rebuilt) == (1067, 3979, 0)

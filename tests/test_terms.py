@@ -5,9 +5,11 @@ from hypothesis import given, strategies as st
 
 from modlam.errors import ConfigError, MalformedTermError, ParseError
 from modlam.terms import (
+    Bound,
     Op,
     Representation,
     Signature,
+    Var,
     bvar,
     fold,
     free_names,
@@ -59,6 +61,23 @@ def scoped_terms(depth=0, size=3):
 
 def substs(size=2):
     return st.dictionaries(st.sampled_from(NAMES), scoped_terms(0, size), max_size=3)
+
+
+class TestBoundVariables:
+    def test_small_indices_share_one_object(self):
+        for k in (0, 1, 2, 63):
+            assert bvar(k) is bvar(k)
+            assert bvar(k) == Var(Bound(k))
+
+    def test_negative_index_is_built_not_looked_up(self):
+        # Indexing a table with -1 would silently give its last entry.
+        assert bvar(-1).ref.index == -1
+        assert bvar(-2) == Var(Bound(-2))
+
+    def test_index_past_the_table_is_built(self):
+        assert bvar(64) == Var(Bound(64))
+        assert bvar(699) == Var(Bound(699))
+        assert bvar(10**6).ref.index == 10**6
 
 
 class TestSignature:
