@@ -62,16 +62,22 @@ LcTerm = Var | App | Abs
 
 
 def free_names(t: LcTerm) -> set[str]:
-    match t:
-        case Var(Free(name)):
-            return {name}
-        case Var(Bound(_)):
-            return set()
-        case App(f, a):
-            return free_names(f) | free_names(a)
-        case Abs(b):
-            return free_names(b)
-    raise MalformedTermError(f"not a lambda term: {t!r}")
+    # One walk on an explicit stack into one set, left to right, so the
+    # first malformed node met is the one a recursive walk would meet.
+    out: set[str] = set()
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, App):
+            stack.append(t.arg)
+            stack.append(t.fun)
+        elif isinstance(t, Abs):
+            stack.append(t.body)
+        elif isinstance(t, Var) and isinstance(t.ref, Free):
+            out.add(t.ref.name)
+        elif not (isinstance(t, Var) and isinstance(t.ref, Bound)):
+            raise MalformedTermError(f"not a lambda term: {t!r}")
+    return out
 
 
 # ---------- shifting and substitution ----------

@@ -1,4 +1,4 @@
-"""Scanning helpers shared by the recursive-descent term grammars.
+"""Scanning helpers shared by the lambda and typed term grammars.
 
 Each helper takes the text and a position and returns the position it
 scanned to (with the scanned value where there is one), so a parser
@@ -18,39 +18,16 @@ def skip_ws(text: str, pos: int) -> int:
     return pos
 
 
-def _name_end(text: str, pos: int) -> int:
-    # End of the run of identifier characters (alphanumerics, '_', "'").
-    n = len(text)
-    while pos < n and (text[pos].isalnum() or text[pos] in "_'"):
-        pos += 1
-    return pos
-
-
 def ident(text: str, pos: int) -> tuple[str, int]:
-    """An identifier: a letter or '_', then identifier characters."""
-    if pos >= len(text) or not (text[pos].isalpha() or text[pos] == "_"):
+    """An identifier: a letter or '_', then identifier characters
+    (alphanumerics, '_' and "'")."""
+    n = len(text)
+    if pos >= n or not (text[pos].isalpha() or text[pos] == "_"):
         raise ParseError("expected identifier", pos)
-    end = _name_end(text, pos + 1)
-    return text[pos:end], end
-
-
-def word(text: str, pos: int) -> tuple[str, int]:
-    """A nonempty run of identifier characters, which may start with a
-    digit (the s-expression grammar's names)."""
-    end = _name_end(text, pos)
-    if end == pos:
-        raise ParseError("expected identifier", pos)
-    return text[pos:end], end
-
-
-def nat(text: str, pos: int, message: str) -> tuple[int, int]:
-    """A run of digits right at pos (no whitespace skipped)."""
-    end = pos
-    while end < len(text) and text[end].isdigit():
+    end = pos + 1
+    while end < n and (text[end].isalnum() or text[end] in "_'"):
         end += 1
-    if end == pos:
-        raise ParseError(message, pos)
-    return int(text[pos:end]), end
+    return text[pos:end], end
 
 
 def expect(text: str, pos: int, token: str, message: str) -> int:

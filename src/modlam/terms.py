@@ -15,12 +15,12 @@ dangling index plays the role of a fresh variable.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from operator import is_
 from typing import Any, Callable, Mapping, Optional
 
 from .errors import ConfigError, MalformedTermError, ParseError
-from .scan import end_of_input, nat, skip_ws, word
 
 # ---------- variables ----------
 
@@ -82,12 +82,16 @@ class Signature:
     ops: tuple[tuple[str, Arity], ...]
 
     def __post_init__(self):
-        names = [name for name, _ in self.ops]
-        if len(set(names)) != len(names):
+        index = {name: i for i, (name, _) in enumerate(self.ops)}
+        if len(index) != len(self.ops):
             raise ConfigError("duplicate operator name in signature")
         for name, arity in self.ops:
             if any(n < 0 for n in arity):
                 raise ConfigError(f"negative binder count in arity of {name}")
+        # Tables the parser, the printer and fold read at every node: an
+        # operator index missing from _nargs is out of range.
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_nargs", {i: len(arity) for i, (_, arity) in enumerate(self.ops)})
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -110,10 +114,7 @@ class Signature:
         return arity
 
     def index(self, name: str) -> int:
-        for i, (n, _) in enumerate(self.ops):
-            if n == name:
-                return i
-        raise KeyError(name)
+        return self._index[name]
 
 
 @dataclass(frozen=True)
@@ -252,11 +253,13 @@ def fold(
     variables go through the representation's bound_value.
     """
     sig = rep.signature
+    nargs = sig._nargs
+    ops = rep.ops
+    bound_value = rep.bound_value
     if env is None:
         if rep.monad is None:
             raise ConfigError("fold needs an env when the representation has no monad")
-        unit = rep.monad.unit
-        env_fn = lambda name: unit(name)
+        env_fn = rep.monad.unit
     else:
         def env_fn(name: str):
             if name not in env:
@@ -264,16 +267,20 @@ def fold(
             return env[name]
 
     def go(t: ScopedTerm) -> Any:
-        match t:
-            case Var(Free(name)):
-                return env_fn(name)
-            case Var(Bound(k)):
-                if rep.bound_value is None:
-                    raise ConfigError("representation has no bound_value for binder slots")
-                return rep.bound_value(k)
-            case Op(op, args):
+        if isinstance(t, Op):
+            op = t.op
+            args = t.args
+            if nargs.get(op) != len(args):
                 sig.checked_arity(op, args)
-                return rep.ops[op](*map(go, args))
+            return ops[op](*map(go, args))
+        if isinstance(t, Var):
+            ref = t.ref
+            if isinstance(ref, Free):
+                return env_fn(ref.name)
+            if isinstance(ref, Bound):
+                if bound_value is None:
+                    raise ConfigError("representation has no bound_value for binder slots")
+                return bound_value(ref.index)
         raise MalformedTermError(f"not a term: {t!r}")
 
     return go(t)
@@ -281,76 +288,125 @@ def fold(
 
 def self_representation(sig: Signature) -> Representation:
     """The syntactic representation of a signature on its own terms."""
-    funs = tuple(
-        (lambda op: (lambda *args: Op(op, tuple(args))))(i) for i in range(len(sig))
-    )
+    funs = tuple((lambda op: (lambda *args: Op(op, args)))(i) for i in range(len(sig)))
     return Representation(sig, funs, bound_value=bvar)
 
 
 # ---------- s-expression grammar ----------
 #
-#   term ::= ident | '#' nat | '(' opname term* ')'
+#   term ::= ident | '#' [0-9]+ | '(' opname term* ')'
 #
-# Operator names are resolved against the signature.
+# An ident (or opname) is a nonempty run of alphanumerics, '_' and "'";
+# it may start with a digit.  Operator names are resolved against the
+# signature.  Parser and printer keep open operators on an explicit
+# stack, so nesting is bounded by memory, not by the recursion limit.
+
+# One token per match; the whitespace between matches is skipped.  An
+# opening parenthesis takes the operator name right after it into its
+# token, and any other character no rule accepts is a token of its own.
+# \w and \s are exactly str.isalnum() or '_' and str.isspace().
+_TOKEN = re.compile(r"\([\w']+|[()]|#[0-9]*|[\w']+|\S")
+_WORD = re.compile(r"[\w']+")
+
+
+def _error(text: str, i: int, message: str, offset: int = 0) -> ParseError:
+    # The error at token i (past the last token: the end of the text),
+    # offset characters into it; positions are only computed here.
+    starts = [m.start() for m in _TOKEN.finditer(text)]
+    return ParseError(message, starts[i] + offset if i < len(starts) else len(text))
 
 
 def parse_sexpr(sig: Signature, text: str) -> ScopedTerm:
-    pos = 0
-    n = len(text)
-
-    def term() -> ScopedTerm:
-        nonlocal pos
-        pos = skip_ws(text, pos)
-        if pos >= n:
-            raise ParseError("unexpected end of input", pos)
-        c = text[pos]
-        if c == "#":
-            k, pos = nat(text, pos + 1, "expected index after '#'")
-            return bvar(k)
+    tokens = _TOKEN.findall(text)
+    n = len(tokens)
+    index = sig._index
+    nargs = sig._nargs
+    leaves: dict[str, Var] = {}  # one variable per token text
+    root: list[ScopedTerm] = []
+    open_ops = []  # (op, token index of its name, args) of each enclosing operator
+    op = at = None  # the innermost open operator and the token index of its name
+    args = root  # its arguments so far
+    i = 0
+    while True:
+        if i == n:
+            raise _error(text, i, "unexpected end of input" if args is root else "expected ')'")
+        tok = tokens[i]
+        c = tok[0]
         if c == "(":
-            at = skip_ws(text, pos + 1)
-            name, pos = word(text, at)
-            try:
-                op = sig.index(name)
-            except KeyError:
-                raise ParseError(f"unknown operator {name!r}", at) from None
-            args = []
-            while True:
-                pos = skip_ws(text, pos)
-                if pos >= n:
-                    raise ParseError("expected ')'", pos)
-                if text[pos] == ")":
-                    pos += 1
-                    break
-                args.append(term())
-            if len(args) != len(sig.arity(op)):
-                raise ParseError(
-                    f"operator {name!r} expects {len(sig.arity(op))} arguments, got {len(args)}",
-                    at,
-                )
-            return Op(op, tuple(args))
-        name, pos = word(text, pos)
-        return fvar(name)
+            if len(tok) > 1:
+                name = tok[1:]
+            else:  # whitespace, or no name, follows the parenthesis
+                i += 1
+                name = tokens[i] if i < n else ""
+                if not _WORD.fullmatch(name):
+                    raise _error(text, i, "expected identifier")
+            found = index.get(name)
+            if found is None:
+                message = f"unknown operator {name!r}"
+                raise _error(text, i, message, len(tokens[i]) - len(name))
+            open_ops.append((op, at, args))
+            op, at, args = found, i, []
+            i += 1
+            continue
+        if c == ")":
+            if args is root:
+                raise _error(text, i, "expected identifier")
+            if len(args) != nargs[op]:
+                name = tokens[at].lstrip("(")
+                message = f"operator {name!r} expects {nargs[op]} arguments, got {len(args)}"
+                raise _error(text, at, message, len(tokens[at]) - len(name))
+            value = Op(op, tuple(args))
+            op, at, args = open_ops.pop()
+        else:
+            value = leaves.get(tok)
+            if value is None:
+                if c == "#":
+                    if len(tok) == 1:
+                        raise _error(text, i, "expected index after '#'", 1)
+                    value = bvar(int(tok[1:]))
+                elif _WORD.fullmatch(tok):
+                    value = fvar(tok)
+                else:
+                    raise _error(text, i, "expected identifier")
+                leaves[tok] = value
+        i += 1
+        args.append(value)
+        if args is root:
+            if i != n:
+                raise _error(text, i, "trailing input")
+            return value
 
-    out = term()
-    end_of_input(text, pos)
-    return out
+
+# Marks, on the printer's stack, where an operator's text closes.
+_CLOSE = object()
 
 
 def show_sexpr(sig: Signature, t: ScopedTerm) -> str:
-    match t:
-        case Var(Free(name)):
-            return name
-        case Var(Bound(k)):
-            return f"#{k}"
-        case Op(op, args):
-            if len(args) != len(sig.arity(op)):
+    nargs = sig._nargs
+    opens = [f" ({name}" for name, _ in sig.ops]
+    out: list[str] = []  # every term's text starts with a space
+    append = out.append
+    stack: list = [t]
+    pop = stack.pop
+    while stack:
+        t = pop()
+        if isinstance(t, Op):
+            op = t.op
+            args = t.args
+            if nargs.get(op) != len(args):
                 sig.checked_arity(op, args)
-            name = sig.name(op)
-            if not args:
-                return f"({name})"
-            return "(" + " ".join([name] + [show_sexpr(sig, a) for a in args]) + ")"
-    raise MalformedTermError(f"not a term: {t!r}")
+            append(opens[op])
+            stack.append(_CLOSE)
+            stack += reversed(args)
+        elif t is _CLOSE:
+            append(")")
+        elif isinstance(t, Var) and isinstance(t.ref, Free):
+            append(" " + t.ref.name)
+        elif isinstance(t, Var) and isinstance(t.ref, Bound):
+            append(f" #{t.ref.index}")
+        else:
+            raise MalformedTermError(f"not a term: {t!r}")
+    return "".join(out)[1:]
 
 
 # ---------- signature files ----------

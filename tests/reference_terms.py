@@ -1,0 +1,153 @@
+"""Reference versions of the s-expression reader, printer and fold of
+modlam.terms: the recursive, character-by-character forms they replaced,
+kept unchanged so the differential tests can compare the two on any
+input.  Only the scanning helpers they called are copied in beside them.
+
+The reference parser reads an index after '#' with str.isdigit, so it
+takes non-ASCII digits: '#²' raises ValueError from int() and '#１２' is
+read as index 12.  The grammar's index is ASCII [0-9]+, so there the two
+differ by design.
+"""
+
+from typing import Any, Mapping, Optional
+
+from modlam.errors import ConfigError, MalformedTermError, ParseError
+from modlam.terms import (
+    Bound,
+    Free,
+    Op,
+    Representation,
+    ScopedTerm,
+    Signature,
+    Var,
+    bvar,
+    fvar,
+)
+
+
+def skip_ws(text: str, pos: int) -> int:
+    n = len(text)
+    while pos < n and text[pos].isspace():
+        pos += 1
+    return pos
+
+
+def _name_end(text: str, pos: int) -> int:
+    n = len(text)
+    while pos < n and (text[pos].isalnum() or text[pos] in "_'"):
+        pos += 1
+    return pos
+
+
+def word(text: str, pos: int) -> tuple[str, int]:
+    end = _name_end(text, pos)
+    if end == pos:
+        raise ParseError("expected identifier", pos)
+    return text[pos:end], end
+
+
+def nat(text: str, pos: int, message: str) -> tuple[int, int]:
+    end = pos
+    while end < len(text) and text[end].isdigit():
+        end += 1
+    if end == pos:
+        raise ParseError(message, pos)
+    return int(text[pos:end]), end
+
+
+def end_of_input(text: str, pos: int) -> None:
+    pos = skip_ws(text, pos)
+    if pos != len(text):
+        raise ParseError("trailing input", pos)
+
+
+def parse_sexpr(sig: Signature, text: str) -> ScopedTerm:
+    pos = 0
+    n = len(text)
+
+    def term() -> ScopedTerm:
+        nonlocal pos
+        pos = skip_ws(text, pos)
+        if pos >= n:
+            raise ParseError("unexpected end of input", pos)
+        c = text[pos]
+        if c == "#":
+            k, pos = nat(text, pos + 1, "expected index after '#'")
+            return bvar(k)
+        if c == "(":
+            at = skip_ws(text, pos + 1)
+            name, pos = word(text, at)
+            try:
+                op = sig.index(name)
+            except KeyError:
+                raise ParseError(f"unknown operator {name!r}", at) from None
+            args = []
+            while True:
+                pos = skip_ws(text, pos)
+                if pos >= n:
+                    raise ParseError("expected ')'", pos)
+                if text[pos] == ")":
+                    pos += 1
+                    break
+                args.append(term())
+            if len(args) != len(sig.arity(op)):
+                raise ParseError(
+                    f"operator {name!r} expects {len(sig.arity(op))} arguments, got {len(args)}",
+                    at,
+                )
+            return Op(op, tuple(args))
+        name, pos = word(text, pos)
+        return fvar(name)
+
+    out = term()
+    end_of_input(text, pos)
+    return out
+
+
+def show_sexpr(sig: Signature, t: ScopedTerm) -> str:
+    match t:
+        case Var(Free(name)):
+            return name
+        case Var(Bound(k)):
+            return f"#{k}"
+        case Op(op, args):
+            if len(args) != len(sig.arity(op)):
+                sig.checked_arity(op, args)
+            name = sig.name(op)
+            if not args:
+                return f"({name})"
+            return "(" + " ".join([name] + [show_sexpr(sig, a) for a in args]) + ")"
+    raise MalformedTermError(f"not a term: {t!r}")
+
+
+def fold(
+    rep: Representation,
+    t: ScopedTerm,
+    env: Optional[Mapping[str, Any]] = None,
+) -> Any:
+    sig = rep.signature
+    if env is None:
+        if rep.monad is None:
+            raise ConfigError("fold needs an env when the representation has no monad")
+        unit = rep.monad.unit
+        env_fn = lambda name: unit(name)
+    else:
+        def env_fn(name: str):
+            if name not in env:
+                raise ConfigError(f"fold env not total: missing {name!r}")
+            return env[name]
+
+    def go(t: ScopedTerm) -> Any:
+        match t:
+            case Var(Free(name)):
+                return env_fn(name)
+            case Var(Bound(k)):
+                if rep.bound_value is None:
+                    raise ConfigError("representation has no bound_value for binder slots")
+                return rep.bound_value(k)
+            case Op(op, args):
+                sig.checked_arity(op, args)
+                return rep.ops[op](*map(go, args))
+        raise MalformedTermError(f"not a term: {t!r}")
+
+    return go(t)

@@ -1,3 +1,4 @@
+import re
 from functools import partial
 
 import pytest
@@ -541,3 +542,20 @@ class TestInstances:
 
     def test_free_names(self):
         assert free_names(parse("\\x. x y z")) == {"y", "z"}
+
+    @given(lc_terms(1, binders=MIXED_BINDERS))
+    def test_free_names_are_the_printed_names(self, t):
+        # Named printing invents only v0, v1, ... for binders, so every
+        # other name it prints is free.
+        printed = re.findall(r"[^\W\d]\w*", show(t))
+        assert free_names(t) == {w for w in printed if not w.startswith("v")}
+
+    def test_free_names_past_the_recursion_limit(self):
+        t = fvar("x")
+        for k in range(5000):
+            t = Abs(App(t, fvar(f"y{k % 3}")))
+        assert free_names(t) == {"x", "y0", "y1", "y2"}
+
+    def test_free_names_rejects_what_is_not_a_term(self):
+        with pytest.raises(MalformedTermError, match="not a lambda term: 'z'"):
+            free_names(App(Abs(fvar("x")), App("z", 3)))

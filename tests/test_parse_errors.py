@@ -34,6 +34,8 @@ CASES = [
     # s-expressions
     (sexpr, "   ", "parse error at 3: unexpected end of input"),
     (sexpr, "#x", "parse error at 1: expected index after '#'"),
+    (sexpr, "#²", "parse error at 1: expected index after '#'"),
+    (sexpr, "#１２", "parse error at 1: expected index after '#'"),
     (sexpr, "( )", "parse error at 2: expected identifier"),
     (sexpr, ")", "parse error at 0: expected identifier"),
     (sexpr, "(foo x)", "parse error at 1: unknown operator 'foo'"),

@@ -1,7 +1,12 @@
 import random
+import re
+import sys
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+import reference_terms as ref
 
 from modlam.errors import ConfigError, MalformedTermError, ParseError
 from modlam.terms import (
@@ -270,3 +275,187 @@ class TestScopeCheck:
         assert not well_scoped(SIG, bvar(0))
         assert well_scoped(SIG, bvar(0), depth=1)
         assert not well_scoped(SIG, Op(APP, (fvar("x"),)))
+
+
+# The generic-subst benchmark's second signature, beside the lambda one.
+RICH = Signature(
+    (
+        ("let", (0, 1)),
+        ("letrec", (2, 2)),
+        ("pair", (0, 0)),
+        ("case", (0, 1, 1)),
+        ("lam2", (2,)),
+        ("fix", (1,)),
+        ("unit", ()),
+    )
+)
+
+# Pieces of s-expression text: the grammar's punctuation, ASCII and
+# non-ASCII digits, ASCII and Unicode whitespace, identifier characters,
+# names, the operator names of both signatures, and characters no rule takes.
+PIECES = (
+    "(", ")", "#", "0", "1", "7", "42", "²", "١", "１", "٣",
+    " ", "\t", "\n", "\u00a0", "\u2003", "'", "_", "x", "y", "é", "x1",
+    "app", "abs", "let", "letrec", "pair", "case", "lam2", "fix", "unit", "mu",
+    "+", ".", "\\",
+)
+sexpr_texts = st.lists(st.sampled_from(PIECES), max_size=24).map("".join)
+WHITESPACE = ("", " ", "\t\n", "\u00a0", "\u2003 ")
+TERMS = scoped_terms(size=4)
+
+
+@st.composite
+def spaced_texts(draw):
+    """A printed term with whitespace of every kind around its parentheses
+    and between its tokens, and maybe a character cut out."""
+    text = ref.show_sexpr(SIG, draw(TERMS))
+    rnd = draw(st.randoms(use_true_random=False))
+    out = []
+    for ch in text:
+        if ch == " ":
+            ch = rnd.choice(WHITESPACE) or " "
+        elif ch in "()":
+            ch = rnd.choice(WHITESPACE) + ch + rnd.choice(WHITESPACE)
+        out.append(ch)
+    text = "".join(out)
+    if text and rnd.random() < 0.5:
+        cut = rnd.randrange(len(text))
+        text = text[:cut] + text[cut + 1 :]
+    return text
+
+
+def reads_non_ascii_index(text):
+    """Whether the reference parser would read a non-ASCII digit into an
+    index: it scans the index after '#' with str.isdigit."""
+    for m in re.finditer("#", text):
+        j = m.end()
+        while j < len(text) and text[j].isdigit():
+            if not text[j].isascii():
+                return True
+            j += 1
+    return False
+
+
+def outcome(f, *args):
+    """A call's result, or the type and text of what it raised."""
+    try:
+        return f(*args)
+    except Exception as e:  # noqa: BLE001 - the exception is the outcome
+        return (type(e), str(e))
+
+
+class TestAgainstReference:
+    """The tokenizing, explicit-stack reader and printer and the
+    isinstance fold give what the recursive versions in
+    tests/reference_terms.py give, errors and positions included."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from([SIG, RICH]), sexpr_texts)
+    def test_parse(self, sig, text):
+        if reads_non_ascii_index(text):
+            # The grammar's index is ASCII [0-9]+: whatever the reference
+            # does with such a text, the parser raises only ParseError.
+            try:
+                parse_sexpr(sig, text)
+            except ParseError:
+                pass
+            return
+        got = outcome(parse_sexpr, sig, text)
+        assert got == outcome(ref.parse_sexpr, sig, text)
+        if isinstance(got, (Op, Var)):
+            assert show_sexpr(sig, got) == ref.show_sexpr(sig, got)
+
+    @settings(deadline=None)
+    @given(spaced_texts())
+    def test_parse_spaced(self, text):
+        got = outcome(parse_sexpr, SIG, text)
+        assert got == outcome(ref.parse_sexpr, SIG, text)
+
+    @given(TERMS)
+    def test_show(self, t):
+        assert show_sexpr(SIG, t) == ref.show_sexpr(SIG, t)
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            Op(APP, (fvar("x"),)),
+            Op(ABS, (fvar("x"), fvar("y"))),
+            Op(2, ()),
+            Op(-1, (fvar("x"),)),
+            app(fvar("x"), "y"),
+            app(Op(APP, (fvar("x"),)), Op(7, ())),
+            Var("x"),
+            abs_(Var(None)),
+        ],
+    )
+    def test_malformed(self, t):
+        assert outcome(show_sexpr, SIG, t) == outcome(ref.show_sexpr, SIG, t)
+        rep = self_representation(SIG)
+        env = {"x": fvar("x"), "y": fvar("y")}
+        assert outcome(fold, rep, t, env) == outcome(ref.fold, rep, t, env)
+
+    @given(TERMS, st.data())
+    def test_fold(self, t, data):
+        # Two targets: the syntax itself and strings; each with an env
+        # (total or not) and with a monad's unit on free names.
+        shown = Representation(
+            SIG,
+            (lambda f, a: f"[{f} {a}]", lambda b: f"<{b}>"),
+            bound_value=lambda k: f"b{k}",
+            monad=SimpleNamespace(unit=str.upper),
+        )
+        syntax = Representation(SIG, self_representation(SIG).ops, bvar, SimpleNamespace(unit=fvar))
+        env = data.draw(st.dictionaries(st.sampled_from(NAMES), st.sampled_from(NAMES)))
+        for rep in (shown, syntax):
+            assert outcome(fold, rep, t, env) == outcome(ref.fold, rep, t, env)
+            assert outcome(fold, rep, t) == outcome(ref.fold, rep, t)
+        no_bound = Representation(SIG, shown.ops)
+        assert outcome(fold, no_bound, t, env) == outcome(ref.fold, no_bound, t, env)
+
+    def test_index_is_ascii_digits(self):
+        # Where the reference reads non-ASCII digits into an index, and
+        # differs by design (tests/test_parse_errors.py pins the errors).
+        assert outcome(ref.parse_sexpr, SIG, "#²")[0] is ValueError
+        assert ref.parse_sexpr(SIG, "#１２") == bvar(12)
+        # A non-ASCII digit after an index starts a name, as a letter does.
+        assert outcome(ref.parse_sexpr, SIG, "(app #0²)")[0] is ValueError
+        assert parse_sexpr(SIG, "(app #0²)") == app(bvar(0), fvar("²"))
+        assert parse_sexpr(SIG, "(app #0x)") == app(bvar(0), fvar("x"))
+
+    def test_regex_classes_are_the_string_predicates(self):
+        # The tokenizer relies on \w being str.isalnum() or '_' and \s
+        # being str.isspace(), for every code point.
+        chars = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert re.findall(r"\w", chars) == [c for c in chars if c.isalnum() or c == "_"]
+        assert re.findall(r"\s", chars) == [c for c in chars if c.isspace()]
+
+
+class TestDeepNesting:
+    """Parse and print run on an explicit stack, far past the recursion
+    limit.  Only strings are compared, since dataclass == recurses."""
+
+    DEPTH = 20_000
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(abs " * DEPTH + "#0" + ")" * DEPTH,
+            "(app " * DEPTH + "x" + " y)" * DEPTH,
+            "(app x " * DEPTH + "y" + ")" * DEPTH,
+        ],
+        ids=["binders", "left spine", "right spine"],
+    )
+    def test_parse_then_show(self, text):
+        assert self.DEPTH > sys.getrecursionlimit()
+        assert show_sexpr(SIG, parse_sexpr(SIG, text)) == text
+
+    def test_show_built_term(self):
+        t = fvar("x")
+        for _ in range(self.DEPTH):
+            t = app(t, bvar(0))
+        assert show_sexpr(SIG, t) == "(app " * self.DEPTH + "x" + " #0)" * self.DEPTH
+
+    def test_error_position_deep_inside(self):
+        text = "(abs " * self.DEPTH + "(foo x)" + ")" * self.DEPTH
+        with pytest.raises(ParseError, match=f"^parse error at {5 * self.DEPTH + 1}: unknown"):
+            parse_sexpr(SIG, text)
