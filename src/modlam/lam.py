@@ -17,6 +17,7 @@ initial-representation fold (iota_fold) tick.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, Mapping, Optional
@@ -24,7 +25,6 @@ from typing import Callable, Iterator, Mapping, Optional
 from .errors import ConfigError, MalformedTermError
 from .fuel import DEFAULT_FUEL, DepthLimit, Fuel, FuelExhausted, ReductionCycle
 from .harness import MonadInstance, ModuleInstance
-from .scan import end_of_input, expect, ident, skip_ws
 from .terms import (
     Bound,
     Free,
@@ -33,6 +33,7 @@ from .terms import (
     ScopedTerm,
     Signature,
     Var,
+    _error,
     bvar,
     fold,
     fvar,
@@ -554,65 +555,94 @@ def from_scoped(t: ScopedTerm) -> LcTerm:
 #   app  ::= atom+                 (left-associative)
 #   atom ::= ident | '(' term ')'
 #
-# The backslash has a lambda synonym on input.  Printing picks machine
-# names v0, v1, ... for binders, skipping names that occur free.
+# The backslash has a lambda synonym on input.  An ident is a letter or
+# '_', then letters, digits, '_' and "'"; it cannot start with a lambda.
+# Printing picks machine names v0, v1, ... for binders, skipping names
+# that occur free.
+
+# One token per match; the whitespace between matches is skipped.  A
+# backslash or a lambda is a token of its own, so no name starts with a
+# lambda, and any character no rule accepts is a token of its own.  The
+# typed grammar reads the same tokens.
+_TOKEN = re.compile(r"[\\λ]|->|[\w']+|\S")
 
 
 def parse(text: str) -> LcTerm:
     return parse_binding(text, _bare_binder, fvar)
 
 
-def _bare_binder(text: str, pos: int) -> tuple[Callable[[LcTerm], Abs], int]:
-    return Abs, expect(text, pos, ".", "expected '.' after binder")
+def _bare_binder(text: str, tokens: list[str], i: int) -> tuple[Callable[[LcTerm], Abs], int]:
+    return Abs, _expect(text, tokens, i, ".", "expected '.' after binder")
+
+
+def _expect(text: str, tokens: list[str], i: int, token: str, message: str) -> int:
+    # Token i must be token; the index after it.
+    if tokens[i] != token:
+        raise _error(_TOKEN, text, i, message)
+    return i + 1
+
+
+def _is_name(token: str) -> bool:
+    # "λ".isalpha() holds, but a lambda token starts a binder.
+    return (token[:1].isalpha() or token[:1] == "_") and token != "λ"
 
 
 def parse_binding(
     text: str,
-    binder: Callable[[str, int], tuple[Callable[[LcTerm], Abs], int]],
+    binder: Callable[[str, list[str], int], tuple[Callable[[LcTerm], Abs], int]],
     free: Callable[[str], LcTerm],
 ) -> LcTerm:
-    """The grammar above, shared with the typed calculus: binder reads
-    what follows a binder's name up to its body and returns the
-    abstraction's constructor with the position after it; free builds a
-    free variable from its name."""
-    pos = 0
+    """The grammar above, shared with the typed calculus: binder(text,
+    tokens, i) reads what follows a binder's name from token i up to the
+    body and returns the abstraction's constructor with the index of the
+    body's first token; free builds a free variable from its name.
 
-    def term(binders: tuple[str, ...]) -> LcTerm:
-        nonlocal pos
-        pos = skip_ws(text, pos)
-        if text.startswith(("\\", "λ"), pos):
-            name, pos = ident(text, skip_ws(text, pos + 1))
-            make, pos = binder(text, pos)
-            return make(term((name,) + binders))
-        return app(binders)
-
-    def app(binders: tuple[str, ...]) -> LcTerm:
-        nonlocal pos
-        t = atom(binders)
-        while True:
-            pos = skip_ws(text, pos)
-            c = text[pos : pos + 1]
-            if c and c != "λ" and (c.isalpha() or c in "(_"):
-                t = App(t, atom(binders))
-            else:
+    Open binders and parentheses wait on an explicit stack, so nesting is
+    bounded by memory, not by the recursion limit."""
+    tokens = _TOKEN.findall(text) + [""]  # "" marks the end of the input
+    frames: list = []  # (constructor, name, shadowed depth) or (None, None, spine outside '(')
+    scope: dict[str, int] = {}  # each bound name's innermost binder depth
+    depth = 0  # open binders
+    spine = None  # the application read so far in the innermost open term
+    i = 0
+    while True:
+        tok = tokens[i]
+        i += 1
+        if _is_name(tok):
+            level = scope.get(tok)
+            atom = free(tok) if level is None else bvar(depth - 1 - level)
+            spine = atom if spine is None else App(spine, atom)
+        elif tok == "(":
+            frames.append((None, None, spine))
+            spine = None
+        elif spine is None:
+            if tok != "\\" and tok != "λ":
+                raise _error(_TOKEN, text, i - 1, "expected identifier")
+            name = tokens[i]
+            if not _is_name(name):
+                raise _error(_TOKEN, text, i, "expected identifier")
+            make, i = binder(text, tokens, i + 1)
+            frames.append((make, name, scope.get(name)))
+            scope[name] = depth
+            depth += 1
+        else:  # tok ends the innermost open term: close its binders, then what it ends
+            t = spine
+            while frames and frames[-1][0] is not None:
+                make, name, shadowed = frames.pop()
+                t = make(t)
+                depth -= 1
+                if shadowed is None:
+                    del scope[name]
+                else:
+                    scope[name] = shadowed
+            if not frames:
+                if tok:
+                    raise _error(_TOKEN, text, i - 1, "trailing input")
                 return t
-
-    def atom(binders: tuple[str, ...]) -> LcTerm:
-        nonlocal pos
-        pos = skip_ws(text, pos)
-        if text.startswith("(", pos):
-            pos += 1
-            t = term(binders)
-            pos = expect(text, pos, ")", "expected ')'")
-            return t
-        name, pos = ident(text, pos)
-        if name in binders:
-            return bvar(binders.index(name))
-        return free(name)
-
-    out = term(())
-    end_of_input(text, pos)
-    return out
+            if tok != ")":
+                raise _error(_TOKEN, text, i - 1, "expected ')'")
+            outer = frames.pop()[2]
+            spine = t if outer is None else App(outer, t)
 
 
 def show(t: LcTerm, debruijn: bool = False) -> str:

@@ -135,20 +135,6 @@ Subst = Mapping[str, ScopedTerm]
 # ---------- structural helpers ----------
 
 
-def free_names(t: ScopedTerm) -> set[str]:
-    match t:
-        case Var(Free(name)):
-            return {name}
-        case Var(Bound(_)):
-            return set()
-        case Op(_, args):
-            out: set[str] = set()
-            for a in args:
-                out |= free_names(a)
-            return out
-    raise MalformedTermError(f"not a term: {t!r}")
-
-
 def well_scoped(sig: Signature, t: ScopedTerm, depth: int = 0) -> bool:
     """Check argument counts against the signature and bound indices
     against the ambient binder depth."""
@@ -309,10 +295,11 @@ _TOKEN = re.compile(r"\([\w']+|[()]|#[0-9]*|[\w']+|\S")
 _WORD = re.compile(r"[\w']+")
 
 
-def _error(text: str, i: int, message: str, offset: int = 0) -> ParseError:
-    # The error at token i (past the last token: the end of the text),
-    # offset characters into it; positions are only computed here.
-    starts = [m.start() for m in _TOKEN.finditer(text)]
+def _error(token: re.Pattern, text: str, i: int, message: str, offset: int = 0) -> ParseError:
+    # The error at the i-th match of token in text (past the last match:
+    # the end of the text), offset characters into it.  Every grammar
+    # that reads a token list computes its positions only here.
+    starts = [m.start() for m in token.finditer(text)]
     return ParseError(message, starts[i] + offset if i < len(starts) else len(text))
 
 
@@ -329,7 +316,8 @@ def parse_sexpr(sig: Signature, text: str) -> ScopedTerm:
     i = 0
     while True:
         if i == n:
-            raise _error(text, i, "unexpected end of input" if args is root else "expected ')'")
+            message = "unexpected end of input" if args is root else "expected ')'"
+            raise _error(_TOKEN, text, i, message)
         tok = tokens[i]
         c = tok[0]
         if c == "(":
@@ -339,22 +327,22 @@ def parse_sexpr(sig: Signature, text: str) -> ScopedTerm:
                 i += 1
                 name = tokens[i] if i < n else ""
                 if not _WORD.fullmatch(name):
-                    raise _error(text, i, "expected identifier")
+                    raise _error(_TOKEN, text, i, "expected identifier")
             found = index.get(name)
             if found is None:
                 message = f"unknown operator {name!r}"
-                raise _error(text, i, message, len(tokens[i]) - len(name))
+                raise _error(_TOKEN, text, i, message, len(tokens[i]) - len(name))
             open_ops.append((op, at, args))
             op, at, args = found, i, []
             i += 1
             continue
         if c == ")":
             if args is root:
-                raise _error(text, i, "expected identifier")
+                raise _error(_TOKEN, text, i, "expected identifier")
             if len(args) != nargs[op]:
                 name = tokens[at].lstrip("(")
                 message = f"operator {name!r} expects {nargs[op]} arguments, got {len(args)}"
-                raise _error(text, at, message, len(tokens[at]) - len(name))
+                raise _error(_TOKEN, text, at, message, len(tokens[at]) - len(name))
             value = Op(op, tuple(args))
             op, at, args = open_ops.pop()
         else:
@@ -362,18 +350,21 @@ def parse_sexpr(sig: Signature, text: str) -> ScopedTerm:
             if value is None:
                 if c == "#":
                     if len(tok) == 1:
-                        raise _error(text, i, "expected index after '#'", 1)
-                    value = bvar(int(tok[1:]))
+                        raise _error(_TOKEN, text, i, "expected index after '#'", 1)
+                    try:
+                        value = bvar(int(tok[1:]))
+                    except ValueError:  # more digits than int() converts
+                        raise _error(_TOKEN, text, i, "index too large") from None
                 elif _WORD.fullmatch(tok):
                     value = fvar(tok)
                 else:
-                    raise _error(text, i, "expected identifier")
+                    raise _error(_TOKEN, text, i, "expected identifier")
                 leaves[tok] = value
         i += 1
         args.append(value)
         if args is root:
             if i != n:
-                raise _error(text, i, "trailing input")
+                raise _error(_TOKEN, text, i, "trailing input")
             return value
 
 

@@ -30,17 +30,17 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Mapping, Optional
 
-from .errors import MalformedTermError, ParseError, TypeCheckError
+from .errors import MalformedTermError, TypeCheckError
 from .fuel import DEFAULT_FUEL, Fuel
 from .harness import ModuleInstance, MonadInstance
 from .lam import (
     Abs,
     App,
+    _expect,
     parse_binding,
     reduce_to_normal,
     show,
 )
-from .scan import expect, skip_ws
 from .terms import Bound, Free, Var
 
 # ---------- simple types ----------
@@ -273,7 +273,7 @@ def stlc_normalize(t: StlcTerm, fuel: Fuel | int = DEFAULT_FUEL) -> StlcTerm:
 #   term ::= '\' ident ':' type '.' term | app
 #   app  ::= atom+
 #   atom ::= ident | '(' term ')'
-#   type ::= '*' | type '->' type          (right-associative)
+#   type ::= '*' | '(' type ')' | type '->' type    ('->' right-associative)
 #
 # Free variables have no annotation in the grammar and are declared at
 # the base type.  Parsing and printing are lam's: a typed binder reads
@@ -284,26 +284,35 @@ def parse_stlc(text: str) -> StlcTerm:
     return parse_binding(text, _typed_binder, lambda name: TVar(TFree(name, BASE)))
 
 
-def _typed_binder(text: str, pos: int) -> tuple[Callable[[StlcTerm], TAbs], int]:
-    pos = expect(text, pos, ":", "expected ':' after binder")
-    ty, pos = _parse_type(text, pos)
-    return partial(TAbs, ty), expect(text, pos, ".", "expected '.' after binder type")
+def _typed_binder(text: str, tokens: list[str], i: int) -> tuple[Callable[[StlcTerm], TAbs], int]:
+    i = _expect(text, tokens, i, ":", "expected ':' after binder")
+    ty, i = _parse_type(text, tokens, i)
+    return partial(TAbs, ty), _expect(text, tokens, i, ".", "expected '.' after binder type")
 
 
-def _parse_type(text: str, pos: int) -> tuple[SimpleType, int]:
-    pos = skip_ws(text, pos)
-    if text.startswith("*", pos):
-        left, pos = BASE, pos + 1
-    elif text.startswith("(", pos):
-        left, pos = _parse_type(text, pos + 1)
-        pos = expect(text, pos, ")", "expected ')'")
-    else:
-        raise ParseError("expected a type", pos)
-    pos = skip_ws(text, pos)
-    if text.startswith("->", pos):
-        right, pos = _parse_type(text, pos + 2)
-        return Arrow(left, right), pos
-    return left, pos
+def _parse_type(text: str, tokens: list[str], i: int) -> tuple[SimpleType, int]:
+    # The type from token i on, with the index after it.  An arrow chain
+    # is folded to the right when it ends; the chains outside each open
+    # parenthesis wait on a stack.
+    outer: list[list[SimpleType]] = []
+    chain: list[SimpleType] = []  # the arrow chain read so far, its last type still to come
+    while True:
+        if tokens[i] == "(":
+            outer.append(chain)
+            chain = []
+            i += 1
+            continue
+        i = _expect(text, tokens, i, "*", "expected a type")
+        ty = BASE
+        while tokens[i] != "->":
+            for dom in reversed(chain):
+                ty = Arrow(dom, ty)
+            if not outer:
+                return ty, i
+            i = _expect(text, tokens, i, ")", "expected ')'")
+            chain = outer.pop()
+        chain.append(ty)
+        i += 1
 
 
 # ---------- generators ----------

@@ -1,17 +1,25 @@
-"""Reference versions of the s-expression reader, printer and fold of
-modlam.terms: the recursive, character-by-character forms they replaced,
-kept unchanged so the differential tests can compare the two on any
-input.  Only the scanning helpers they called are copied in beside them.
+"""Reference versions of the term readers, the s-expression printer and
+the fold: the recursive, character-by-character forms that modlam.lam,
+modlam.typed and modlam.terms replaced, kept unchanged so the
+differential tests can compare the two on any input.  Only the scanning
+helpers they called are copied in beside them.  Also free_names, the
+free names of a signature term, which only tests need.
 
-The reference parser reads an index after '#' with str.isdigit, so it
-takes non-ASCII digits: '#²' raises ValueError from int() and '#１２' is
-read as index 12.  The grammar's index is ASCII [0-9]+, so there the two
-differ by design.
+The reference s-expression parser reads an index after '#' with
+str.isdigit, so it takes non-ASCII digits: '#²' raises ValueError from
+int() and '#１２' is read as index 12.  The grammar's index is ASCII
+[0-9]+, so there the two differ by design.
+
+The reference lambda parser reads a binder name with str.isalpha, so
+'\\λ. x' binds a name 'λ' that nothing can reference.  In the grammar a
+lambda always starts a binder, so there the two differ by design too.
 """
 
-from typing import Any, Mapping, Optional
+from functools import partial
+from typing import Any, Callable, Mapping, Optional
 
 from modlam.errors import ConfigError, MalformedTermError, ParseError
+from modlam.lam import Abs, App
 from modlam.terms import (
     Bound,
     Free,
@@ -23,6 +31,7 @@ from modlam.terms import (
     bvar,
     fvar,
 )
+from modlam.typed import BASE, Arrow, TAbs, TFree, TVar
 
 
 def skip_ws(text: str, pos: int) -> int:
@@ -53,6 +62,23 @@ def nat(text: str, pos: int, message: str) -> tuple[int, int]:
     if end == pos:
         raise ParseError(message, pos)
     return int(text[pos:end]), end
+
+
+def ident(text: str, pos: int) -> tuple[str, int]:
+    n = len(text)
+    if pos >= n or not (text[pos].isalpha() or text[pos] == "_"):
+        raise ParseError("expected identifier", pos)
+    end = pos + 1
+    while end < n and (text[end].isalnum() or text[end] in "_'"):
+        end += 1
+    return text[pos:end], end
+
+
+def expect(text: str, pos: int, token: str, message: str) -> int:
+    pos = skip_ws(text, pos)
+    if not text.startswith(token, pos):
+        raise ParseError(message, pos)
+    return pos + len(token)
 
 
 def end_of_input(text: str, pos: int) -> None:
@@ -151,3 +177,96 @@ def fold(
         raise MalformedTermError(f"not a term: {t!r}")
 
     return go(t)
+
+
+def free_names(t: ScopedTerm) -> set[str]:
+    match t:
+        case Var(Free(name)):
+            return {name}
+        case Var(Bound(_)):
+            return set()
+        case Op(_, args):
+            out: set[str] = set()
+            for a in args:
+                out |= free_names(a)
+            return out
+    raise MalformedTermError(f"not a term: {t!r}")
+
+
+def parse(text: str):
+    return parse_binding(text, _bare_binder, fvar)
+
+
+def _bare_binder(text: str, pos: int):
+    return Abs, expect(text, pos, ".", "expected '.' after binder")
+
+
+def parse_binding(
+    text: str,
+    binder: Callable[[str, int], tuple[Callable, int]],
+    free: Callable[[str], Any],
+):
+    pos = 0
+
+    def term(binders: tuple[str, ...]):
+        nonlocal pos
+        pos = skip_ws(text, pos)
+        if text.startswith(("\\", "λ"), pos):
+            name, pos = ident(text, skip_ws(text, pos + 1))
+            make, pos = binder(text, pos)
+            return make(term((name,) + binders))
+        return app(binders)
+
+    def app(binders: tuple[str, ...]):
+        nonlocal pos
+        t = atom(binders)
+        while True:
+            pos = skip_ws(text, pos)
+            c = text[pos : pos + 1]
+            if c and c != "λ" and (c.isalpha() or c in "(_"):
+                t = App(t, atom(binders))
+            else:
+                return t
+
+    def atom(binders: tuple[str, ...]):
+        nonlocal pos
+        pos = skip_ws(text, pos)
+        if text.startswith("(", pos):
+            pos += 1
+            t = term(binders)
+            pos = expect(text, pos, ")", "expected ')'")
+            return t
+        name, pos = ident(text, pos)
+        if name in binders:
+            return bvar(binders.index(name))
+        return free(name)
+
+    out = term(())
+    end_of_input(text, pos)
+    return out
+
+
+def parse_stlc(text: str):
+    return parse_binding(text, _typed_binder, lambda name: TVar(TFree(name, BASE)))
+
+
+def _typed_binder(text: str, pos: int):
+    pos = expect(text, pos, ":", "expected ':' after binder")
+    ty, pos = _parse_type(text, pos)
+    return partial(TAbs, ty), expect(text, pos, ".", "expected '.' after binder type")
+
+
+def _parse_type(text: str, pos: int):
+    pos = skip_ws(text, pos)
+    if text.startswith("*", pos):
+        left, pos = BASE, pos + 1
+    elif text.startswith("(", pos):
+        left, pos = _parse_type(text, pos + 1)
+        pos = expect(text, pos, ")", "expected ')'")
+    else:
+        raise ParseError("expected a type", pos)
+    pos = skip_ws(text, pos)
+    if text.startswith("->", pos):
+        right, pos = _parse_type(text, pos + 2)
+        return Arrow(left, right), pos
+    return left, pos

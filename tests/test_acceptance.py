@@ -53,7 +53,7 @@ from modlam.lam import (
     subst0,
     to_scoped,
 )
-from modlam.terms import fold, free_names, fvar, self_representation
+from modlam.terms import fold, fvar, self_representation
 from modlam.typed import (
     BASE,
     gen_typed_term,
@@ -64,6 +64,7 @@ from modlam.typed import (
 from modlam import catalog
 
 from faulty_instances import broken_list_monad
+from reference_terms import free_names
 
 SAMPLES = 1000
 FUEL = 10_000

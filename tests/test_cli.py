@@ -6,6 +6,7 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
+from modlam import lam
 from modlam.cli import (
     EXIT_FUEL,
     EXIT_NO,
@@ -17,7 +18,6 @@ from modlam.cli import (
 )
 
 OMEGA = "(\\x. x x) (\\x. x x)"
-DEEP = "(" * 3000 + "x" + ")" * 3000
 PLUS = "(\\m. \\n. \\f. \\x. m f (n f x))"
 
 
@@ -234,17 +234,32 @@ class TestEntryPoint:
         assert proc.stdout == b"y\n"
 
 
+def _raise_recursion_error(text):
+    raise RecursionError("maximum recursion depth\nexceeded")
+
+
 class TestInternalError:
-    def test_escaped_exception_maps_to_70(self, capsys):
-        assert run(["parse", DEEP]) == EXIT_SOFTWARE
+    """An exception that escapes a command exits 70 with one line on
+    stderr and no traceback.  Parsing is made to raise one whose message
+    spans two lines."""
+
+    def test_escaped_exception_maps_to_70(self, capsys, monkeypatch):
+        monkeypatch.setattr(lam, "parse", _raise_recursion_error)
+        assert run(["parse", "x"]) == EXIT_SOFTWARE
         err = capsys.readouterr().err
-        assert err.startswith("internal error: RecursionError")
-        assert err.count("\n") == 1
+        assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
 
     def test_module_invocation_has_no_traceback(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "modlam", "parse", DEEP], capture_output=True
+        code = (
+            "import sys\n"
+            "from modlam import cli, lam\n"
+            "def parse(text):\n"
+            "    raise RecursionError('maximum recursion depth\\nexceeded')\n"
+            "lam.parse = parse\n"
+            "sys.argv[1:] = ['parse', 'x']\n"
+            "cli.main()\n"
         )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
         assert proc.returncode == EXIT_SOFTWARE
         assert b"Traceback" not in proc.stderr
         assert proc.stderr.count(b"\n") == 1

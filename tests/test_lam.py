@@ -474,6 +474,7 @@ class TestGrammar:
     def test_parse_shadowing(self):
         assert parse("\\x. \\x. x") == Abs(Abs(bvar(0)))
         assert parse("\\x. \\y. x") == Abs(Abs(bvar(1)))
+        assert parse("\\x. (\\x. x) x") == Abs(App(Abs(bvar(0)), bvar(0)))
 
     def test_parse_errors(self):
         with pytest.raises(ParseError):

@@ -1,0 +1,187 @@
+"""The lambda and typed readers against the recursive, character-by-
+character readers they replaced (tests/reference_terms.py), and on input
+nested far past the recursion limit."""
+
+import re
+import sys
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import reference_terms as ref
+
+from modlam.errors import ParseError
+from modlam.lam import Abs, App, gen_term, parse, show
+from modlam.terms import bvar, fvar
+from modlam.typed import BASE, Arrow, TAbs, gen_typed_term, parse_stlc
+
+
+def preorder(t):
+    """The nodes of t in preorder: each App as App, each abstraction as
+    its class with its binder type, each variable as itself.  A flat
+    list, so == compares it without recursing once per level."""
+    out, todo = [], [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, App):
+            out.append(App)
+            todo += (t.arg, t.fun)
+        elif isinstance(t, Abs):
+            out.append((type(t), getattr(t, "binder_type", None)))
+            todo.append(t.body)
+        else:
+            out.append(t)
+    return out
+
+
+def outcome(f, text):
+    """A call's result in preorder, or the type and text of what it raised."""
+    try:
+        return preorder(f(text))
+    except Exception as e:  # noqa: BLE001 - the exception is the outcome
+        return (type(e), str(e))
+
+
+def assert_agrees(parser, reference, text):
+    """parser gives what reference gives, a term or a ParseError text.
+    Where the reference runs out of stack, parser returns a term.  Where
+    the reference reads a binder name that starts with a lambda, parser
+    raises 'expected identifier' at that lambda, as the grammar says."""
+    got = outcome(parser, text)
+    want = outcome(reference, text)
+    if isinstance(want, tuple) and want[0] is RecursionError:
+        assert isinstance(got, list), got
+    elif got != want:
+        assert isinstance(got, tuple) and got[0] is ParseError, (got, want)
+        at = int(re.fullmatch(r"parse error at (\d+): expected identifier", got[1])[1])
+        assert text[at] == "λ" and text[:at].rstrip()[-1:] in ("\\", "λ"), (got, want)
+
+
+# Pieces of term text: the grammars' punctuation, names, digits, a name
+# with a lambda inside, ASCII and Unicode whitespace, and characters no
+# rule takes.
+PIECES = (
+    "\\", "λ", ".", "(", ")", ":", "*", "->", "-", ">",
+    "x", "y", "f", "_", "'", "x'", "xλ", "é", "1", "²", "v0",
+    " ", "\t\n", " ", " ", "#", "+",
+)
+texts = st.lists(st.sampled_from(PIECES) | st.characters(), max_size=24).map("".join)
+WHITESPACE = ("", " ", "\t\n", " ", "  ")
+
+
+@st.composite
+def printed(draw, typed):
+    """A printed random term, its names drawn from three so that binders
+    shadow each other, with whitespace of every kind around its
+    punctuation and between its tokens, and maybe a character cut out."""
+    rnd = draw(st.randoms(use_true_random=False))
+    text = show(gen_typed_term(rnd) if typed else gen_term(rnd, max_size=12))
+    text = re.sub(r"[vxyzfghk]\d*", lambda m: rnd.choice("xyz"), text)
+    out = []
+    for ch in text:
+        if ch == " ":
+            ch = rnd.choice(WHITESPACE) or " "
+        elif ch in "().:\\":
+            ch = rnd.choice(WHITESPACE) + ch + rnd.choice(WHITESPACE)
+        out.append(ch)
+    text = "".join(out)
+    if text and rnd.random() < 0.5:
+        cut = rnd.randrange(len(text))
+        text = text[:cut] + text[cut + 1 :]
+    return text
+
+
+# Nesting that runs the reference out of stack at the default limit.
+deep_texts = st.integers(300, 700).flatmap(
+    lambda n: st.sampled_from(
+        [
+            "(" * n + "x" + ")" * n,
+            "f (" * n + "x" + ")" * n,
+            "\\x. " * n + "x y",
+            "\\x:" + "(" * n + "*" + ")" * n + ". x",
+            "\\x:" + "* -> " * n + "*. x",
+        ]
+    )
+)
+
+
+class TestAgainstReference:
+    @settings(max_examples=400, deadline=None)
+    @given(texts)
+    def test_parse(self, text):
+        assert_agrees(parse, ref.parse, text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(texts)
+    def test_parse_stlc(self, text):
+        assert_agrees(parse_stlc, ref.parse_stlc, text)
+
+    @settings(deadline=None)
+    @given(printed(typed=False))
+    def test_parse_printed(self, text):
+        assert_agrees(parse, ref.parse, text)
+
+    @settings(deadline=None)
+    @given(printed(typed=True))
+    def test_parse_stlc_printed(self, text):
+        assert_agrees(parse_stlc, ref.parse_stlc, text)
+
+    @settings(max_examples=20, deadline=None)
+    @given(deep_texts)
+    def test_past_the_reference_recursion_limit(self, text):
+        assert_agrees(parse, ref.parse, text)
+        assert_agrees(parse_stlc, ref.parse_stlc, text)
+
+    def test_lambda_binder_names_differ_by_design(self):
+        assert ref.parse("\\λ. x") == Abs(fvar("x"))
+        assert ref.parse("\\λx. y") == Abs(fvar("y"))
+        for text in ("\\λ. x", "λ λx. x", "(\\ λ:*. x)"):
+            assert_agrees(parse, ref.parse, text)
+            assert_agrees(parse_stlc, ref.parse_stlc, text)
+        assert parse("\\xλ. xλ") == Abs(bvar(0))
+
+
+class TestDeepNesting:
+    """Both readers keep open binders, parentheses and types on an
+    explicit stack, so nesting is bounded by memory."""
+
+    DEPTH = 20_000
+
+    def test_parentheses(self):
+        assert self.DEPTH > sys.getrecursionlimit()
+        text = "(" * self.DEPTH + "x y" + ")" * self.DEPTH
+        assert parse(text) == App(fvar("x"), fvar("y"))
+        assert parse_stlc(text) == parse_stlc("x y")
+
+    def test_binders(self):
+        text = "".join(f"\\x{k}. " for k in range(self.DEPTH)) + "x0 x1"
+        t = App(bvar(self.DEPTH - 1), bvar(self.DEPTH - 2))
+        for _ in range(self.DEPTH):
+            t = Abs(t)
+        assert preorder(parse(text)) == preorder(t)
+
+    def test_right_nested_applications(self):
+        text = "f (" * self.DEPTH + "x" + ")" * self.DEPTH
+        t = fvar("x")
+        for _ in range(self.DEPTH):
+            t = App(fvar("f"), t)
+        assert preorder(parse(text)) == preorder(t)
+
+    def test_parenthesised_types(self):
+        text = "\\x:" + "(" * self.DEPTH + "*" + " -> *)" * self.DEPTH + ". x"
+        ty = BASE
+        for _ in range(self.DEPTH):
+            ty = Arrow(ty, BASE)
+        assert parse_stlc(text) == TAbs(ty, bvar(0))
+
+    def test_arrow_chains(self):
+        text = "\\x:" + "* -> " * self.DEPTH + "*. x"
+        ty = BASE
+        for _ in range(self.DEPTH):
+            ty = Arrow(BASE, ty)
+        assert parse_stlc(text) == TAbs(ty, bvar(0))
+
+    def test_error_position_deep_inside(self):
+        text = "(" * self.DEPTH + "x ." + ")" * self.DEPTH
+        with pytest.raises(ParseError, match=f"^parse error at {self.DEPTH + 2}: expected '\\)'"):
+            parse(text)

@@ -22,6 +22,7 @@ CASES = [
     (parse, "\\x x", "parse error at 3: expected '.' after binder"),
     (parse, "x (y", "parse error at 4: expected ')'"),
     (parse, "x )", "parse error at 2: trailing input"),
+    (parse, "\\λ. x", "parse error at 1: expected identifier"),
     # typed terms
     (parse_stlc, "\\:*. x", "parse error at 1: expected identifier"),
     (parse_stlc, "\\x:(* -> *. x", "parse error at 10: expected ')'"),
@@ -36,6 +37,7 @@ CASES = [
     (sexpr, "#x", "parse error at 1: expected index after '#'"),
     (sexpr, "#²", "parse error at 1: expected index after '#'"),
     (sexpr, "#１２", "parse error at 1: expected index after '#'"),
+    (sexpr, "#" + "1" * 4301, "parse error at 0: index too large"),
     (sexpr, "( )", "parse error at 2: expected identifier"),
     (sexpr, ")", "parse error at 0: expected identifier"),
     (sexpr, "(foo x)", "parse error at 1: unknown operator 'foo'"),
@@ -51,7 +53,7 @@ CASES = [
 
 
 @pytest.mark.parametrize(
-    "parser, text, message", CASES, ids=[f"{p.__name__}:{t!r}" for p, t, _ in CASES]
+    "parser, text, message", CASES, ids=[f"{p.__name__}:{t!r:.40}" for p, t, _ in CASES]
 )
 def test_parse_error(parser, text, message):
     with pytest.raises(ParseError) as exc:

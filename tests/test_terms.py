@@ -17,7 +17,6 @@ from modlam.terms import (
     Var,
     bvar,
     fold,
-    free_names,
     fvar,
     parse_sexpr,
     parse_signature,
@@ -165,7 +164,7 @@ class TestSubstitute:
 
     @given(substs(), scoped_terms())
     def test_shares_exactly_what_it_leaves_alone(self, s, t):
-        assert (substitute(SIG, s, t) is t) == free_names(t).isdisjoint(s)
+        assert (substitute(SIG, s, t) is t) == ref.free_names(t).isdisjoint(s)
 
     @given(scoped_terms(1))
     def test_shifted_image_shares_exactly_what_it_leaves_alone(self, img):
@@ -235,7 +234,7 @@ class TestFold:
 
     @given(scoped_terms())
     def test_self_representation_is_identity(self, t):
-        env = {name: fvar(name) for name in free_names(t)}
+        env = {name: fvar(name) for name in ref.free_names(t)}
         assert fold(self_representation(SIG), t, env=env) == t
 
     def test_sum_oracle(self):
