@@ -12,6 +12,17 @@ Normal forms carry a monad structure of their own (substitute, then
 renormalize) and support abstraction and application-to-a-fresh-variable
 operations that are mutually inverse.  That pair is what makes the
 initial-representation fold (iota_fold) tick.
+
+A term that reduce_to_normal returns is marked normal at its root, in
+the instance attribute _normal, which only this module writes;
+gen_normal, which builds its output normal, marks it too.  The mark
+means beta-eta normal and nested within MAX_DEPTH, so reduce_to_normal
+hands a marked term back at once, for no fuel, with the outcome a second
+pass would have.  MAX_DEPTH is part of it because the normalizer counts
+nesting from where it starts: nf_abs and nf_app1 can nest a normal form
+one level deeper, so they do not mark.  The mark is not a dataclass
+field, so equality, hashing, repr and dataclasses.replace do not see it;
+copy and pickle carry it.  Nodes are immutable, so a mark stays right.
 """
 
 from __future__ import annotations
@@ -40,13 +51,26 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
+# The constructors write the instance __dict__ directly: a frozen
+# dataclass's own __init__ sets each field through object.__setattr__, and
+# the normalizer and the generators build hundreds of thousands of nodes.
+# _normal is the normal-form mark (see reduce_to_normal), unset by default.
+
+
+@dataclass(frozen=True, init=False)
 class App:
     fun: "LcTerm"
     arg: "LcTerm"
 
+    _normal = False
 
-@dataclass(frozen=True)
+    def __init__(self, fun: "LcTerm", arg: "LcTerm"):
+        d = self.__dict__
+        d["fun"] = fun
+        d["arg"] = arg
+
+
+@dataclass(frozen=True, init=False)
 class Abs:
     body: "LcTerm"
 
@@ -54,6 +78,10 @@ class Abs:
     # subclass carrying binder data (the typed calculus) keeps it across
     # every shift, substitution and reduction step.
     annotation = ""  # printed after the binder name
+    _normal = False
+
+    def __init__(self, body: "LcTerm"):
+        self.__dict__["body"] = body
 
     def with_body(self, body: "LcTerm") -> "Abs":
         return Abs(body)
@@ -177,28 +205,31 @@ def subst0(t: LcTerm, u: LcTerm) -> LcTerm:
 
 
 def uses_bound(t: LcTerm, index: int) -> bool:
-    match t:
-        case Var(Bound(k)):
-            return k == index
-        case Var(Free(_)):
+    if isinstance(t, Var):
+        ref = t.ref
+        if isinstance(ref, Bound):
+            return ref.index == index
+        if isinstance(ref, Free):
             return False
-        case App(f, a):
-            return uses_bound(f, index) or uses_bound(a, index)
-        case Abs(b):
-            return uses_bound(b, index + 1)
+    elif isinstance(t, App):
+        return uses_bound(t.fun, index) or uses_bound(t.arg, index)
+    elif isinstance(t, Abs):
+        return uses_bound(t.body, index + 1)
     raise MalformedTermError(f"not a lambda term: {t!r}")
 
 
 # ---------- reduction ----------
 
 
-def _eta_contract(t: LcTerm) -> Optional[LcTerm]:
+def _eta_contract(t: Abs) -> Optional[LcTerm]:
     # Abs(App(u, #0)) with u not using #0 contracts to u un-shifted.
-    match t:
-        case Abs(App(u, Var(Bound(0)))) if not uses_bound(u, 0):
-            return shift(u, -1)
-        case _:
-            return None
+    b = t.body
+    if isinstance(b, App):
+        a = b.arg
+        if isinstance(a, Var) and isinstance(a.ref, Bound) and a.ref.index == 0:
+            if not uses_bound(b.fun, 0):
+                return shift(b.fun, -1)
+    return None
 
 
 def _contractions(t: LcTerm) -> Iterator[tuple[str, LcTerm]]:
@@ -254,7 +285,7 @@ class NfTerm:
 def _sealed(t: LcTerm) -> NfTerm:
     # An NfTerm without the certifying pass, for a term normal by construction.
     nf = object.__new__(NfTerm)
-    object.__setattr__(nf, "term", t)
+    nf.__dict__["term"] = t
     return nf
 
 
@@ -377,14 +408,26 @@ def reduce_to_normal(t: LcTerm, fuel: Fuel | int = DEFAULT_FUEL) -> LcTerm:
     step budget.  A RecursionError from the recursive helpers on a term
     the limit let through (a deep argument copied by subst0) raises
     DepthLimit too.
+
+    The root of every result is marked normal, and a marked term is its
+    own result at once: it would spend no fuel and nest within the limit.
     """
     budget = Fuel.coerce(fuel)
+    if getattr(t, "_normal", False):
+        return t
     try:
-        return _beta_normal(t, budget)
+        return _marked(_beta_normal(t, budget))
     except RecursionError:
         raise DepthLimit(
             "a substitution outgrew the recursion limit within the depth limit"
         ) from None
+
+
+def _marked(t: LcTerm) -> LcTerm:
+    # Only for a term that reduce_to_normal, started at its root, would
+    # return unchanged: beta-eta normal and nested within MAX_DEPTH.
+    t.__dict__["_normal"] = True
+    return t
 
 
 def normalize(t: LcTerm, fuel: Fuel | int = DEFAULT_FUEL) -> NfTerm:
@@ -436,10 +479,12 @@ def _same_term(t1: LcTerm, t2: LcTerm) -> bool:
 
 def nf_bind(s: Mapping[str, NfTerm], t: NfTerm, fuel: Fuel | int = DEFAULT_FUEL) -> NfTerm:
     """Substitute normal images and renormalize."""
+    images = {}
     for k, v in s.items():
         if not isinstance(v, NfTerm):
             raise ConfigError(f"nf_bind image for {k!r} is not a normal form")
-    return normalize(subst({k: v.term for k, v in s.items()}, t.term), fuel)
+        images[k] = v.term
+    return normalize(subst(images, t.term), fuel)
 
 
 def nf_app1(t: NfTerm) -> NfTerm:
@@ -724,8 +769,17 @@ def gen_normal(
     max_size: int = 8,
     depth: int = 0,
 ) -> NfTerm:
-    """A random normal form: built beta-normal by construction, then
-    eta-contracted by reduce_to_normal, which finds no beta redex in it."""
+    """A random normal form, built normal: neutral terms are applications
+    with a variable head, so no beta redex arises, and each abstraction is
+    eta-contracted as it is built, bottom up, as reduce_to_normal does
+    when it closes one.
+
+    Nesting counts App and Abs nodes, each of which spends a unit of the
+    size drawn, so a size within MAX_DEPTH gives a term the normalizer
+    accepts, marked normal.  A larger size is built uncontracted and goes
+    through reduce_to_normal, which checks its nesting."""
+    size = rng.randrange(1, max_size + 1)
+    contract = size <= MAX_DEPTH
 
     def leaf(depth: int) -> LcTerm:
         if depth > 0 and rng.random() < 0.5:
@@ -740,10 +794,13 @@ def gen_normal(
 
     def nf(budget: int, depth: int) -> LcTerm:
         if budget > 1 and rng.random() < 0.4:
-            return Abs(nf(budget - 1, depth + 1))
+            t = Abs(nf(budget - 1, depth + 1))
+            contracted = _eta_contract(t) if contract else None
+            return t if contracted is None else contracted
         return neutral(budget, depth)
 
-    return _sealed(reduce_to_normal(nf(rng.randrange(1, max_size + 1), depth)))
+    t = nf(size, depth)
+    return _sealed(_marked(t) if contract else reduce_to_normal(t))
 
 
 def _gen_subst(rng: random.Random) -> dict:

@@ -85,15 +85,26 @@ _ARROWS: dict[tuple[int, int], Arrow] = {}
 
 
 def show_type(t: SimpleType) -> str:
-    match t:
-        case BaseType():
-            return "*"
-        case Arrow(d, c):
-            left = show_type(d)
-            if isinstance(d, Arrow):
-                left = f"({left})"
-            return f"{left} -> {show_type(c)}"
-    raise MalformedTermError(f"not a type: {t!r}")
+    """Print a type, '->' right-associative and a domain that is an arrow
+    in parentheses.  Pending types and text wait on an explicit stack of
+    (is_text, item) pairs, so nesting is bounded by memory."""
+    out: list[str] = []
+    todo: list[tuple[bool, object]] = [(False, t)]
+    while todo:
+        is_text, t = todo.pop()
+        if is_text:
+            out.append(t)
+        elif isinstance(t, BaseType):
+            out.append("*")
+        elif isinstance(t, Arrow):
+            if isinstance(t.dom, Arrow):
+                out.append("(")
+                todo += ((False, t.cod), (True, ") -> "), (False, t.dom))
+            else:
+                todo += ((False, t.cod), (True, " -> "), (False, t.dom))
+        else:
+            raise MalformedTermError(f"not a type: {t!r}")
+    return "".join(out)
 
 
 # ---------- terms ----------
@@ -119,8 +130,9 @@ class TAbs(Abs):
     __match_args__ = ("binder_type", "body")
 
     def __init__(self, binder_type: SimpleType, body: "StlcTerm"):
-        object.__setattr__(self, "binder_type", binder_type)
-        object.__setattr__(self, "body", body)
+        d = self.__dict__  # as lam's nodes do, past the frozen __setattr__
+        d["binder_type"] = binder_type
+        d["body"] = body
 
     def with_body(self, body: "StlcTerm") -> "TAbs":
         return TAbs(self.binder_type, body)
@@ -340,6 +352,12 @@ _POOL_VARS = {
     for ty in dict.fromkeys(tf.type for tf in STLC_POOL)
 }
 
+# gen_typed_term's leaf candidates for each (type, binder types): the
+# bound variables of that type, innermost first, then the pool's.  Types
+# are interned, so keys compare by identity; variables are immutable, so
+# one tuple serves every leaf.
+_LEAVES: dict[tuple[SimpleType, tuple[SimpleType, ...]], tuple[StlcTerm, ...]] = {}
+
 
 def gen_typed_term(
     rng: random.Random,
@@ -351,13 +369,13 @@ def gen_typed_term(
     if target is None:
         target = STLC_TYPES[rng.randrange(len(STLC_TYPES))]
 
-    def candidates(ty: SimpleType, binders: tuple[SimpleType, ...]) -> list[StlcTerm]:
-        out: list[StlcTerm] = [TVar(Bound(i)) for i, b in enumerate(binders) if b is ty]
-        out.extend(_POOL_VARS.get(ty, ()))
-        return out
-
     def leaf(ty: SimpleType, binders: tuple[SimpleType, ...]) -> StlcTerm:
-        opts = candidates(ty, binders)
+        opts = _LEAVES.get((ty, binders))
+        if opts is None:
+            opts = _LEAVES[ty, binders] = (
+                *(TVar(Bound(i)) for i, b in enumerate(binders) if b is ty),
+                *_POOL_VARS.get(ty, ()),
+            )
         if opts:
             return opts[rng.randrange(len(opts))]
         # No variable of this type in scope: eta-expand toward one.

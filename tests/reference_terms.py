@@ -3,7 +3,10 @@ the fold: the recursive, character-by-character forms that modlam.lam,
 modlam.typed and modlam.terms replaced, kept unchanged so the
 differential tests can compare the two on any input.  Only the scanning
 helpers they called are copied in beside them.  Also free_names, the
-free names of a signature term, which only tests need.
+free names of a signature term, which only tests need; the recursive
+type printer show_type; and the generators gen_normal (build, then
+normalize the finished term) and gen_typed_term (a fresh candidate list
+at every leaf), which must draw and build exactly what modlam's do.
 
 The reference s-expression parser reads an index after '#' with
 str.isdigit, so it takes non-ASCII digits: '#²' raises ValueError from
@@ -15,11 +18,12 @@ The reference lambda parser reads a binder name with str.isalpha, so
 lambda always starts a binder, so there the two differ by design too.
 """
 
+import random
 from functools import partial
 from typing import Any, Callable, Mapping, Optional
 
 from modlam.errors import ConfigError, MalformedTermError, ParseError
-from modlam.lam import Abs, App
+from modlam.lam import _POOL_VARS, Abs, App, NfTerm, _sealed, reduce_to_normal
 from modlam.terms import (
     Bound,
     Free,
@@ -31,7 +35,18 @@ from modlam.terms import (
     bvar,
     fvar,
 )
-from modlam.typed import BASE, Arrow, TAbs, TFree, TVar
+from modlam.typed import (
+    _POOL_VARS as _TYPED_POOL_VARS,
+    BASE,
+    STLC_TYPES,
+    Arrow,
+    BaseType,
+    SimpleType,
+    TAbs,
+    TApp,
+    TFree,
+    TVar,
+)
 
 
 def skip_ws(text: str, pos: int) -> int:
@@ -270,3 +285,70 @@ def _parse_type(text: str, pos: int):
         right, pos = _parse_type(text, pos + 2)
         return Arrow(left, right), pos
     return left, pos
+
+
+def show_type(t: SimpleType) -> str:
+    match t:
+        case BaseType():
+            return "*"
+        case Arrow(d, c):
+            left = show_type(d)
+            if isinstance(d, Arrow):
+                left = f"({left})"
+            return f"{left} -> {show_type(c)}"
+    raise MalformedTermError(f"not a type: {t!r}")
+
+
+def gen_normal(rng: random.Random, max_size: int = 8, depth: int = 0) -> NfTerm:
+    def leaf(depth: int):
+        if depth > 0 and rng.random() < 0.5:
+            return bvar(rng.randrange(depth))
+        return _POOL_VARS[rng.randrange(len(_POOL_VARS))]
+
+    def neutral(budget: int, depth: int):
+        if budget <= 1 or rng.random() < 0.4:
+            return leaf(depth)
+        k = rng.randrange(1, budget)
+        return App(neutral(k, depth), nf(budget - 1 - k, depth))
+
+    def nf(budget: int, depth: int):
+        if budget > 1 and rng.random() < 0.4:
+            return Abs(nf(budget - 1, depth + 1))
+        return neutral(budget, depth)
+
+    return _sealed(reduce_to_normal(nf(rng.randrange(1, max_size + 1), depth)))
+
+
+def gen_typed_term(
+    rng: random.Random,
+    target: Optional[SimpleType] = None,
+    max_size: int = 12,
+    binders: tuple[SimpleType, ...] = (),
+):
+    if target is None:
+        target = STLC_TYPES[rng.randrange(len(STLC_TYPES))]
+
+    def candidates(ty, binders):
+        out = [TVar(Bound(i)) for i, b in enumerate(binders) if b is ty]
+        out.extend(_TYPED_POOL_VARS.get(ty, ()))
+        return out
+
+    def leaf(ty, binders):
+        opts = candidates(ty, binders)
+        if opts:
+            return opts[rng.randrange(len(opts))]
+        assert isinstance(ty, Arrow)
+        return TAbs(ty.dom, leaf(ty.cod, (ty.dom,) + binders))
+
+    def go(ty, budget: int, binders):
+        if budget <= 1 or rng.random() < 0.3:
+            return leaf(ty, binders)
+        if isinstance(ty, Arrow) and rng.random() < 0.5:
+            return TAbs(ty.dom, go(ty.cod, budget - 1, (ty.dom,) + binders))
+        dom = STLC_TYPES[rng.randrange(len(STLC_TYPES))]
+        k = rng.randrange(1, budget)
+        fun = go(Arrow(dom, ty), k, binders)
+        arg = go(dom, budget - 1 - k, binders)
+        return TApp(fun, arg)
+
+    return go(target, rng.randrange(1, max_size + 1), binders)

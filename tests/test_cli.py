@@ -4,9 +4,10 @@ import subprocess
 import sys
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from modlam import lam
+from modlam import lam, typed
 from modlam.cli import (
     EXIT_FUEL,
     EXIT_NO,
@@ -16,6 +17,8 @@ from modlam.cli import (
     EXIT_USAGE,
     run,
 )
+
+from reference_terms import show_type as reference_show_type
 
 OMEGA = "(\\x. x x) (\\x. x x)"
 PLUS = "(\\m. \\n. \\f. \\x. m f (n f x))"
@@ -211,6 +214,44 @@ class TestTypecheck:
 
     def test_parse_error(self, capsys):
         assert run(["typecheck", "\\x. x"]) == EXIT_PARSE
+
+
+def right_nested(n: int) -> str:
+    """The type * -> * -> ... -> * of n arrows, as show_type prints it."""
+    return "* -> " * n + "*"
+
+
+def left_nested(n: int) -> str:
+    """The type ((* -> *) -> ...) -> * of n arrows, as show_type prints it."""
+    return "(" * (n - 1) + "* -> *" + ") -> *" * (n - 1)
+
+
+class TestDeepBinderTypes:
+    # A binder type of any nesting parses, so it must print too: the type
+    # printer runs on an explicit stack, not one Python frame per arrow.
+
+    @pytest.mark.parametrize("nested", [right_nested, left_nested])
+    def test_the_texts_are_what_the_recursive_printer_prints(self, nested):
+        for n in (1, 2, 3, 50):
+            ty = typed.parse_stlc(f"\\x:{nested(n)}. x").binder_type
+            assert reference_show_type(ty) == nested(n) == typed.show_type(ty)
+
+    @pytest.mark.parametrize("nested", [right_nested, left_nested])
+    @pytest.mark.parametrize("n", [1000, 20000])
+    def test_typecheck(self, capsys, nested, n):
+        assert run(["typecheck", f"\\x:{nested(n)}. x"]) == EXIT_OK
+        assert capsys.readouterr() == (f"({nested(n)}) -> {nested(n)}\n", "")
+
+    @pytest.mark.parametrize("nested", [right_nested, left_nested])
+    @pytest.mark.parametrize("n", [1000, 20000])
+    def test_subst(self, capsys, nested, n):
+        # modlam subst reads untyped terms, where a binder type is a parse
+        # error at its ':'; a typed term goes through stlc_subst and show.
+        assert run(["subst", f"\\x:{nested(n)}. y x", "--map", "y=z"]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("parse error at 2:")
+        t = typed.parse_stlc(f"\\x:{nested(n)}. \\g:({nested(n)}) -> * -> *. g x y")
+        out = lam.show(typed.stlc_subst({"y": typed.parse_stlc("z")}, t))
+        assert out == f"\\v0:{nested(n)}. \\v1:({nested(n)}) -> * -> *. v1 v0 z"
 
 
 class TestUsage:

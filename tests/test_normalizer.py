@@ -2,7 +2,10 @@
 NfTerm certificate it checks, its cycle detection, its depth limit and
 the sharing of its beta contraction."""
 
+import copy
+import dataclasses
 import hashlib
+import pickle
 import random
 import time
 
@@ -15,6 +18,7 @@ from modlam.fuel import DepthLimit, Fuel, FuelExhausted, ReductionCycle
 from modlam.harness import sampled_law
 from modlam.lam import (
     MAX_DEPTH,
+    NF,
     Abs,
     App,
     Equivalence,
@@ -29,6 +33,7 @@ from modlam.lam import (
     iota_fold,
     nf_abs,
     nf_app1,
+    nf_bind,
     normalize,
     parse,
     show,
@@ -188,6 +193,84 @@ class TestCertificate:
         for text in ("(\\x. x) y", "\\x. y x", "g (\\x. y x) ((\\x. x) z)"):
             with pytest.raises(ValueError, match="not beta-eta normal"):
                 NfTerm(parse(text))
+
+
+def marked(t) -> bool:
+    return getattr(t, "_normal", False) is True
+
+
+class TestNormalMark:
+    # reduce_to_normal marks the root of each result it returns, and a
+    # marked term given back to it is its own result, for no fuel.
+
+    def test_a_normal_form_renormalizes_to_itself_for_no_fuel(self):
+        for text in ("(\\x. x) y z", "\\x. \\y. y x", "(\\f. \\x. f (f x)) (\\y. g y)", "x"):
+            nf = normalize(parse(text))
+            assert marked(nf.term)
+            for budget in (Fuel(0), Fuel(5)):
+                before = budget.remaining
+                assert normalize(nf.term, budget).term is nf.term
+                assert budget.remaining == before
+            assert NfTerm(nf.term).term is nf.term
+
+    def test_typed_normal_form_renormalizes_to_itself(self):
+        t = stlc_normalize(parse_stlc("(\\f:* -> *. \\x:*. f x) (\\y:*. y)"))
+        assert marked(t)
+        assert stlc_normalize(t, Fuel(0)) is t
+
+    def test_negative_fuel_is_refused_before_the_mark_is_read(self):
+        nf = normalize(parse("f x"))
+        with pytest.raises(ValueError, match="nonnegative"):
+            normalize(nf.term, -1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            stlc_normalize(stlc_normalize(parse_stlc("\\x:*. x")), -1)
+
+    def test_wrapping_a_normal_form_is_not_marked_and_is_checked_again(self):
+        # nf_abs nests one level deeper, so 700 of them pass MAX_DEPTH: the
+        # renormalizing bind and the certificate must both see that.
+        t = NF.unit("x")
+        for _ in range(700):
+            t = nf_abs(t)
+        assert not marked(t.term)
+        with pytest.raises(DepthLimit):
+            nf_bind({}, t)
+        with pytest.raises(DepthLimit):
+            NfTerm(t.term)
+
+    def test_nf_abs_and_nf_app1_do_not_mark(self):
+        for text in ("f x", "\\x. f x y", "\\x. \\y. y x", "g (\\x. x)"):
+            nf = normalize(parse(text))
+            for out in (nf_abs(nf), nf_app1(nf)):
+                assert out.term is nf.term or not marked(out.term), text
+
+    @pytest.mark.parametrize("text", ["\\x. y x z", "f (\\x. x) y"])
+    def test_the_mark_is_invisible_to_equality_hash_repr_and_replace(self, text):
+        nf, fresh = normalize(parse(text)).term, parse(text)
+        assert marked(nf) and not marked(fresh)
+        assert nf == fresh and fresh == nf
+        assert hash(nf) == hash(fresh)
+        assert repr(nf) == repr(fresh)
+        assert not marked(dataclasses.replace(nf))
+        assert dataclasses.replace(nf) == nf
+
+    def test_the_mark_survives_copy_and_pickle(self):
+        for nf in (normalize(parse("\\x. y x z")).term, stlc_normalize(parse_stlc("\\x:*. x"))):
+            for out in (copy.copy(nf), copy.deepcopy(nf), pickle.loads(pickle.dumps(nf))):
+                assert out == nf and out is not nf
+                assert marked(out)
+                assert normalize(out, Fuel(0)).term is out
+
+    def test_marked_outputs_are_what_the_pass_returns(self):
+        # The mark claims no contraction is left and the nesting is within
+        # MAX_DEPTH: rerun the pass itself, which does not read the mark.
+        for i in range(1000):
+            t = gen_term(random.Random(i), max_size=12)
+            try:
+                nf = normalize(t, 500)
+            except FuelExhausted:
+                continue
+            assert marked(nf.term)
+            assert _same_term(lam._beta_normal(nf.term, Fuel(0)), nf.term)
 
 
 # The 12 reductions that ran out of steps in the four laws-nf suite pairs
