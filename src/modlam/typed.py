@@ -12,15 +12,19 @@ c) returns one canonical instance per pair, so two types are equal
 exactly when they are the same object, and types compare and hash by
 identity.
 
-A term that stlc_subst has typed as an image keeps its type in a slot
-on the node, the instance attribute _type, set only after type_of
-succeeds.  Likewise a list term that tlist_subst has sorted as an image
-keeps its sort in the instance attribute _sort, set only after
-tlist_sort succeeds, so an ill-sorted image raises on every call.
-Neither slot is a dataclass field, so equality, hashing, repr and
-dataclasses.replace do not see them; copy and pickle carry them, and a
-copied type is the canonical one.  Nodes are immutable, so a kept type
-or sort stays right.
+A typed term can carry its type in a slot on the node, the instance
+attribute _type, and a list term its sort in _sort.  Only this module
+writes them, and only with what type_of or tlist_sort would return:
+stlc_subst and tlist_subst keep an image's type or sort there once it
+succeeds, so an ill-typed image raises on every call; gen_typed_term
+writes its target on a closed term it built, which is well typed at that
+type by construction, and gen_tlist writes a nonnegative sort it built
+at.  Substitution never copies a slot from its input to its output: the
+output can use a free name at two types (f:* -> * applied to y:*, with
+y mapped to f:*) and not type at all.  Neither slot is a dataclass
+field, so equality, hashing, repr and dataclasses.replace do not see
+them; copy and pickle carry them, and a copied type is the canonical
+one.  Nodes are immutable, so a kept type or sort stays right.
 """
 
 from __future__ import annotations
@@ -164,32 +168,32 @@ def free_types(t: StlcTerm) -> dict[str, SimpleType]:
     return out
 
 
-def typecheck(
-    ctx: Mapping[str, SimpleType], t: StlcTerm, _binders: tuple[SimpleType, ...] = ()
-) -> SimpleType:
+_PARTS_TYPED = object()  # typecheck's marker: the node below it has its parts typed
+
+
+def typecheck(ctx: Mapping[str, SimpleType], t: StlcTerm) -> SimpleType:
     """Synthesize the type of a term, syntax-directed.
 
     The context must agree with every declared free type; bound
     variables take the recorded binder types.  Errors carry the
-    offending subterm.
+    offending subterm.  The walk runs on an explicit stack, so nesting is
+    bounded by memory; it types a function before its argument and a
+    node after its parts, so it raises the error a recursive walk meets
+    first.
     """
-    match t:
-        case TVar(TFree(name, ty)):
-            if name not in ctx:
-                raise TypeCheckError(f"unbound free name {name!r}")
-            if ctx[name] is not ty:
-                raise TypeCheckError(
-                    f"free name {name!r} declared {show_type(ty)} "
-                    f"but context gives {show_type(ctx[name])}"
-                )
-            return ty
-        case TVar(Bound(k)):
-            if not 0 <= k < len(_binders):
-                raise TypeCheckError(f"bound index {k} escapes its scope")
-            return _binders[k]
-        case TApp(f, a):
-            tf = typecheck(ctx, f, _binders)
-            ta = typecheck(ctx, a, _binders)
+    binders: list[SimpleType] = []  # the open binders' types, innermost last
+    types: list[SimpleType] = []  # the types of typed subterms not yet used
+    todo: list = [t]  # terms to type; a node under _PARTS_TYPED has its parts typed
+    while todo:
+        t = todo.pop()
+        if t is _PARTS_TYPED:
+            t = todo.pop()
+            if isinstance(t, TAbs):
+                binders.pop()
+                types.append(Arrow(t.binder_type, types.pop()))
+                continue
+            ta = types.pop()
+            tf = types.pop()
             if not isinstance(tf, Arrow):
                 raise TypeCheckError(
                     f"applied a non-function of type {show_type(tf)} in {show(t)}"
@@ -199,10 +203,30 @@ def typecheck(
                     f"argument type {show_type(ta)} does not match "
                     f"{show_type(tf.dom)} in {show(t)}"
                 )
-            return tf.cod
-        case TAbs(ty, b):
-            return Arrow(ty, typecheck(ctx, b, (ty,) + _binders))
-    raise MalformedTermError(f"not a typed term: {t!r}")
+            types.append(tf.cod)
+        elif isinstance(t, App):
+            todo += (t, _PARTS_TYPED, t.arg, t.fun)
+        elif isinstance(t, TAbs):
+            binders.append(t.binder_type)
+            todo += (t, _PARTS_TYPED, t.body)
+        elif isinstance(t, Var) and isinstance(t.ref, TFree):
+            name, ty = t.ref.name, t.ref.type
+            if name not in ctx:
+                raise TypeCheckError(f"unbound free name {name!r}")
+            if ctx[name] is not ty:
+                raise TypeCheckError(
+                    f"free name {name!r} declared {show_type(ty)} "
+                    f"but context gives {show_type(ctx[name])}"
+                )
+            types.append(ty)
+        elif isinstance(t, Var) and isinstance(t.ref, Bound):
+            k = t.ref.index
+            if not 0 <= k < len(binders):
+                raise TypeCheckError(f"bound index {k} escapes its scope")
+            types.append(binders[-1 - k])
+        else:
+            raise MalformedTermError(f"not a typed term: {t!r}")
+    return types.pop()
 
 
 def type_of(t: StlcTerm) -> SimpleType:
@@ -211,9 +235,12 @@ def type_of(t: StlcTerm) -> SimpleType:
 
 
 def _kept(img, slot: str, compute: Callable):
-    # compute(img), kept in the image's slot once it succeeds.  Callers
-    # look compute up at each call, so a function that replaces the
-    # module global (a monkeypatch, a profiling wrapper) is the one run.
+    # compute(img), kept in the image's slot once it succeeds.  A slot
+    # already set holds what compute would return: only this module writes
+    # it, here or in the generator that built the term at that type or
+    # sort.  Callers look compute up at each call, so a function that
+    # replaces the module global (a monkeypatch, a profiling wrapper) is
+    # the one run.
     value = getattr(img, slot, None)
     if value is None:
         value = compute(img)
@@ -225,7 +252,8 @@ def stlc_subst(s: Mapping[str, StlcTerm], t: StlcTerm) -> StlcTerm:
     """Type-checked substitution of free names in one walk of the term.
 
     Every image is typed first, at most once per image object (its type
-    slot); an image that fails to type raises.  Then one walk of t, in
+    slot, which gen_typed_term fills for the closed terms it builds); an
+    image that fails to type raises.  Then one walk of t, in
     free_types' order, rejects a leaf that is not a typed term and a free
     name declared at two types, and replaces each name that s maps.  An
     occurrence whose declared type differs from its image's type is an
@@ -365,7 +393,12 @@ def gen_typed_term(
     max_size: int = 12,
     binders: tuple[SimpleType, ...] = (),
 ) -> StlcTerm:
-    """A random well-typed term of the target type, built top-down."""
+    """A random well-typed term of the target type, built top-down.
+
+    With no binders the term is closed and its frees are pool names at
+    their pool types, so it types at the target: the target is written
+    to its type slot, and stlc_subst does not type it again as an image.
+    """
     if target is None:
         target = STLC_TYPES[rng.randrange(len(STLC_TYPES))]
 
@@ -393,7 +426,10 @@ def gen_typed_term(
         arg = go(dom, budget - 1 - k, binders)
         return TApp(fun, arg)
 
-    return go(target, rng.randrange(1, max_size + 1), binders)
+    t = go(target, rng.randrange(1, max_size + 1), binders)
+    if not binders:
+        t.__dict__["_type"] = target
+    return t
 
 
 def _gen_stlc_subst(rng: random.Random) -> dict:
@@ -583,6 +619,9 @@ _TLIST_VARS = {
 
 
 def gen_tlist(rng: random.Random, sort: Optional[int] = None, max_size: int = 8) -> TListTerm:
+    """A random list term of the sort, built top-down.  A nonnegative
+    sort is what tlist_sort finds, so it is written to the sort slot; a
+    negative one builds an ill-sorted term, which gets no slot."""
     if sort is None:
         sort = rng.randrange(3)
 
@@ -597,7 +636,10 @@ def gen_tlist(rng: random.Random, sort: Optional[int] = None, max_size: int = 8)
         k = rng.randrange(1, budget)
         return Cons(go(sort - 1, k), go(sort, budget - 1 - k))
 
-    return go(sort, rng.randrange(1, max_size + 1))
+    t = go(sort, rng.randrange(1, max_size + 1))
+    if sort >= 0:
+        t.__dict__["_sort"] = sort
+    return t
 
 
 def tlist_monad() -> MonadInstance:

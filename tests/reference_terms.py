@@ -4,7 +4,7 @@ modlam.typed and modlam.terms replaced, kept unchanged so the
 differential tests can compare the two on any input.  Only the scanning
 helpers they called are copied in beside them.  Also free_names, the
 free names of a signature term, which only tests need; the recursive
-type printer show_type; and the generators gen_normal (build, then
+type printer show_type and type checker typecheck; and the generators gen_normal (build, then
 normalize the finished term) and gen_typed_term (a fresh candidate list
 at every leaf), which must draw and build exactly what modlam's do.
 
@@ -22,8 +22,8 @@ import random
 from functools import partial
 from typing import Any, Callable, Mapping, Optional
 
-from modlam.errors import ConfigError, MalformedTermError, ParseError
-from modlam.lam import _POOL_VARS, Abs, App, NfTerm, _sealed, reduce_to_normal
+from modlam.errors import ConfigError, MalformedTermError, ParseError, TypeCheckError
+from modlam.lam import _POOL_VARS, Abs, App, NfTerm, _sealed, reduce_to_normal, show
 from modlam.terms import (
     Bound,
     Free,
@@ -297,6 +297,41 @@ def show_type(t: SimpleType) -> str:
                 left = f"({left})"
             return f"{left} -> {show_type(c)}"
     raise MalformedTermError(f"not a type: {t!r}")
+
+
+def typecheck(
+    ctx: Mapping[str, SimpleType], t, _binders: tuple[SimpleType, ...] = ()
+) -> SimpleType:
+    match t:
+        case TVar(TFree(name, ty)):
+            if name not in ctx:
+                raise TypeCheckError(f"unbound free name {name!r}")
+            if ctx[name] is not ty:
+                raise TypeCheckError(
+                    f"free name {name!r} declared {show_type(ty)} "
+                    f"but context gives {show_type(ctx[name])}"
+                )
+            return ty
+        case TVar(Bound(k)):
+            if not 0 <= k < len(_binders):
+                raise TypeCheckError(f"bound index {k} escapes its scope")
+            return _binders[k]
+        case TApp(f, a):
+            tf = typecheck(ctx, f, _binders)
+            ta = typecheck(ctx, a, _binders)
+            if not isinstance(tf, Arrow):
+                raise TypeCheckError(
+                    f"applied a non-function of type {show_type(tf)} in {show(t)}"
+                )
+            if tf.dom is not ta:
+                raise TypeCheckError(
+                    f"argument type {show_type(ta)} does not match "
+                    f"{show_type(tf.dom)} in {show(t)}"
+                )
+            return tf.cod
+        case TAbs(ty, b):
+            return Arrow(ty, typecheck(ctx, b, (ty,) + _binders))
+    raise MalformedTermError(f"not a typed term: {t!r}")
 
 
 def gen_normal(rng: random.Random, max_size: int = 8, depth: int = 0) -> NfTerm:

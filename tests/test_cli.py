@@ -254,6 +254,32 @@ class TestDeepBinderTypes:
         assert out == f"\\v0:{nested(n)}. \\v1:({nested(n)}) -> * -> *. v1 v0 z"
 
 
+# Typed terms nested n deep, each with the type modlam typecheck prints for it.
+DEEP_TYPED_TERMS = {
+    "binders": lambda n: ("\\x:*. " * n + "x", right_nested(n)),
+    "right-nested-apps": lambda n: (
+        "\\f:* -> *. \\x:*. " + "f (" * n + "x" + ")" * n,
+        "(* -> *) -> * -> *",
+    ),
+    "left-nested-apps": lambda n: (
+        f"\\f:{right_nested(n)}. \\x:*. f" + " x" * n,
+        f"({right_nested(n)}) -> * -> *",
+    ),
+}
+
+
+class TestDeepTypecheck:
+    # The type checker runs on an explicit stack, so a term nested deeper
+    # than Python's recursion limit types like a shallow one.
+
+    @pytest.mark.parametrize("shape", DEEP_TYPED_TERMS)
+    @pytest.mark.parametrize("n", [1000, 5000])
+    def test_typecheck(self, capsys, shape, n):
+        term, ty = DEEP_TYPED_TERMS[shape](n)
+        assert run(["typecheck", term]) == EXIT_OK
+        assert capsys.readouterr() == (f"{ty}\n", "")
+
+
 class TestUsage:
     def test_no_command(self, capsys):
         assert run([]) == EXIT_USAGE

@@ -6,14 +6,29 @@ term and runs reduce_to_normal on it; typed.gen_typed_term reads its
 leaf candidates from a table, where the reference builds a list at every
 leaf.  On each keyed sample both must return the same term and leave the
 generator in the same state, so every law sample draws what it drew.
+
+gen_typed_term writes the target of a closed term into its type slot, and
+gen_tlist a nonnegative sort into its sort slot; stlc_subst and
+tlist_subst trust those slots, so they must hold what type_of and
+tlist_sort compute.
 """
 
 import pytest
 
+from modlam.errors import TypeCheckError
 from modlam.fuel import Fuel, FuelExhausted
 from modlam.harness import _sample_rng
 from modlam.lam import MAX_DEPTH, _beta_normal, _same_term, gen_normal
-from modlam.typed import BASE, STLC_TYPES, gen_typed_term
+from modlam.typed import (
+    _POOL_VARS,
+    _TLIST_VARS,
+    BASE,
+    STLC_TYPES,
+    gen_tlist,
+    gen_typed_term,
+    tlist_sort,
+    type_of,
+)
 
 import reference_terms as ref
 
@@ -75,3 +90,44 @@ def test_gen_typed_term_draws_its_target_like_the_reference():
         old, old_state = _run(ref.gen_typed_term, _sample_rng(0, key))
         assert new_state == old_state, key
         assert _same_term(new, old), key
+
+
+def _clear_slots(pools, slot):
+    # Pool variables are shared leaves, so an earlier closed term may have
+    # left its slot on one; clear them to see what the next calls write.
+    for v in (v for vs in pools.values() for v in vs):
+        vars(v).pop(slot, None)
+
+
+@pytest.mark.parametrize("target", (*STLC_TYPES, None), ids=str)
+def test_closed_typed_term_keeps_its_type(target):
+    for max_size in (6, 12, 40):
+        for i in range(400):  # 5 cases: 6000 samples
+            t = gen_typed_term(_sample_rng(0, f"typed-slot:{max_size}:{i}"), target, max_size)
+            assert vars(t)["_type"] is type_of(t)
+            assert target is None or type_of(t) is target
+
+
+def test_open_typed_term_gets_no_type():
+    _clear_slots(_POOL_VARS, "_type")
+    for slot in STLC_TYPES:
+        for i in range(500):
+            t = gen_typed_term(_sample_rng(0, f"typed-open:{i}"), None, 12, (slot,))
+            assert "_type" not in vars(t)
+
+
+@pytest.mark.parametrize("sort", (0, 1, 2, 3, None))
+def test_tlist_keeps_its_sort(sort):
+    for i in range(1000):
+        t = gen_tlist(_sample_rng(0, f"tlist-slot:{i}"), sort)
+        assert vars(t)["_sort"] == tlist_sort(t)
+        assert sort is None or tlist_sort(t) == sort
+
+
+def test_ill_sorted_tlist_gets_no_sort():
+    _clear_slots(_TLIST_VARS, "_sort")
+    for i in range(1000):
+        t = gen_tlist(_sample_rng(0, f"tlist-negative:{i}"), -1)
+        assert "_sort" not in vars(t)
+        with pytest.raises(TypeCheckError, match="negative sort"):
+            tlist_sort(t)

@@ -7,6 +7,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+import reference_terms as ref
+
 from modlam.catalog import run_suite
 from modlam import lam, typed
 from modlam.errors import MalformedTermError, ParseError, TypeCheckError
@@ -297,6 +299,46 @@ class TestOneWalkSubstitution:
         # two-type rejection, a malformed leaf and occurrence clashes.
         assert min(kinds.values()) >= 100, kinds
 
+    TYPECHECK_FRAGMENTS = (
+        "unbound free name",
+        "context gives",
+        "escapes its scope",
+        "applied a non-function",
+        "does not match",
+        "not a typed term",
+    )
+
+    def test_typecheck_matches_recursive_reference(self):
+        # The explicit-stack typecheck against the recursive one it
+        # replaced, on these cases' terms and images: the same type, or
+        # the same error, found first in the same order.  The context is
+        # the pool's, sometimes missing a name or giving it another type.
+        # One more term per case applies a function to an argument of a
+        # drawn type, mostly the wrong one.
+        rng = random.Random(20062)
+        reused = []
+        pool = {tf.name: tf.type for tf in STLC_POOL}
+        kinds = dict.fromkeys(("ok",) + self.TYPECHECK_FRAGMENTS, 0)
+        for _ in range(self.CASES // 4):
+            s, t = gen_case(rng, reused)
+            dom, arg = (STLC_TYPES[rng.randrange(len(STLC_TYPES))] for _ in range(2))
+            app = TApp(gen_typed_term(rng, Arrow(dom, BASE), 6), gen_typed_term(rng, arg, 6))
+            for term in (t, app, *s.values()):
+                ctx = dict(pool)
+                name = STLC_POOL[rng.randrange(len(STLC_POOL))].name
+                r = rng.random()
+                if r < 0.1:
+                    del ctx[name]
+                elif r < 0.2:
+                    ctx[name] = STLC_TYPES[rng.randrange(len(STLC_TYPES))]
+                expected = outcome(ref.typecheck, ctx, term)
+                assert outcome(typecheck, ctx, term) == expected, (ctx, term)
+                if isinstance(expected, str):
+                    kinds["ok"] += 1
+                else:
+                    kinds[next(f for f in self.TYPECHECK_FRAGMENTS if f in expected[1])] += 1
+        assert min(kinds.values()) >= 100, kinds
+
     def test_first_clash_by_name(self):
         # The walk meets y (the argument) first, but of the two clashing
         # names the report gives the first by name, f.
@@ -390,6 +432,16 @@ class TestTypeSlot:
                 stlc_subst({"x": img}, free("y"))
             assert message in str(exc.value)
             assert "_type" not in getattr(img, "__dict__", {})
+
+    def test_substitution_output_keeps_no_type(self):
+        # No occurrence clashes, yet the output uses f at two types: a type
+        # copied from the input would let it pass as an image.
+        t = TApp(free("f", ARR), free("y"))
+        assert stlc_subst({"x": t}, free("x")) is t and vars(t)["_type"] is BASE
+        out = stlc_subst({"y": free("f")}, t)
+        assert "_type" not in vars(out)
+        with pytest.raises(TypeCheckError, match="'f' used at two types"):
+            stlc_subst({"x": out}, free("x"))
 
     def test_each_image_typed_once(self, monkeypatch):
         calls = []
