@@ -161,7 +161,7 @@ def _dispatch(args) -> int:
                 raise _UsageError(f"bad --map entry {piece!r}")
             name, image = piece.split("=", 1)
             name = name.strip()
-            if not name.isidentifier():
+            if lam._TOKEN.findall(name) != [name] or not lam._is_name(name):
                 raise _UsageError(f"bad name {name!r} in --map")
             if name in s:
                 raise _UsageError(f"name {name!r} mapped twice in --map")

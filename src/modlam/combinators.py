@@ -237,24 +237,21 @@ def gen_pt(rng: random.Random, max_size: int = 6) -> PtTerm:
     return go(rng.randrange(1, max_size + 1))
 
 
-def pt_monad() -> MonadInstance:
-    return MonadInstance(
-        name="pt",
-        names=PT_NAMES,
-        unit=PVar,
-        bind=pt_bind,
-        gen_value=lambda rng: gen_pt(rng),
-        gen_subst=lambda rng: {
-            name: gen_pt(rng, max_size=4)
-            for name in PT_NAMES
-            if rng.random() < 0.4
-        },
-        show_value=show_pt,
-    )
+PT = MonadInstance(
+    name="pt",
+    names=PT_NAMES,
+    unit=PVar,
+    bind=pt_bind,
+    gen_value=lambda rng: gen_pt(rng),
+    gen_subst=lambda rng: {
+        name: gen_pt(rng, max_size=4)
+        for name in PT_NAMES
+        if rng.random() < 0.4
+    },
+    show_value=show_pt,
+)
 
 
 #: The canonical witness: substituting x*x into x and then transforming
 #: disagrees with transforming first.
 PT_WITNESS = ({"x": Times(PVar("x"), PVar("x"))}, PVar("x"))
-
-PT = pt_monad()

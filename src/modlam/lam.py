@@ -822,28 +822,25 @@ def _gen_nf_subst(rng: random.Random) -> dict:
 # ---------- instances ----------
 
 
-def lc_monad() -> MonadInstance:
-    return MonadInstance(
-        name="lc",
-        names=NAME_POOL,
-        unit=fvar,
-        bind=subst,
-        gen_value=lambda rng: gen_term(rng),
-        gen_subst=_gen_subst,
-        show_value=show,
-    )
+LC = MonadInstance(
+    name="lc",
+    names=NAME_POOL,
+    unit=fvar,
+    bind=subst,
+    gen_value=lambda rng: gen_term(rng),
+    gen_subst=_gen_subst,
+    show_value=show,
+)
 
-
-def nf_monad() -> MonadInstance:
-    return MonadInstance(
-        name="nf",
-        names=NAME_POOL,
-        unit=lambda name: _sealed(fvar(name)),
-        bind=nf_bind,
-        gen_value=lambda rng: gen_normal(rng),
-        gen_subst=_gen_nf_subst,
-        show_value=show_nf,
-    )
+NF = MonadInstance(
+    name="nf",
+    names=NAME_POOL,
+    unit=lambda name: _sealed(fvar(name)),
+    bind=nf_bind,
+    gen_value=lambda rng: gen_normal(rng),
+    gen_subst=_gen_nf_subst,
+    show_value=show_nf,
+)
 
 
 def scope_derived_lc_module() -> ModuleInstance:
@@ -869,7 +866,3 @@ def scope_derived_nf_module() -> ModuleInstance:
         gen_value=lambda rng: gen_normal(rng, depth=1),
         show_value=show_nf,
     )
-
-
-LC = lc_monad()
-NF = nf_monad()

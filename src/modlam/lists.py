@@ -42,19 +42,15 @@ def _gen_subst(rng: random.Random) -> dict:
     return {k: _gen_value(rng) for k in ks}
 
 
-def list_monad() -> MonadInstance:
-    def bind_subst(s, xs):
-        return join(s.get(x, (x,)) for x in xs)
-
-    return MonadInstance(
-        name="list",
-        names=_POOL,
-        unit=unit,
-        bind=bind_subst,
-        gen_value=_gen_value,
-        gen_subst=_gen_subst,
-        show_value=_show,
-    )
+LIST = MonadInstance(
+    name="list",
+    names=_POOL,
+    unit=unit,
+    bind=lambda s, xs: join(s.get(x, (x,)) for x in xs),
+    gen_value=_gen_value,
+    gen_subst=_gen_subst,
+    show_value=_show,
+)
 
 
 def concat(pair: tuple[ListVal, ListVal]) -> ListVal:
@@ -71,6 +67,3 @@ def int_add_algebra() -> MonoidAlgebra:
         gen_element=lambda rng: rng.randrange(-5, 6),
         show_value=str,
     )
-
-
-LIST = list_monad()

@@ -88,10 +88,10 @@ class Signature:
         for name, arity in self.ops:
             if any(n < 0 for n in arity):
                 raise ConfigError(f"negative binder count in arity of {name}")
-        # Tables the parser, the printer and fold read at every node: an
-        # operator index missing from _nargs is out of range.
+        # Tables every walk reads at each node: an operator index missing
+        # from _arities is out of range.
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_nargs", {i: len(arity) for i, (_, arity) in enumerate(self.ops)})
+        object.__setattr__(self, "_arities", dict(enumerate(arity for _, arity in self.ops)))
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -105,7 +105,8 @@ class Signature:
         return self.ops[op][1]
 
     def checked_arity(self, op: int, args: tuple) -> Arity:
-        """The arity of op, checked against the arguments it is given."""
+        """The arity of op, checked against the arguments it is given.
+        The walks call it only to raise the error for a bad node."""
         arity = self.arity(op)
         if len(args) != len(arity):
             raise MalformedTermError(
@@ -144,8 +145,8 @@ def well_scoped(sig: Signature, t: ScopedTerm, depth: int = 0) -> bool:
         case Var(Bound(k)):
             return 0 <= k < depth
         case Op(op, args):
-            arity = sig.arity(op)
-            if len(args) != len(arity):
+            arity = sig._arities.get(op)
+            if arity is None or len(args) != len(arity):
                 return False
             return all(
                 well_scoped(sig, a, depth + n) for a, n in zip(args, arity)
@@ -164,7 +165,9 @@ def _shift(sig: Signature, t: ScopedTerm, by: int, cutoff: int) -> ScopedTerm:
             return t
     elif isinstance(t, Op):
         args = t.args
-        arity = sig.checked_arity(t.op, args)
+        arity = sig._arities.get(t.op)
+        if arity is None or len(arity) != len(args):
+            sig.checked_arity(t.op, args)
         new = [_shift(sig, a, by, cutoff + n) for a, n in zip(args, arity)]
         return t if all(map(is_, new, args)) else Op(t.op, tuple(new))
     raise MalformedTermError(f"not a term: {t!r}")
@@ -193,7 +196,9 @@ def substitute(sig: Signature, s: Subst, t: ScopedTerm, depth: int = 0) -> Scope
             return t
     elif isinstance(t, Op):
         args = t.args
-        arity = sig.checked_arity(t.op, args)
+        arity = sig._arities.get(t.op)
+        if arity is None or len(arity) != len(args):
+            sig.checked_arity(t.op, args)
         new = []
         for a, n in zip(args, arity):
             new.append(substitute(sig, s, a, depth + n))
@@ -239,7 +244,7 @@ def fold(
     variables go through the representation's bound_value.
     """
     sig = rep.signature
-    nargs = sig._nargs
+    arities = sig._arities
     ops = rep.ops
     bound_value = rep.bound_value
     if env is None:
@@ -256,7 +261,8 @@ def fold(
         if isinstance(t, Op):
             op = t.op
             args = t.args
-            if nargs.get(op) != len(args):
+            arity = arities.get(op)
+            if arity is None or len(arity) != len(args):
                 sig.checked_arity(op, args)
             return ops[op](*map(go, args))
         if isinstance(t, Var):
@@ -307,7 +313,7 @@ def parse_sexpr(sig: Signature, text: str) -> ScopedTerm:
     tokens = _TOKEN.findall(text)
     n = len(tokens)
     index = sig._index
-    nargs = sig._nargs
+    arities = sig._arities
     leaves: dict[str, Var] = {}  # one variable per token text
     root: list[ScopedTerm] = []
     open_ops = []  # (op, token index of its name, args) of each enclosing operator
@@ -339,9 +345,9 @@ def parse_sexpr(sig: Signature, text: str) -> ScopedTerm:
         if c == ")":
             if args is root:
                 raise _error(_TOKEN, text, i, "expected identifier")
-            if len(args) != nargs[op]:
+            if len(args) != len(arities[op]):
                 name = tokens[at].lstrip("(")
-                message = f"operator {name!r} expects {nargs[op]} arguments, got {len(args)}"
+                message = f"operator {name!r} expects {len(arities[op])} arguments, got {len(args)}"
                 raise _error(_TOKEN, text, at, message, len(tokens[at]) - len(name))
             value = Op(op, tuple(args))
             op, at, args = open_ops.pop()
@@ -373,7 +379,7 @@ _CLOSE = object()
 
 
 def show_sexpr(sig: Signature, t: ScopedTerm) -> str:
-    nargs = sig._nargs
+    arities = sig._arities
     opens = [f" ({name}" for name, _ in sig.ops]
     out: list[str] = []  # every term's text starts with a space
     append = out.append
@@ -384,7 +390,8 @@ def show_sexpr(sig: Signature, t: ScopedTerm) -> str:
         if isinstance(t, Op):
             op = t.op
             args = t.args
-            if nargs.get(op) != len(args):
+            arity = arities.get(op)
+            if arity is None or len(arity) != len(args):
                 sig.checked_arity(op, args)
             append(opens[op])
             stack.append(_CLOSE)

@@ -440,18 +440,17 @@ def _gen_stlc_subst(rng: random.Random) -> dict:
     }
 
 
-def stlc_monad() -> MonadInstance:
-    return MonadInstance(
-        name="stlc",
-        names=STLC_POOL,
-        unit=TVar,
-        bind=stlc_subst,
-        gen_value=lambda rng: gen_typed_term(rng),
-        gen_subst=_gen_stlc_subst,
-        show_value=show,
-        key=lambda tf: tf.name,
-        show_name=lambda tf: f"{tf.name}:{show_type(tf.type)}",
-    )
+STLC = MonadInstance(
+    name="stlc",
+    names=STLC_POOL,
+    unit=TVar,
+    bind=stlc_subst,
+    gen_value=lambda rng: gen_typed_term(rng),
+    gen_subst=_gen_stlc_subst,
+    show_value=show,
+    key=lambda tf: tf.name,
+    show_name=lambda tf: f"{tf.name}:{show_type(tf.type)}",
+)
 
 
 def fiber_module(ty: SimpleType) -> ModuleInstance:
@@ -495,9 +494,6 @@ def semantic_fiber_module(ty: SimpleType) -> ModuleInstance:
 def semantic_scope_extended_module(slot_type: SimpleType, ty: SimpleType) -> ModuleInstance:
     name = f"stlc-nf-d{show_type(slot_type)}@{show_type(ty)}"
     return _normal_forms(scope_extended_module(slot_type, ty), name)
-
-
-STLC = stlc_monad()
 
 
 # ---------- sort-indexed lists ----------
@@ -642,22 +638,21 @@ def gen_tlist(rng: random.Random, sort: Optional[int] = None, max_size: int = 8)
     return t
 
 
-def tlist_monad() -> MonadInstance:
-    return MonadInstance(
-        name="tlist",
-        names=TLIST_POOL,
-        unit=lambda v: v,
-        bind=tlist_subst,
-        gen_value=lambda rng: gen_tlist(rng),
-        gen_subst=lambda rng: {
-            v.name: gen_tlist(rng, v.sort, max_size=5)
-            for v in TLIST_POOL
-            if rng.random() < 0.35
-        },
-        show_value=show_tlist,
-        key=lambda v: v.name,
-        show_name=show_tlist,
-    )
+TLIST = MonadInstance(
+    name="tlist",
+    names=TLIST_POOL,
+    unit=lambda v: v,
+    bind=tlist_subst,
+    gen_value=lambda rng: gen_tlist(rng),
+    gen_subst=lambda rng: {
+        v.name: gen_tlist(rng, v.sort, max_size=5)
+        for v in TLIST_POOL
+        if rng.random() < 0.35
+    },
+    show_value=show_tlist,
+    key=lambda v: v.name,
+    show_name=show_tlist,
+)
 
 
 def tlist_sort_module(sort: int) -> ModuleInstance:
@@ -669,7 +664,3 @@ def tlist_sort_module(sort: int) -> ModuleInstance:
         gen_value=lambda rng: gen_tlist(rng, sort),
         show_value=show_tlist,
     )
-
-
-TLIST = tlist_monad()
-

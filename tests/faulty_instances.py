@@ -4,7 +4,7 @@ reports each failure."""
 
 from modlam.harness import MonadInstance, MonoidAlgebra
 from modlam.lam import NAME_POOL, gen_term, show, subst
-from modlam.lists import list_monad
+from modlam.lists import LIST
 from modlam.terms import fvar
 
 
@@ -14,20 +14,19 @@ def broken_list_monad() -> MonadInstance:
     Used to demonstrate that the harness actually catches broken
     instances; unit-bind fails almost immediately.
     """
-    good = list_monad()
 
     def bad_bind(s, xs):
-        out = good.bind(s, xs)
+        out = LIST.bind(s, xs)
         return out[:-1]
 
     return MonadInstance(
         name="broken-list",
-        names=good.names,
-        unit=good.unit,
+        names=LIST.names,
+        unit=LIST.unit,
         bind=bad_bind,
-        gen_value=good.gen_value,
-        gen_subst=good.gen_subst,
-        show_value=good.show_value,
+        gen_value=LIST.gen_value,
+        gen_subst=LIST.gen_subst,
+        show_value=LIST.show_value,
     )
 
 

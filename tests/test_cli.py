@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modlam import lam, typed
+from modlam import catalog, lam, typed
 from modlam.cli import (
     EXIT_FUEL,
     EXIT_NO,
@@ -17,6 +17,7 @@ from modlam.cli import (
     EXIT_USAGE,
     run,
 )
+from modlam.errors import ConfigError
 
 from reference_terms import show_type as reference_show_type
 
@@ -150,6 +151,18 @@ class TestSubst:
         assert capsys.readouterr() == ("", "usage error: name 'x' mapped twice in --map\n")
         assert run(["subst", "x", "--map", "x=y, x =z"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("name, term", [("x'", "x' y"), ("xλ", "xλ y")])
+    def test_any_name_of_the_grammar_maps(self, capsys, name, term):
+        assert run(["subst", term, "--map", f"{name}=z"]) == EXIT_OK
+        assert capsys.readouterr() == ("z y\n", "")
+
+    @pytest.mark.parametrize("name", ["λ", "x y", "", "1x"])
+    def test_a_name_is_one_name_token(self, capsys, name):
+        # λ always starts a binder, and a name is one token starting with a
+        # letter or '_', so none of these is a name the term could hold.
+        assert run(["subst", "x", "--map", f"{name}=z"]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"usage error: bad name {name!r} in --map\n")
+
 
 class TestLaws:
     def test_passing_suite(self, capsys):
@@ -177,6 +190,27 @@ class TestLaws:
 
     def test_unknown_instance(self, capsys):
         assert run(["laws", "--suite", "monad", "--instance", "bogus"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "suite, instance",
+        [
+            (suite, instance)
+            for suite in catalog.SUITES
+            for instance in catalog.INSTANCES
+            if (suite, instance) not in catalog.PAIRS
+        ],
+    )
+    def test_every_pair_outside_the_table_is_a_usage_error(self, capsys, suite, instance):
+        argv = ["laws", "--suite", suite, "--instance", instance, "--samples", "5"]
+        assert run(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage error: ") and err.count("\n") == 1
+        with pytest.raises(ConfigError):
+            catalog.run_suite(suite, instance, 5)
+
+    def test_the_grid_has_nine_pairs_outside_the_table(self):
+        grid = {(s, i) for s in catalog.SUITES for i in catalog.INSTANCES}
+        assert set(catalog.PAIRS) < grid and len(grid - set(catalog.PAIRS)) == 9
 
     def test_negative_samples(self, capsys):
         argv = ["laws", "--suite", "monad", "--instance", "pt", "--samples", "-1"]

@@ -16,7 +16,6 @@ from modlam.combinators import (
     identity_morphism,
     product,
     pt_bind,
-    pt_monad,
     second_derivative_inclusions,
     show_pt,
 )
@@ -175,7 +174,7 @@ class TestPlusTimes:
         assert out == Times(Plus(PVar("y"), PVar("z")), Plus(PVar("y"), PVar("z")))
 
     def test_monad_laws(self):
-        assert check_monad_laws(pt_monad(), samples=300, seed=0).passed
+        assert check_monad_laws(PT, samples=300, seed=0).passed
 
     def test_double_and_swap_oracles(self):
         x, y = PVar("x"), PVar("y")

@@ -19,7 +19,7 @@ from modlam.harness import (
     subst_total,
     tautological_module,
 )
-from modlam.lists import LIST, list_monad
+from modlam.lists import LIST
 
 
 class TestFreshMarkers:
@@ -85,8 +85,8 @@ class TestReportFormatting:
 
 class TestSamplingEngine:
     def test_determinism(self):
-        one = check_monad_laws(list_monad(), samples=100, seed=7)
-        two = check_monad_laws(list_monad(), samples=100, seed=7)
+        one = check_monad_laws(LIST, samples=100, seed=7)
+        two = check_monad_laws(LIST, samples=100, seed=7)
         assert one.format() == two.format()
 
     def test_sampled_law_pass(self):

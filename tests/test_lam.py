@@ -32,7 +32,6 @@ from modlam.lam import (
     nf_abs,
     nf_app1,
     nf_bind,
-    nf_monad,
     normalize,
     parse,
     preorder_leq,
@@ -332,7 +331,7 @@ class TestNormalFormMonad:
         assert show(nf_abs(nf_app1(NfTerm(t))).term) == show(t)
 
     def test_monad_laws(self):
-        assert check_monad_laws(nf_monad(), samples=200, seed=0).passed
+        assert check_monad_laws(NF, samples=200, seed=0).passed
 
 
 class TestIotaFold:

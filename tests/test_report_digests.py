@@ -31,12 +31,7 @@ from modlam.lam import LC, Abs, fvar
 
 from faulty_instances import broken_list_monad, int_sub_algebra, naive_prime_monad
 
-PAIRS = (
-    [("monad", i) for i in ("lc", "nf", "list", "pt", "stlc", "tlist")]
-    + [("module", i) for i in catalog.INSTANCES]
-    + [("linearity", i) for i in catalog.INSTANCES]
-    + [("algebra", "list")]
-)
+PAIRS = list(catalog.PAIRS)
 SEEDS = (0, 1)
 
 DIGESTS = {
@@ -131,6 +126,12 @@ def sha(text):
 @pytest.mark.parametrize("key", [pytest.param(key, id=run_id(*key)) for key in RUNS])
 def test_report_digest(reports, key):
     assert sha(reports[key]) == RUNS[key]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_the_table_is_the_pinned_pairs(seed):
+    # Adding a pair to catalog.PAIRS, or dropping one, needs its digests.
+    assert PAIRS == [(s, i) for s, i, pinned in DIGESTS if pinned == seed]
 
 
 def test_concatenated_digest(reports):

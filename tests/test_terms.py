@@ -275,6 +275,13 @@ class TestScopeCheck:
         assert well_scoped(SIG, bvar(0), depth=1)
         assert not well_scoped(SIG, Op(APP, (fvar("x"),)))
 
+    def test_operator_out_of_range_is_not_well_scoped(self):
+        # As a wrong argument count is, and a non-term: False, not an error.
+        assert not well_scoped(SIG, Op(5, ()))
+        assert not well_scoped(SIG, Op(-1, (fvar("x"),)))
+        assert not well_scoped(SIG, abs_(Op(len(SIG), ())))
+        assert not well_scoped(SIG, "x")
+
 
 # The generic-subst benchmark's second signature, beside the lambda one.
 RICH = Signature(
