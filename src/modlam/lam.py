@@ -31,6 +31,7 @@ import random
 import re
 from dataclasses import dataclass
 from enum import Enum
+from itertools import count
 from typing import Callable, Iterator, Mapping, Optional
 
 from .errors import ConfigError, MalformedTermError
@@ -291,10 +292,10 @@ def _sealed(t: LcTerm) -> NfTerm:
 
 # Nesting that the normalizer allows: binders entered, plus App nodes above
 # the argument being normalized, plus arguments pending on the head spine.
-# Every node of a normal form it returns sat at such a depth, so the
-# recursive checks and printers run on it well below the interpreter's
-# recursion limit.  Church 2^9 needs 514; the law suites' successful
-# reductions stay below 10.
+# Every node of a normal form it returns sat at such a depth, so the walks
+# that still recurse (dataclass == and hash, subst) run on it well below
+# the interpreter's recursion limit.  Church 2^9 needs 514; the law
+# suites' successful reductions stay below 10.
 MAX_DEPTH = 600
 
 
@@ -571,14 +572,29 @@ _APP, _ABS = 0, 1
 
 
 def to_scoped(t: LcTerm) -> ScopedTerm:
-    match t:
-        case Var(_):
-            return t
-        case App(f, a):
-            return Op(_APP, (to_scoped(f), to_scoped(a)))
-        case Abs(b):
-            return Op(_ABS, (to_scoped(b),))
-    raise MalformedTermError(f"not a lambda term: {t!r}")
+    # Pre-order onto a list, then build from its far end, where each
+    # node's converted children are the last values built: nesting is
+    # bounded by memory, and the first malformed node met is the one a
+    # recursive walk would meet.
+    order = []
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, App):
+            todo += (t.arg, t.fun)
+        elif isinstance(t, Abs):
+            todo.append(t.body)
+        elif not isinstance(t, Var):
+            raise MalformedTermError(f"not a lambda term: {t!r}")
+        order.append(t)
+    values = []
+    for t in reversed(order):
+        if isinstance(t, App):
+            t = Op(_APP, (values.pop(), values.pop()))
+        elif isinstance(t, Abs):
+            t = Op(_ABS, (values.pop(),))
+        values.append(t)
+    return values[0]
 
 
 def from_scoped(t: ScopedTerm) -> LcTerm:
@@ -697,39 +713,53 @@ def show(t: LcTerm, debruijn: bool = False) -> str:
     of the whole term; a dangling index (possible on scope-extended
     carriers) prints as #k, a diagnostic form outside the grammar.  De
     Bruijn mode prints every binder as λ and every bound variable as
-    its index.
+    its index.  The walk keeps what is left to print on an explicit
+    stack, so nesting is bounded by memory.
     """
     taken = set() if debruijn else free_names(t)
-    counter = [0]
-
-    def next_name() -> str:
-        while True:
-            name = f"v{counter[0]}"
-            counter[0] += 1
-            if name not in taken:
-                return name
-
-    def go(t: LcTerm, level: int, binders: tuple[str, ...]) -> str:
-        match t:
-            case Var(Free(name)):
-                return name
-            case Var(Bound(k)):
-                if debruijn:
-                    return str(k)
-                return binders[k] if k < len(binders) else f"#{k - len(binders)}"
-            case App(f, a):
-                s = f"{go(f, 1, binders)} {go(a, 2, binders)}"
-                return f"({s})" if level > 1 else s
-            case Abs(b):
-                if debruijn:
-                    s = f"λ. {go(b, 0, binders)}"
-                else:
-                    name = next_name()
-                    s = f"\\{name}{t.annotation}. {go(b, 0, (name,) + binders)}"
-                return f"({s})" if level > 0 else s
-        raise MalformedTermError(f"not a lambda term: {t!r}")
-
-    return go(t, 0, ())
+    fresh = (name for name in map("v{}".format, count()) if name not in taken)
+    names: list[str] = []  # named mode: the binder names in scope, outermost first
+    out: list[str] = []
+    # What is left to print, last first: text, or (term, level, binders
+    # around it).  Level 1 is a function and 2 an argument: an
+    # application is parenthesized at 2, an abstraction at 1 and 2.
+    todo: list = [(t, 0, 0)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        t, level, depth = item
+        if isinstance(t, App):
+            if level > 1:
+                out.append("(")
+                todo.append(")")
+            todo += ((t.arg, 2, depth), " ", (t.fun, 1, depth))
+        elif isinstance(t, Abs):
+            if level > 0:
+                out.append("(")
+                todo.append(")")
+            if debruijn:
+                out.append("λ. ")
+            else:
+                del names[depth:]
+                names.append(next(fresh))
+                out.append(f"\\{names[-1]}{t.annotation}. ")
+            todo.append((t.body, 0, depth + 1))
+        elif isinstance(t, Var) and isinstance(t.ref, Free):
+            out.append(t.ref.name)
+        elif isinstance(t, Var) and isinstance(t.ref, Bound):
+            k = t.ref.index
+            if debruijn:
+                out.append(str(k))
+            elif k < depth:
+                del names[depth:]
+                out.append(names[~k])
+            else:
+                out.append(f"#{k - depth}")
+        else:
+            raise MalformedTermError(f"not a lambda term: {t!r}")
+    return "".join(out)
 
 
 def show_nf(t: NfTerm, debruijn: bool = False) -> str:

@@ -118,12 +118,18 @@ class Signature:
         return self._index[name]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Op:
     """An operator node: signature index plus argument terms."""
 
     op: int
     args: tuple["ScopedTerm", ...]
+
+    def __init__(self, op: int, args: tuple["ScopedTerm", ...]):
+        # Past the frozen __setattr__, as lam builds its nodes.
+        d = self.__dict__
+        d["op"] = op
+        d["args"] = args
 
 
 ScopedTerm = Var | Op
@@ -134,43 +140,94 @@ Subst = Mapping[str, ScopedTerm]
 
 
 # ---------- structural helpers ----------
+#
+# Every walk of a term keeps the operators it is inside on one explicit
+# stack, each with an iterator over the arguments it has yet to visit, so
+# nesting is bounded by memory, not by the recursion limit.  A variable is
+# dealt with in its parent's argument loop; the root is the one argument
+# of a frame of its own.  Arguments go left to right and an operator's
+# arity is checked when it is met, so the first malformed node is the one
+# a recursive walk would meet.
 
 
 def well_scoped(sig: Signature, t: ScopedTerm, depth: int = 0) -> bool:
     """Check argument counts against the signature and bound indices
     against the ambient binder depth."""
-    match t:
-        case Var(Free(_)):
-            return True
-        case Var(Bound(k)):
-            return 0 <= k < depth
-        case Op(op, args):
-            arity = sig._arities.get(op)
-            if arity is None or len(args) != len(arity):
+    arities = sig._arities
+    stack = []  # (the rest of its (argument, slots) pairs, depth) of each enclosing operator
+    todo = iter(((t, 0),))
+    while True:
+        for a, n in todo:
+            if isinstance(a, Op):
+                arity = arities.get(a.op)
+                if arity is None or len(arity) != len(a.args):
+                    return False
+                stack.append((todo, depth))
+                todo = zip(a.args, arity)
+                depth += n
+                break
+            if not isinstance(a, Var):
                 return False
-            return all(
-                well_scoped(sig, a, depth + n) for a, n in zip(args, arity)
-            )
-    return False
+            ref = a.ref
+            if not (isinstance(ref, Free) or isinstance(ref, Bound) and 0 <= ref.index < depth + n):
+                return False
+        else:
+            if not stack:
+                return True
+            todo, depth = stack.pop()
+
+
+def _replace(sig: Signature, s: Subst, by: int, t: ScopedTerm, depth: int) -> ScopedTerm:
+    # The walk behind substitute and _shift.  Under d binder slots (depth
+    # counted in) a free name in s becomes its image shifted by d, and a
+    # bound index k >= d becomes k + by.  Operators whose arguments all
+    # come back unchanged are shared, t itself included.
+    arities = sig._arities
+    # Names whose image one shift left as it was: it has no dangling index,
+    # so no shift changes it, and it is placed unshifted from then on.
+    closed = set()
+    stack = []  # (operator, its new arguments, the rest of them, depth) of each enclosing one
+    node = None
+    new: list[ScopedTerm] = []
+    todo = iter(((t, 0),))
+    while True:
+        for a, n in todo:
+            if isinstance(a, Op):
+                args = a.args
+                arity = arities.get(a.op)
+                if arity is None or len(arity) != len(args):
+                    sig.checked_arity(a.op, args)
+                stack.append((node, new, todo, depth))
+                node, new, todo = a, [], zip(args, arity)
+                depth += n
+                break
+            if isinstance(a, Var) and isinstance(a.ref, Free):
+                name = a.ref.name
+                if name in s:
+                    a = s[name]
+                    if depth + n and name not in closed:
+                        shifted = _shift(sig, a, depth + n, 0)
+                        if shifted is a:
+                            closed.add(name)
+                        a = shifted
+            elif isinstance(a, Var) and isinstance(a.ref, Bound):
+                if by and a.ref.index >= depth + n:
+                    a = bvar(a.ref.index + by)
+            else:
+                raise MalformedTermError(f"not a term: {a!r}")
+            new.append(a)
+        else:
+            if not stack:
+                return new[0]
+            done = node if all(map(is_, new, node.args)) else Op(node.op, tuple(new))
+            node, new, todo, depth = stack.pop()
+            new.append(done)
 
 
 def _shift(sig: Signature, t: ScopedTerm, by: int, cutoff: int) -> ScopedTerm:
     # Adjust dangling indices (>= cutoff) by `by`.  Subterms with no such
     # index are shared with t, t itself included, as in substitute.
-    if isinstance(t, Var):
-        ref = t.ref
-        if isinstance(ref, Bound):
-            return bvar(ref.index + by) if ref.index >= cutoff else t
-        if isinstance(ref, Free):
-            return t
-    elif isinstance(t, Op):
-        args = t.args
-        arity = sig._arities.get(t.op)
-        if arity is None or len(arity) != len(args):
-            sig.checked_arity(t.op, args)
-        new = [_shift(sig, a, by, cutoff + n) for a, n in zip(args, arity)]
-        return t if all(map(is_, new, args)) else Op(t.op, tuple(new))
-    raise MalformedTermError(f"not a term: {t!r}")
+    return _replace(sig, {}, by, t, cutoff)
 
 
 def rename(sig: Signature, f: Mapping[str, str], t: ScopedTerm) -> ScopedTerm:
@@ -185,25 +242,7 @@ def substitute(sig: Signature, s: Subst, t: ScopedTerm, depth: int = 0) -> Scope
     images untouched; bound variables are never rewritten.  Subterms
     with nothing replaced are shared with t, t itself included.
     """
-    if isinstance(t, Var):
-        ref = t.ref
-        if isinstance(ref, Free):
-            name = ref.name
-            if name in s:
-                return _shift(sig, s[name], depth, 0) if depth else s[name]
-            return t
-        if isinstance(ref, Bound):
-            return t
-    elif isinstance(t, Op):
-        args = t.args
-        arity = sig._arities.get(t.op)
-        if arity is None or len(arity) != len(args):
-            sig.checked_arity(t.op, args)
-        new = []
-        for a, n in zip(args, arity):
-            new.append(substitute(sig, s, a, depth + n))
-        return t if all(map(is_, new, args)) else Op(t.op, tuple(new))
-    raise MalformedTermError(f"not a term: {t!r}")
+    return _replace(sig, s, 0, t, depth)
 
 
 # ---------- representations and the generic fold ----------
@@ -257,25 +296,34 @@ def fold(
                 raise ConfigError(f"fold env not total: missing {name!r}")
             return env[name]
 
-    def go(t: ScopedTerm) -> Any:
-        if isinstance(t, Op):
-            op = t.op
-            args = t.args
-            arity = arities.get(op)
-            if arity is None or len(arity) != len(args):
-                sig.checked_arity(op, args)
-            return ops[op](*map(go, args))
-        if isinstance(t, Var):
-            ref = t.ref
-            if isinstance(ref, Free):
-                return env_fn(ref.name)
-            if isinstance(ref, Bound):
+    stack = []  # (operator, its folded arguments, the rest of its arguments) of each enclosing one
+    op = None
+    values: list = []
+    todo = iter((t,))
+    while True:
+        for a in todo:
+            if isinstance(a, Op):
+                args = a.args
+                arity = arities.get(a.op)
+                if arity is None or len(arity) != len(args):
+                    sig.checked_arity(a.op, args)
+                stack.append((op, values, todo))
+                op, values, todo = a.op, [], iter(args)
+                break
+            if isinstance(a, Var) and isinstance(a.ref, Free):
+                values.append(env_fn(a.ref.name))
+            elif isinstance(a, Var) and isinstance(a.ref, Bound):
                 if bound_value is None:
                     raise ConfigError("representation has no bound_value for binder slots")
-                return bound_value(ref.index)
-        raise MalformedTermError(f"not a term: {t!r}")
-
-    return go(t)
+                values.append(bound_value(a.ref.index))
+            else:
+                raise MalformedTermError(f"not a term: {a!r}")
+        else:
+            if not stack:
+                return values[0]
+            value = ops[op](*values)
+            op, values, todo = stack.pop()
+            values.append(value)
 
 
 def self_representation(sig: Signature) -> Representation:
@@ -374,37 +422,35 @@ def parse_sexpr(sig: Signature, text: str) -> ScopedTerm:
             return value
 
 
-# Marks, on the printer's stack, where an operator's text closes.
-_CLOSE = object()
-
-
 def show_sexpr(sig: Signature, t: ScopedTerm) -> str:
     arities = sig._arities
     opens = [f" ({name}" for name, _ in sig.ops]
     out: list[str] = []  # every term's text starts with a space
     append = out.append
-    stack: list = [t]
-    pop = stack.pop
-    while stack:
-        t = pop()
-        if isinstance(t, Op):
-            op = t.op
-            args = t.args
-            arity = arities.get(op)
-            if arity is None or len(arity) != len(args):
-                sig.checked_arity(op, args)
-            append(opens[op])
-            stack.append(_CLOSE)
-            stack += reversed(args)
-        elif t is _CLOSE:
-            append(")")
-        elif isinstance(t, Var) and isinstance(t.ref, Free):
-            append(" " + t.ref.name)
-        elif isinstance(t, Var) and isinstance(t.ref, Bound):
-            append(f" #{t.ref.index}")
+    stack = []  # the rest of the arguments of each enclosing operator
+    todo = iter((t,))
+    while True:
+        for a in todo:
+            if isinstance(a, Op):
+                args = a.args
+                arity = arities.get(a.op)
+                if arity is None or len(arity) != len(args):
+                    sig.checked_arity(a.op, args)
+                append(opens[a.op])
+                stack.append(todo)
+                todo = iter(args)
+                break
+            if isinstance(a, Var) and isinstance(a.ref, Free):
+                append(" " + a.ref.name)
+            elif isinstance(a, Var) and isinstance(a.ref, Bound):
+                append(f" #{a.ref.index}")
+            else:
+                raise MalformedTermError(f"not a term: {a!r}")
         else:
-            raise MalformedTermError(f"not a term: {t!r}")
-    return "".join(out)[1:]
+            if not stack:
+                return "".join(out)[1:]
+            append(")")
+            todo = stack.pop()
 
 
 # ---------- signature files ----------
@@ -423,7 +469,7 @@ def parse_signature(text: str) -> Signature:
         name, rest = line.split(":", 1)
         name = name.strip()
         rest = rest.strip()
-        if not name.isidentifier():
+        if not (name.isidentifier() and _WORD.fullmatch(name)):
             raise ParseError(f"bad operator name {name!r} on line {lineno}", lineno)
         if not (rest.startswith("[") and rest.endswith("]")):
             raise ParseError(f"expected [..] arity on line {lineno}", lineno)

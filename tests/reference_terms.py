@@ -1,8 +1,10 @@
-"""Reference versions of the term readers, the s-expression printer and
-the fold: the recursive, character-by-character forms that modlam.lam,
-modlam.typed and modlam.terms replaced, kept unchanged so the
-differential tests can compare the two on any input.  Only the scanning
-helpers they called are copied in beside them.  Also free_names, the
+"""Reference versions of the term readers, the printers, the fold and the
+other walks of a term: the recursive, character-by-character forms that
+modlam.lam, modlam.typed and modlam.terms replaced, kept unchanged so
+the differential tests can compare the two on any input.  Only the
+scanning helpers they called are copied in beside them.  The recursive
+substitute, _shift and well_scoped of modlam.terms and the recursive
+lambda printer show are here too.  Also free_names, the
 free names of a signature term, which only tests need; the recursive
 type printer show_type and type checker typecheck; and the generators gen_normal (build, then
 normalize the finished term) and gen_typed_term (a fresh candidate list
@@ -20,10 +22,12 @@ lambda always starts a binder, so there the two differ by design too.
 
 import random
 from functools import partial
+from operator import is_
 from typing import Any, Callable, Mapping, Optional
 
 from modlam.errors import ConfigError, MalformedTermError, ParseError, TypeCheckError
-from modlam.lam import _POOL_VARS, Abs, App, NfTerm, _sealed, reduce_to_normal, show
+from modlam import lam
+from modlam.lam import _POOL_VARS, Abs, App, NfTerm, _sealed, reduce_to_normal
 from modlam.terms import (
     Bound,
     Free,
@@ -206,6 +210,95 @@ def free_names(t: ScopedTerm) -> set[str]:
                 out |= free_names(a)
             return out
     raise MalformedTermError(f"not a term: {t!r}")
+
+
+def well_scoped(sig: Signature, t: ScopedTerm, depth: int = 0) -> bool:
+    match t:
+        case Var(Free(_)):
+            return True
+        case Var(Bound(k)):
+            return 0 <= k < depth
+        case Op(op, args):
+            arity = sig._arities.get(op)
+            if arity is None or len(args) != len(arity):
+                return False
+            return all(
+                well_scoped(sig, a, depth + n) for a, n in zip(args, arity)
+            )
+    return False
+
+
+def _shift(sig: Signature, t: ScopedTerm, by: int, cutoff: int) -> ScopedTerm:
+    if isinstance(t, Var):
+        ref = t.ref
+        if isinstance(ref, Bound):
+            return bvar(ref.index + by) if ref.index >= cutoff else t
+        if isinstance(ref, Free):
+            return t
+    elif isinstance(t, Op):
+        args = t.args
+        arity = sig._arities.get(t.op)
+        if arity is None or len(arity) != len(args):
+            sig.checked_arity(t.op, args)
+        new = [_shift(sig, a, by, cutoff + n) for a, n in zip(args, arity)]
+        return t if all(map(is_, new, args)) else Op(t.op, tuple(new))
+    raise MalformedTermError(f"not a term: {t!r}")
+
+
+def substitute(sig: Signature, s, t: ScopedTerm, depth: int = 0) -> ScopedTerm:
+    if isinstance(t, Var):
+        ref = t.ref
+        if isinstance(ref, Free):
+            name = ref.name
+            if name in s:
+                return _shift(sig, s[name], depth, 0) if depth else s[name]
+            return t
+        if isinstance(ref, Bound):
+            return t
+    elif isinstance(t, Op):
+        args = t.args
+        arity = sig._arities.get(t.op)
+        if arity is None or len(arity) != len(args):
+            sig.checked_arity(t.op, args)
+        new = []
+        for a, n in zip(args, arity):
+            new.append(substitute(sig, s, a, depth + n))
+        return t if all(map(is_, new, args)) else Op(t.op, tuple(new))
+    raise MalformedTermError(f"not a term: {t!r}")
+
+
+def show(t, debruijn: bool = False) -> str:
+    taken = set() if debruijn else lam.free_names(t)
+    counter = [0]
+
+    def next_name() -> str:
+        while True:
+            name = f"v{counter[0]}"
+            counter[0] += 1
+            if name not in taken:
+                return name
+
+    def go(t, level: int, binders: tuple[str, ...]) -> str:
+        match t:
+            case Var(Free(name)):
+                return name
+            case Var(Bound(k)):
+                if debruijn:
+                    return str(k)
+                return binders[k] if k < len(binders) else f"#{k - len(binders)}"
+            case App(f, a):
+                s = f"{go(f, 1, binders)} {go(a, 2, binders)}"
+                return f"({s})" if level > 1 else s
+            case Abs(b):
+                if debruijn:
+                    s = f"λ. {go(b, 0, binders)}"
+                else:
+                    name = next_name()
+                    s = f"\\{name}{t.annotation}. {go(b, 0, (name,) + binders)}"
+                return f"({s})" if level > 0 else s
+        raise MalformedTermError(f"not a lambda term: {t!r}")
+
+    return go(t, 0, ())
 
 
 def parse(text: str):

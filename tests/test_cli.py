@@ -314,6 +314,39 @@ class TestDeepTypecheck:
         assert capsys.readouterr() == (f"{ty}\n", "")
 
 
+class TestDeepTerms:
+    # The printer, the conversion to signature terms and the generic fold
+    # run on explicit stacks, so parse and fold take any nesting; a term
+    # the normalizer must nest past MAX_DEPTH still ends in the depth limit.
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "\\x. " * 20000 + "x",
+            "f (" * 20000 + "x" + ")" * 20000,
+        ],
+        ids=["binders", "right-nested-apps"],
+    )
+    def test_parse_prints_what_parses_back(self, capsys, monkeypatch, text):
+        assert run(["parse", text]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == ""
+        monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+        assert run(["parse", "-"]) == EXIT_OK
+        assert capsys.readouterr().out == out
+
+    @pytest.mark.parametrize("n", [1000, 20000])
+    def test_fold_nested_binders(self, capsys, n):
+        assert run(["fold", "\\x. " * n + "x", "--target", "nf"]) == EXIT_OK
+        names = [f"v{k}" for k in range(n)]
+        assert capsys.readouterr() == ("".join(f"\\{v}. " for v in names) + f"{names[-1]}\n", "")
+
+    def test_fold_deep_spine_hits_the_depth_limit(self, capsys):
+        assert run(["fold", "f (" * 1000 + "x" + ")" * 1000, "--target", "nf"]) == EXIT_FUEL
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("depth limit exceeded: term nesting passed 600")
+
+
 class TestUsage:
     def test_no_command(self, capsys):
         assert run([]) == EXIT_USAGE

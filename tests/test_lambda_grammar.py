@@ -1,6 +1,7 @@
-"""The lambda and typed readers against the recursive, character-by-
-character readers they replaced (tests/reference_terms.py), and on input
-nested far past the recursion limit."""
+"""The lambda and typed readers, and the printer, against the recursive,
+character-by-character readers and the recursive printer they replaced
+(tests/reference_terms.py), and on input nested far past the recursion
+limit."""
 
 import re
 import sys
@@ -11,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 import reference_terms as ref
 
 from modlam.errors import ParseError
-from modlam.lam import Abs, App, gen_term, parse, show
-from modlam.terms import bvar, fvar
+from modlam.lam import SIG_LC, Abs, App, gen_term, normalize, parse, show, show_nf, subst, to_scoped
+from modlam.terms import Var, bvar, fvar, show_sexpr
 from modlam.typed import BASE, Arrow, TAbs, gen_typed_term, parse_stlc
 
 
@@ -141,9 +142,65 @@ class TestAgainstReference:
         assert parse("\\xλ. xλ") == Abs(bvar(0))
 
 
+@st.composite
+def lambda_terms(draw):
+    """A random untyped or typed term, maybe with dangling indices, whose
+    free names may be the names the printer gives binders."""
+    rnd = draw(st.randoms(use_true_random=False))
+    depth = rnd.randrange(3)
+    if rnd.random() < 0.5:
+        t = gen_term(rnd, max_size=30, depth=depth)
+    else:
+        t = gen_typed_term(rnd, max_size=30, binders=(BASE,) * depth)
+    if rnd.random() < 0.5:
+        t = subst({"x": fvar("v0"), "y": fvar("v2")}, t)
+    return t
+
+
+def show_outcome(printer, t, debruijn):
+    try:
+        return printer(t, debruijn)
+    except Exception as e:  # noqa: BLE001 - the exception is the outcome
+        return (type(e), str(e))
+
+
+class TestShowAgainstReference:
+    """The explicit-stack printer prints what the recursive one printed, in
+    both modes: binder names that skip the free names, typed binder
+    annotations, dangling indices as #k, and the same error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lambda_terms(), st.booleans())
+    def test_show(self, t, debruijn):
+        assert show(t, debruijn) == ref.show(t, debruijn)
+
+    @pytest.mark.parametrize("k", range(10))
+    def test_church_powers_of_two(self, k):
+        # 2^k = (\m. \n. n m) 2 k in normal form; 2^9 nests 514 deep.
+        numeral = lambda n: f"(\\f. \\x. {'f (' * n}x{')' * n})"
+        nf = normalize(parse(f"(\\m. \\n. n m) {numeral(2)} {numeral(k)}"))
+        for debruijn in (False, True):
+            assert show_nf(nf, debruijn) == ref.show(nf.term, debruijn)
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            App(fvar("x"), "y"),
+            Abs(Var(None)),
+            App(Abs(bvar(0)), Abs(Var("v0"))),
+            "x",
+            Abs(App(bvar(-1), bvar(0))),
+        ],
+    )
+    def test_malformed(self, t):
+        for debruijn in (False, True):
+            assert show_outcome(show, t, debruijn) == show_outcome(ref.show, t, debruijn)
+
+
 class TestDeepNesting:
     """Both readers keep open binders, parentheses and types on an
-    explicit stack, so nesting is bounded by memory."""
+    explicit stack, so nesting is bounded by memory; so do the printer
+    and the conversion to signature terms."""
 
     DEPTH = 20_000
 
@@ -185,3 +242,33 @@ class TestDeepNesting:
         text = "(" * self.DEPTH + "x ." + ")" * self.DEPTH
         with pytest.raises(ParseError, match=f"^parse error at {self.DEPTH + 2}: expected '\\)'"):
             parse(text)
+
+    def test_show_binders(self):
+        t = bvar(0)
+        for _ in range(self.DEPTH):
+            t = Abs(t)
+        names = [f"v{k}" for k in range(self.DEPTH)]
+        assert show(t) == "".join(f"\\{v}. " for v in names) + names[-1]
+        assert show(t, debruijn=True) == "λ. " * self.DEPTH + "0"
+
+    def test_show_typed_binders_and_a_dangling_index(self):
+        t = App(bvar(self.DEPTH), bvar(self.DEPTH - 1))
+        for _ in range(self.DEPTH):
+            t = TAbs(BASE, t)
+        assert show(t).endswith(". #0 v0")
+        assert show(t).startswith("\\v0:*. \\v1:*. ")
+
+    @pytest.mark.parametrize("nested", ["right", "left"])
+    def test_show_applications(self, nested):
+        t = fvar("x")
+        for _ in range(self.DEPTH):
+            t = App(fvar("f"), t) if nested == "right" else App(t, fvar("y"))
+        if nested == "right":
+            assert show(t) == "f (" * (self.DEPTH - 1) + "f x" + ")" * (self.DEPTH - 1)
+        else:
+            assert show(t) == "x" + " y" * self.DEPTH
+
+    def test_to_scoped(self):
+        t = parse("\\x. " * self.DEPTH + "f (" * self.DEPTH + "x" + ")" * self.DEPTH)
+        want = "(abs " * self.DEPTH + "(app f " * self.DEPTH + "#0" + ")" * (2 * self.DEPTH)
+        assert show_sexpr(SIG_LC, to_scoped(t)) == want

@@ -47,6 +47,10 @@ CASES = [
     # signature files (the position is the line number)
     (parse_signature, "app [0, 0]", "parse error at 1: missing ':' on line 1"),
     (parse_signature, "1app: [0]", "parse error at 1: bad operator name '1app' on line 1"),
+    # names that are identifiers but no single token of the s-expression grammar
+    (parse_signature, "a·b: [0]", "parse error at 1: bad operator name 'a·b' on line 1"),
+    (parse_signature, "app: [0, 0]\nx\u0301: [1]", "parse error at 2: bad operator name 'x\u0301' on line 2"),
+    (parse_signature, "℘: []", "parse error at 1: bad operator name '℘' on line 1"),
     (parse_signature, "app: 0, 0", "parse error at 1: expected [..] arity on line 1"),
     (parse_signature, "app: [0]\nabs: [a]", "parse error at 2: bad arity on line 2"),
 ]

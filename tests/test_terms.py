@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 import re
 import sys
@@ -11,10 +14,12 @@ import reference_terms as ref
 from modlam.errors import ConfigError, MalformedTermError, ParseError
 from modlam.terms import (
     Bound,
+    Free,
     Op,
     Representation,
     Signature,
     Var,
+    _shift,
     bvar,
     fold,
     fvar,
@@ -465,3 +470,194 @@ class TestDeepNesting:
         text = "(abs " * self.DEPTH + "(foo x)" + ")" * self.DEPTH
         with pytest.raises(ParseError, match=f"^parse error at {5 * self.DEPTH + 1}: unknown"):
             parse_sexpr(SIG, text)
+
+    def nested(self, body, depth=DEPTH):
+        return "(abs " * depth + body + ")" * depth
+
+    def test_substitute(self):
+        t = parse_sexpr(SIG, self.nested("(app x y)"))
+        got = substitute(SIG, {"x": parse_sexpr(SIG, "(abs (app #0 z))")}, t)
+        assert show_sexpr(SIG, got) == self.nested("(app (abs (app #0 z)) y)")
+        assert substitute(SIG, {"z": fvar("w")}, t) is t
+
+    def test_rename(self):
+        t = parse_sexpr(SIG, "(app x " * self.DEPTH + "(abs (app #0 y))" + ")" * self.DEPTH)
+        want = "(app w " * self.DEPTH + "(abs (app #0 x))" + ")" * self.DEPTH
+        assert show_sexpr(SIG, rename(SIG, {"x": "w", "y": "x"}, t)) == want
+
+    def test_fold_along_self_representation(self):
+        text = self.nested("(app " * self.DEPTH + "#0" + " x)" * self.DEPTH)
+        t = parse_sexpr(SIG, text)
+        assert show_sexpr(SIG, fold(self_representation(SIG), t, {"x": fvar("x")})) == text
+
+    def test_well_scoped(self):
+        deepest = self.DEPTH - 1
+        assert well_scoped(SIG, parse_sexpr(SIG, self.nested(f"(app #{deepest} x)")))
+        assert not well_scoped(SIG, parse_sexpr(SIG, self.nested(f"(app x #{self.DEPTH})")))
+
+    def test_shift_of_an_image_with_a_dangling_index(self):
+        # The image is 20000 binders deep with an index past them all;
+        # placed under 20000 more binders it is shifted by 20000.
+        t = parse_sexpr(SIG, self.nested("x"))
+        image = parse_sexpr(SIG, self.nested(f"(app #{self.DEPTH} z)"))
+        got = substitute(SIG, {"x": image}, t)
+        want = self.nested(f"(app #{2 * self.DEPTH} z)", 2 * self.DEPTH)
+        assert show_sexpr(SIG, got) == want
+        shifted = self.nested(f"(app #{2 * self.DEPTH} z)")
+        assert show_sexpr(SIG, _shift(SIG, image, self.DEPTH, 0)) == shifted
+
+
+# ---------- the walks against the recursive ones they replaced ----------
+
+
+def seeded_term(rng, sig, budget, depth=0, dangling=False, malformed=0.0):
+    """A random term over sig of about budget nodes.  With dangling, a
+    bound index may point past the binders around it; with malformed,
+    each node is, with that probability, an operator with an argument
+    too few, an operator index out of range, or a leaf that is no term."""
+    if malformed and rng.random() < malformed:
+        kind = rng.randrange(3)
+        if kind == 0:
+            op = rng.randrange(len(sig))
+            return Op(op, tuple(fvar("x") for _ in sig.arity(op)[1:]))
+        if kind == 1:
+            return Op(len(sig), (fvar("x"),))
+        return rng.choice(["x", Var("x"), Var(None), None])
+    if budget <= 1 or rng.random() < 0.2:
+        if (depth or dangling) and rng.random() < 0.5:
+            return bvar(rng.randrange(depth + 2 if dangling else depth))
+        return fvar(rng.choice(NAMES + ("w",)))
+    op = rng.randrange(len(sig))
+    arity = sig.arity(op)
+    return Op(op, tuple(
+        seeded_term(rng, sig, (budget - 1) // max(len(arity), 1), depth + n, dangling, malformed)
+        for n in arity
+    ))
+
+
+def sharing(t, u):
+    """Whether each node of u is the very node of t at the same place, in
+    preorder, down to the first node that is not; a flat list, so ==
+    compares it without recursing."""
+    out, todo = [], [(t, u)]
+    while todo:
+        t, u = todo.pop()
+        out.append(t is u)
+        if t is not u and isinstance(t, Op) and isinstance(u, Op) and len(t.args) == len(u.args):
+            todo += zip(reversed(t.args), reversed(u.args))
+    return out
+
+
+def seeded_cases(count):
+    """(signature, term, substitution, rng) over SIG and RICH; a third of
+    the terms and a fifth of the images have malformed nodes."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        sig = (SIG, RICH)[seed % 2]
+        malformed = 0.05 if seed % 3 == 0 else 0.0
+        t = seeded_term(rng, sig, rng.randrange(1, 60), dangling=seed % 4 == 1, malformed=malformed)
+        s = {
+            name: seeded_term(
+                rng, sig, rng.randrange(1, 8), dangling=rng.random() < 0.3,
+                malformed=0.1 if rng.random() < 0.2 else 0.0,
+            )
+            for name in NAMES if rng.random() < 0.6
+        }
+        yield sig, t, s, rng
+
+
+class TestWalksAgainstReference:
+    """The explicit-stack walks give what the recursive ones in
+    tests/reference_terms.py give: the same result, the same subterms
+    shared with the input, and the same error for the first bad node."""
+
+    CASES = 1500
+
+    def assert_same(self, walk, reference, t, *args):
+        got = outcome(walk, *args)
+        want = outcome(reference, *args)
+        assert got == want
+        if isinstance(want, (Op, Var)):
+            assert sharing(t, got) == sharing(t, want)
+
+    def test_substitute(self):
+        for sig, t, s, rng in seeded_cases(self.CASES):
+            depth = rng.randrange(3)
+            self.assert_same(substitute, ref.substitute, t, sig, s, t, depth)
+
+    def test_rename(self):
+        for sig, t, s, rng in seeded_cases(self.CASES):
+            f = {name: rng.choice(NAMES) for name in s}
+            want = outcome(ref.substitute, sig, {a: fvar(b) for a, b in f.items()}, t)
+            got = outcome(rename, sig, f, t)
+            assert got == want
+            if isinstance(want, (Op, Var)):
+                assert sharing(t, got) == sharing(t, want)
+
+    def test_shift(self):
+        for sig, t, s, rng in seeded_cases(self.CASES):
+            by, cutoff = rng.randrange(-1, 4), rng.randrange(3)
+            self.assert_same(_shift, ref._shift, t, sig, t, by, cutoff)
+
+    def test_well_scoped(self):
+        for sig, t, s, rng in seeded_cases(self.CASES):
+            depth = rng.randrange(3)
+            assert well_scoped(sig, t, depth) == ref.well_scoped(sig, t, depth)
+
+    def test_nothing_mapped_shares_the_term(self):
+        for sig, t, s, rng in seeded_cases(self.CASES):
+            if ref.well_scoped(sig, t, 2):
+                assert substitute(sig, {"v": fvar("u")}, t, 2) is t
+                assert _shift(sig, t, 3, 2) is t
+
+    def test_malformed_cases_occur(self):
+        raised = [
+            outcome(substitute, sig, s, t)
+            for sig, t, s, rng in seeded_cases(self.CASES)
+        ]
+        messages = {r[1].split(":")[0] for r in raised if isinstance(r, tuple)}
+        assert any("expects" in m for m in messages)
+        assert "operator index 2 out of signature range" in messages
+        assert "not a term" in messages
+
+
+class TestOpNode:
+    """Op builds its fields past the frozen __setattr__; everything else
+    a frozen dataclass gives stays as it was."""
+
+    T = Op(1, (fvar("x"), bvar(0)))
+
+    def test_fields_equality_and_hash(self):
+        assert (self.T.op, self.T.args) == (1, (fvar("x"), bvar(0)))
+        assert self.T == Op(1, (fvar("x"), bvar(0)))
+        assert self.T != Op(0, (fvar("x"), bvar(0)))
+        assert hash(self.T) == hash((1, (fvar("x"), bvar(0))))
+        assert Op.__eq__(self.T, (1, self.T.args)) is NotImplemented
+
+    def test_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            self.T.op = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del self.T.args
+
+    def test_repr(self):
+        assert repr(self.T) == (
+            "Op(op=1, args=(Var(ref=Free(name='x')), Var(ref=Bound(index=0))))"
+        )
+
+    def test_copy_and_pickle(self):
+        for other in (copy.copy(self.T), copy.deepcopy(self.T), pickle.loads(pickle.dumps(self.T))):
+            assert other == self.T and other is not self.T
+            assert vars(other) == {"op": 1, "args": self.T.args}
+
+    def test_replace_and_keywords(self):
+        assert dataclasses.replace(self.T, op=0) == Op(0, self.T.args)
+        assert Op(args=(), op=2) == Op(2, ())
+        assert [f.name for f in dataclasses.fields(Op)] == ["op", "args"]
+
+    def test_match(self):
+        match self.T:
+            case Op(op, (Var(Free(name)), _)):
+                assert (op, name) == (1, "x")
+            case _:
+                pytest.fail("Op(op, args) did not match")
