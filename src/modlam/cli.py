@@ -1,9 +1,11 @@
-"""Command line front end.
+"""Command line front end: `modlam <command> [arguments]`.
 
-Exit codes: 0 success, 1 negative verdict (inequivalent, unrelated,
-ill-typed, failed laws), 2 parse error, 3 fuel exhausted or depth limit
-exceeded, 64 usage, 70 internal error (any other exception, reported on
-one stderr line).
+`modlam --help` prints _DESCRIPTION, which lists the exit codes.  The
+commands and their arguments are one table, _COMMANDS.  A request whose
+first argument names a command builds only that command's parser; any
+other request (no arguments, help, an option or `--` first, an unknown
+command) builds them all, so help texts and usage errors are the same
+either way.
 """
 
 from __future__ import annotations
@@ -21,6 +23,14 @@ EXIT_PARSE = 2
 EXIT_FUEL = 3
 EXIT_USAGE = 64
 EXIT_SOFTWARE = 70
+
+_DESCRIPTION = """Command line front end.
+
+Exit codes: 0 success, 1 negative verdict (inequivalent, unrelated,
+ill-typed, failed laws), 2 parse error, 3 fuel exhausted or depth limit
+exceeded, 64 usage, 70 internal error (any other exception, reported on
+one stderr line).
+"""
 
 
 class _UsageError(Exception):
@@ -50,53 +60,63 @@ def _read_term_arg(text: str) -> str:
     return text
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="modlam", description=__doc__)
+def _arg(*args, **kwargs):
+    """The arguments of one add_argument call."""
+    return args, kwargs
+
+
+_FUEL = _arg("--fuel", type=_nonnegative_int, default=DEFAULT_FUEL)
+_DEBRUIJN = _arg("--debruijn", action="store_true")
+
+# Each command, in the order --help lists them: its help line and the
+# add_argument calls of its parser.
+_COMMANDS = {
+    "parse": ("parse a lambda term and echo its canonical form", [_arg("term"), _DEBRUIJN]),
+    "normalize": ("reduce to beta-eta normal form", [_arg("term"), _FUEL, _DEBRUIJN]),
+    "equiv": ("decide beta-eta equivalence within fuel", [_arg("term1"), _arg("term2"), _FUEL]),
+    "leq": (
+        "search the reduction preorder up to a depth",
+        [_arg("term1"), _arg("term2"), _arg("--depth", type=_nonnegative_int, default=20)],
+    ),
+    "subst": (
+        "substitute free names in a term",
+        [_arg("term"), _arg("--map", required=True, metavar="x=t,y=u", dest="mapping")],
+    ),
+    "laws": (
+        "run a law suite and print its report",
+        [
+            _arg("--suite", required=True, choices=catalog.SUITES),
+            _arg("--instance", required=True, choices=catalog.INSTANCES),
+            _arg("--samples", type=_nonnegative_int, default=1000),
+            _arg("--seed", type=int, default=0),
+        ],
+    ),
+    "fold": (
+        "fold a term into an exponential target",
+        [_arg("term"), _arg("--target", required=True, choices=["nf"]), _FUEL],
+    ),
+    "typecheck": ("synthesize the type of a typed term", [_arg("term")]),
+}
+
+
+def _build_parser(names) -> _Parser:
+    """The top-level parser with a subparser for each of names, in order."""
+    parser = _Parser(prog="modlam", description=_DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("parse", help="parse a lambda term and echo its canonical form")
-    p.add_argument("term")
-    p.add_argument("--debruijn", action="store_true")
-
-    p = sub.add_parser("normalize", help="reduce to beta-eta normal form")
-    p.add_argument("term")
-    p.add_argument("--fuel", type=_nonnegative_int, default=DEFAULT_FUEL)
-    p.add_argument("--debruijn", action="store_true")
-
-    p = sub.add_parser("equiv", help="decide beta-eta equivalence within fuel")
-    p.add_argument("term1")
-    p.add_argument("term2")
-    p.add_argument("--fuel", type=_nonnegative_int, default=DEFAULT_FUEL)
-
-    p = sub.add_parser("leq", help="search the reduction preorder up to a depth")
-    p.add_argument("term1")
-    p.add_argument("term2")
-    p.add_argument("--depth", type=_nonnegative_int, default=20)
-
-    p = sub.add_parser("subst", help="substitute free names in a term")
-    p.add_argument("term")
-    p.add_argument("--map", required=True, metavar="x=t,y=u", dest="mapping")
-
-    p = sub.add_parser("laws", help="run a law suite and print its report")
-    p.add_argument("--suite", required=True, choices=catalog.SUITES)
-    p.add_argument("--instance", required=True, choices=catalog.INSTANCES)
-    p.add_argument("--samples", type=_nonnegative_int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("fold", help="fold a term into an exponential target")
-    p.add_argument("term")
-    p.add_argument("--target", required=True, choices=["nf"])
-    p.add_argument("--fuel", type=_nonnegative_int, default=DEFAULT_FUEL)
-
-    p = sub.add_parser("typecheck", help="synthesize the type of a typed term")
-    p.add_argument("term")
-
+    for name in names:
+        help_line, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        for args, kwargs in arguments:
+            p.add_argument(*args, **kwargs)
     return parser
 
 
 def run(argv: list[str]) -> int:
+    # Only the full parser lists the commands, in help and in the errors
+    # for a missing or unknown one; a named command needs just its own.
+    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(names).parse_args(argv)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import pathlib
 import subprocess
 import sys
 from unittest import mock
@@ -7,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modlam import catalog, lam, typed
+from modlam import catalog, cli, lam, typed
 from modlam.cli import (
     EXIT_FUEL,
     EXIT_NO,
@@ -358,6 +359,127 @@ class TestUsage:
         assert run(["subst", "x"]) == EXIT_USAGE
 
 
+# Requests whose exit code and transcript the one-command parser must give
+# as the full parser gives them: each command with valid arguments, each
+# kind of usage error, and the requests that name no command.
+PARSER_TABLE = [
+    (["parse", "\\x. x y", "--debruijn"], EXIT_OK),
+    (["normalize", "(\\x. x) y", "--fuel", "5"], EXIT_OK),
+    (["equiv", "\\x. y x", "y", "--fuel", "5"], EXIT_OK),
+    (["leq", "(\\x. x) y", "y", "--depth", "2"], EXIT_OK),
+    (["subst", "x y", "--map", "x=\\z. z,y=w"], EXIT_OK),
+    (["laws", "--suite", "monad", "--instance", "list", "--samples", "5", "--seed", "1"], EXIT_OK),
+    (["fold", "(\\x. x) y", "--target", "nf", "--fuel", "5"], EXIT_OK),
+    (["typecheck", "\\x:*. x"], EXIT_OK),
+    (["parse", "--", "x"], EXIT_OK),
+    (["parse"], EXIT_USAGE),
+    (["normalize", "--fuel", "5"], EXIT_USAGE),
+    (["equiv", "x"], EXIT_USAGE),
+    (["leq"], EXIT_USAGE),
+    (["subst", "x"], EXIT_USAGE),
+    (["laws", "--suite", "monad"], EXIT_USAGE),
+    (["fold", "--target", "nf"], EXIT_USAGE),
+    (["typecheck"], EXIT_USAGE),
+    (["normalize", "x", "--fuel", "-1"], EXIT_USAGE),
+    (["equiv", "x", "x", "--fuel", "-2"], EXIT_USAGE),
+    (["fold", "x", "--target", "nf", "--fuel", "-1"], EXIT_USAGE),
+    (["normalize", "x", "--fuel", "ten"], EXIT_USAGE),
+    (["leq", "x", "x", "--depth", "-1"], EXIT_USAGE),
+    (["laws", "--suite", "monad", "--instance", "pt", "--samples", "-1"], EXIT_USAGE),
+    (["parse", "x", "--bogus"], EXIT_USAGE),
+    (["typecheck", "x", "-q"], EXIT_USAGE),
+    (["parse", "x", "y"], EXIT_USAGE),
+    (["equiv", "x", "y", "z"], EXIT_USAGE),
+    (["fold", "x", "--target", "lc"], EXIT_USAGE),
+    (["laws", "--suite", "bogus", "--instance", "pt"], EXIT_USAGE),
+    (["laws", "--suite", "monad", "--instance", "bogus"], EXIT_USAGE),
+    (["laws", "--suite", "algebra", "--instance", "lc"], EXIT_USAGE),
+    ([], EXIT_USAGE),
+    (["bogus"], EXIT_USAGE),
+    (["bogus", "x"], EXIT_USAGE),
+    (["Parse", "x"], EXIT_USAGE),
+    (["norm", "x"], EXIT_USAGE),
+    (["--fuel", "3", "normalize", "x"], EXIT_USAGE),
+    (["-q", "parse", "x"], EXIT_USAGE),
+    (["--", "parse", "x"], EXIT_USAGE),
+    (["--"], EXIT_USAGE),
+    (["-"], EXIT_USAGE),
+]
+
+
+def _parse_outcome(names, argv):
+    """What the parser for names makes of argv: the namespace, the usage
+    message, or the exit code and stdout of --help."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return vars(cli._build_parser(names).parse_args(argv))
+    except cli._UsageError as e:
+        return ("usage", str(e))
+    except SystemExit as e:
+        return ("exit", e.code, out.getvalue())
+
+
+class TestOneCommandParser:
+    """A request that names its command builds only that command's
+    parser; what the user sees is what the full parser gives."""
+
+    @pytest.mark.parametrize(
+        "argv, code", PARSER_TABLE, ids=[" ".join(argv) or "(none)" for argv, _ in PARSER_TABLE]
+    )
+    def test_same_transcript_as_the_full_parser(self, capsys, monkeypatch, argv, code):
+        got = (run(argv), *capsys.readouterr())
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda names: build(cli._COMMANDS))
+        want = (run(argv), *capsys.readouterr())
+        assert got == want
+        assert got[0] == code
+        if code == EXIT_USAGE:
+            assert got[1] == "" and got[2].startswith("usage error: ") and got[2].count("\n") == 1
+
+    def test_the_table_has_each_command_with_valid_arguments(self):
+        assert {argv[0] for argv, code in PARSER_TABLE if code == EXIT_OK} == set(cli._COMMANDS)
+
+    # tests/cli_help holds every --help text at 80 columns: modlam.txt the
+    # top-level one, <command>.txt each command's.
+    @pytest.mark.parametrize("command", ["", *cli._COMMANDS])
+    def test_help_texts_are_the_goldens(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as e:
+            run([command, "--help"] if command else ["--help"])
+        assert e.value.code == 0
+        golden = pathlib.Path(__file__).parent / "cli_help" / f"{command or 'modlam'}.txt"
+        assert capsys.readouterr() == (golden.read_text(), "")
+
+
+class TestParsersBuilt:
+    """The work a request saves, as a count of the _Parser objects it
+    builds: the top-level one and one per command it adds."""
+
+    @pytest.mark.parametrize(
+        "argv, built",
+        [
+            (["normalize", "x"], 2),
+            (["laws", "--suite", "monad", "--instance", "bogus"], 2),
+            ([], 9),
+            (["bogus"], 9),
+            (["--", "normalize", "x"], 9),
+        ],
+        ids=["normalize", "laws-usage-error", "no-arguments", "unknown-command", "dashdash-first"],
+    )
+    def test_parsers_built(self, capsys, monkeypatch, argv, built):
+        count = []
+        init = cli._Parser.__init__
+
+        def counting(self, *args, **kwargs):
+            count.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting)
+        run(argv)
+        assert len(count) == built
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(
@@ -428,12 +550,15 @@ class TestFuzz:
     @given(REQUESTS, EXTRA, TEXT)
     def test_every_request_ends_in_a_documented_code(self, request, extra, stdin):
         command, args = request
+        argv = [command, *args, *extra]
         out, err = io.StringIO(), io.StringIO()
         with mock.patch("sys.stdin", io.StringIO(stdin)):
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 try:
-                    code = run([command, *args, *extra])
+                    code = run(argv)
                 except SystemExit as e:  # argparse's --help, as main() would exit
                     code = e.code
         assert code in (EXIT_OK, EXIT_NO, EXIT_PARSE, EXIT_FUEL, EXIT_USAGE, EXIT_SOFTWARE)
         assert "Traceback" not in err.getvalue()
+        # the one-command parser reads argv as the full parser does
+        assert _parse_outcome([command], argv) == _parse_outcome(cli._COMMANDS, argv)
