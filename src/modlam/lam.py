@@ -23,12 +23,27 @@ nesting from where it starts: nf_abs and nf_app1 can nest a normal form
 one level deeper, so they do not mark.  The mark is not a dataclass
 field, so equality, hashing, repr and dataclasses.replace do not see it;
 copy and pickle carry it.  Nodes are immutable, so a mark stays right.
+
+App and Abs nodes carry a second mark, the loose-bound mark
+_dangling_below, which only this module writes too.  _dangling_below = L
+means that every dangling index of the node is below L; the class
+default, sys.maxsize, says nothing.  It is written lazily, by the walk
+behind shift and subst0: on a node that comes back unchanged because no
+variable under it was rewritten, the walk writes the cutoff it reached
+the node at.  It counts the rewrites, since an image can be the very
+variable it replaces.  A later shift or subst0 returns a node marked at
+or below its cutoff there as it is, without descending, and uses_bound
+skips it.  A name substitution neither reads nor writes the mark; it
+reaches marked nodes through the shifts of its images.  Like _normal,
+the mark is not a dataclass field, and it depends only on the node's
+structure, so it stays right.
 """
 
 from __future__ import annotations
 
 import random
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from itertools import count
@@ -55,7 +70,8 @@ from .terms import (
 # The constructors write the instance __dict__ directly: a frozen
 # dataclass's own __init__ sets each field through object.__setattr__, and
 # the normalizer and the generators build hundreds of thousands of nodes.
-# _normal is the normal-form mark (see reduce_to_normal), unset by default.
+# _normal is the normal-form mark (see reduce_to_normal), unset by default;
+# _dangling_below is the loose-bound mark (see _replace), unknown by default.
 
 
 @dataclass(frozen=True, init=False)
@@ -64,6 +80,7 @@ class App:
     arg: "LcTerm"
 
     _normal = False
+    _dangling_below = sys.maxsize
 
     def __init__(self, fun: "LcTerm", arg: "LcTerm"):
         d = self.__dict__
@@ -80,6 +97,7 @@ class Abs:
     # every shift, substitution and reduction step.
     annotation = ""  # printed after the binder name
     _normal = False
+    _dangling_below = sys.maxsize
 
     def __init__(self, body: "LcTerm"):
         self.__dict__["body"] = body
@@ -111,6 +129,94 @@ def free_names(t: LcTerm) -> set[str]:
 
 
 # ---------- shifting and substitution ----------
+#
+# shift, subst and subst0 are one walk, _replace.  It keeps the nodes it
+# is inside on an explicit stack, so nesting is bounded by memory, not by
+# the recursion limit.  A variable is dealt with where the walk meets it,
+# with no frame of its own.  A function goes before its argument, so the
+# first malformed node met is the one a recursive walk would meet.
+
+# In a walk's stack, the frame of an abstraction holds _BODY where the
+# frame of an application holds its first walked child, or None.
+_BODY = object()
+
+
+def _replace(
+    t: LcTerm, s: Mapping[str, LcTerm], by: int, images: Optional[dict], depth: int
+) -> LcTerm:
+    # Under d binders (depth counted in) a free name in s becomes its
+    # image shifted by d.  With by nonzero, a dangling index k >= d
+    # becomes k + by; but when images is given, as {0: u}, index d
+    # becomes u shifted by d, kept in images[d] for the next occurrence.
+    # A node whose children all come back unchanged is shared, t itself
+    # included, and an abstraction is rebuilt through with_body.
+    #
+    # Only an index rewrite (by nonzero) reads or writes the marks: it
+    # returns a node marked at or below d as it is, and marks d on a node
+    # under which it rewrote no variable.  It counts the rewrites, since
+    # an image can be the very variable it replaces.
+    closed = None  # names whose image one shift left as it was
+    rewrites = 0
+    # (node, rewrites before it, _BODY or the new function once walked,
+    # else None) for each node the walk is inside
+    stack = []
+    while True:
+        if isinstance(t, Var):
+            ref = t.ref
+            if isinstance(ref, Bound):
+                k = ref.index
+                if by and k >= depth:
+                    rewrites += 1
+                    if k > depth or images is None:
+                        t = bvar(k + by)
+                    else:
+                        t = images.get(depth)
+                        if t is None:
+                            t = images[depth] = shift(images[0], depth)
+            elif isinstance(ref, Free):
+                name = ref.name
+                if name in s:
+                    t = s[name]
+                    if depth and (closed is None or name not in closed):
+                        shifted = shift(t, depth)
+                        if shifted is t:
+                            closed = closed or set()
+                            closed.add(name)
+                        t = shifted
+            else:
+                raise MalformedTermError(f"not a lambda term: {t!r}")
+        elif isinstance(t, App):
+            if not by or t._dangling_below > depth:
+                stack.append((t, rewrites, None))
+                t = t.fun
+                continue
+        elif isinstance(t, Abs):
+            if not by or t._dangling_below > depth:
+                stack.append((t, rewrites, _BODY))
+                depth += 1
+                t = t.body
+                continue
+        else:
+            raise MalformedTermError(f"not a lambda term: {t!r}")
+        # t is walked: hand it to the nodes it is inside, up to one with
+        # a child still to walk.
+        while stack:
+            node, before, f = stack.pop()
+            if f is None:
+                stack.append((node, before, t))
+                t = node.arg
+                break
+            if f is _BODY:
+                depth -= 1
+            if by and rewrites == before:
+                node.__dict__["_dangling_below"] = depth
+                t = node
+            elif f is _BODY:
+                t = node if t is node.body else node.with_body(t)
+            else:
+                t = node if f is node.fun and t is node.arg else App(f, t)
+        else:
+            return t
 
 
 def shift(t: LcTerm, by: int = 1, cutoff: int = 0) -> LcTerm:
@@ -121,20 +227,7 @@ def shift(t: LcTerm, by: int = 1, cutoff: int = 0) -> LcTerm:
     with no index at or above the cutoff are shared with t, t itself
     included, as in subst.
     """
-    if isinstance(t, Var):
-        ref = t.ref
-        if isinstance(ref, Bound):
-            return bvar(ref.index + by) if ref.index >= cutoff else t
-        if isinstance(ref, Free):
-            return t
-    elif isinstance(t, App):
-        f = shift(t.fun, by, cutoff)
-        a = shift(t.arg, by, cutoff)
-        return t if f is t.fun and a is t.arg else App(f, a)
-    elif isinstance(t, Abs):
-        b = shift(t.body, by, cutoff + 1)
-        return t if b is t.body else t.with_body(b)
-    raise MalformedTermError(f"not a lambda term: {t!r}")
+    return _replace(t, {}, by, None, cutoff)
 
 
 def subst(s: Mapping[str, LcTerm], t: LcTerm, depth: int = 0) -> LcTerm:
@@ -148,23 +241,7 @@ def subst(s: Mapping[str, LcTerm], t: LcTerm, depth: int = 0) -> LcTerm:
     abstraction is rebuilt (with_body, keeping its binder data) only
     when its body changed.
     """
-    if isinstance(t, Var):
-        ref = t.ref
-        if isinstance(ref, Free):
-            name = ref.name
-            if name in s:
-                return shift(s[name], depth) if depth else s[name]
-            return t
-        if isinstance(ref, Bound):
-            return t
-    elif isinstance(t, App):
-        f = subst(s, t.fun, depth)
-        a = subst(s, t.arg, depth)
-        return t if f is t.fun and a is t.arg else App(f, a)
-    elif isinstance(t, Abs):
-        b = subst(s, t.body, depth + 1)
-        return t if b is t.body else t.with_body(b)
-    raise MalformedTermError(f"not a lambda term: {t!r}")
+    return _replace(t, s, 0, None, depth)
 
 
 def subst0(t: LcTerm, u: LcTerm) -> LcTerm:
@@ -178,45 +255,28 @@ def subst0(t: LcTerm, u: LcTerm) -> LcTerm:
     changed.  Terms are immutable, so u is shifted at most once per binder
     depth and every occurrence at that depth gets the same term.
     """
-    shifted = {0: u}
-
-    def go(t: LcTerm, j: int) -> LcTerm:
-        if isinstance(t, Var):
-            ref = t.ref
-            if isinstance(ref, Bound):
-                k = ref.index
-                if k == j:
-                    image = shifted.get(j)
-                    if image is None:
-                        image = shifted[j] = shift(u, j)
-                    return image
-                return bvar(k - 1) if k > j else t
-            if isinstance(ref, Free):
-                return t
-        elif isinstance(t, App):
-            f = go(t.fun, j)
-            a = go(t.arg, j)
-            return t if f is t.fun and a is t.arg else App(f, a)
-        elif isinstance(t, Abs):
-            b = go(t.body, j + 1)
-            return t if b is t.body else t.with_body(b)
-        raise MalformedTermError(f"not a lambda term: {t!r}")
-
-    return go(t, 0)
+    return _replace(t, {}, -1, {0: u}, 0)
 
 
 def uses_bound(t: LcTerm, index: int) -> bool:
-    if isinstance(t, Var):
-        ref = t.ref
-        if isinstance(ref, Bound):
-            return ref.index == index
-        if isinstance(ref, Free):
-            return False
-    elif isinstance(t, App):
-        return uses_bound(t.fun, index) or uses_bound(t.arg, index)
-    elif isinstance(t, Abs):
-        return uses_bound(t.body, index + 1)
-    raise MalformedTermError(f"not a lambda term: {t!r}")
+    """Does t use the dangling index `index`?  On an explicit stack,
+    function before argument; a node marked at or below the index the
+    walk looks for there uses no index that large, and is skipped."""
+    todo = [(t, index)]
+    while todo:
+        t, k = todo.pop()
+        if isinstance(t, App):
+            if t._dangling_below > k:
+                todo += ((t.arg, k), (t.fun, k))
+        elif isinstance(t, Abs):
+            if t._dangling_below > k:
+                todo.append((t.body, k + 1))
+        elif isinstance(t, Var) and isinstance(t.ref, Bound):
+            if t.ref.index == k:
+                return True
+        elif not (isinstance(t, Var) and isinstance(t.ref, Free)):
+            raise MalformedTermError(f"not a lambda term: {t!r}")
+    return False
 
 
 # ---------- reduction ----------
@@ -293,8 +353,8 @@ def _sealed(t: LcTerm) -> NfTerm:
 # Nesting that the normalizer allows: binders entered, plus App nodes above
 # the argument being normalized, plus arguments pending on the head spine.
 # Every node of a normal form it returns sat at such a depth, so the walks
-# that still recurse (dataclass == and hash, subst) run on it well below
-# the interpreter's recursion limit.  Church 2^9 needs 514; the law
+# that still recurse (dataclass == and hash) run on it well below the
+# interpreter's recursion limit.  Church 2^9 needs 514; the law
 # suites' successful reductions stay below 10.
 MAX_DEPTH = 600
 
@@ -406,9 +466,8 @@ def reduce_to_normal(t: LcTerm, fuel: Fuel | int = DEFAULT_FUEL) -> LcTerm:
 
     A term nested deeper than MAX_DEPTH raises DepthLimit, a kind of
     FuelExhausted: nesting is a resource ceiling of the same kind as the
-    step budget.  A RecursionError from the recursive helpers on a term
-    the limit let through (a deep argument copied by subst0) raises
-    DepthLimit too.
+    step budget.  Every walk a reduction makes keeps its nodes on an
+    explicit stack, so the outcome does not depend on the recursion limit.
 
     The root of every result is marked normal, and a marked term is its
     own result at once: it would spend no fuel and nest within the limit.
@@ -416,12 +475,7 @@ def reduce_to_normal(t: LcTerm, fuel: Fuel | int = DEFAULT_FUEL) -> LcTerm:
     budget = Fuel.coerce(fuel)
     if getattr(t, "_normal", False):
         return t
-    try:
-        return _marked(_beta_normal(t, budget))
-    except RecursionError:
-        raise DepthLimit(
-            "a substitution outgrew the recursion limit within the depth limit"
-        ) from None
+    return _marked(_beta_normal(t, budget))
 
 
 def _marked(t: LcTerm) -> LcTerm:

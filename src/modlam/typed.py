@@ -38,6 +38,7 @@ from .errors import MalformedTermError, TypeCheckError
 from .fuel import DEFAULT_FUEL, Fuel
 from .harness import ModuleInstance, MonadInstance
 from .lam import (
+    _BODY,
     Abs,
     App,
     _expect,
@@ -260,13 +261,15 @@ def stlc_subst(s: Mapping[str, StlcTerm], t: StlcTerm) -> StlcTerm:
     error too, reported after the walk: of several, the first by name.
     An image that types is closed (typecheck rejects a dangling index),
     so shifting it under binders is the identity and the walk places the
-    image itself.  Subterms with nothing replaced are shared with t.
+    image itself.  Subterms with nothing replaced are shared with t.  The
+    walk keeps the nodes it is inside on an explicit stack, so nesting is
+    bounded by memory.
     """
     image_types = {name: _kept(img, "_type", type_of) for name, img in s.items()}
     declared: dict[str, SimpleType] = {}
     clashes: list[str] = []
-
-    def go(t: StlcTerm) -> StlcTerm:
+    stack = []  # (node, _BODY or the new argument once walked, else None) of each enclosing one
+    while True:
         if isinstance(t, Var):
             ref = t.ref
             if isinstance(ref, TFree):
@@ -277,28 +280,39 @@ def stlc_subst(s: Mapping[str, StlcTerm], t: StlcTerm) -> StlcTerm:
                 if name in s:
                     if image_types[name] is not ty:
                         clashes.append(name)
-                    return s[name]
-                return t
-            if isinstance(ref, Bound):
-                return t
+                    t = s[name]
+            elif not isinstance(ref, Bound):
+                raise MalformedTermError(f"not a typed term: {t!r}")
         elif isinstance(t, App):
             # The argument first, as free_types pops it first.
-            a = go(t.arg)
-            f = go(t.fun)
-            return t if f is t.fun and a is t.arg else App(f, a)
+            stack.append((t, None))
+            t = t.arg
+            continue
         elif isinstance(t, TAbs):
-            b = go(t.body)
-            return t if b is t.body else TAbs(t.binder_type, b)
-        raise MalformedTermError(f"not a typed term: {t!r}")
-
-    out = go(t)
+            stack.append((t, _BODY))
+            t = t.body
+            continue
+        else:
+            raise MalformedTermError(f"not a typed term: {t!r}")
+        while stack:
+            node, a = stack.pop()
+            if a is None:
+                stack.append((node, t))
+                t = node.fun
+                break
+            if a is _BODY:
+                t = node if t is node.body else TAbs(node.binder_type, t)
+            else:
+                t = node if t is node.fun and a is node.arg else App(t, a)
+        else:
+            break
     if clashes:
         name = min(clashes)
         raise TypeCheckError(
             f"image for {name!r} has type {show_type(image_types[name])}, "
             f"occurrence declares {show_type(declared[name])}"
         )
-    return out
+    return t
 
 
 def stlc_normalize(t: StlcTerm, fuel: Fuel | int = DEFAULT_FUEL) -> StlcTerm:

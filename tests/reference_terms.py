@@ -3,8 +3,10 @@ other walks of a term: the recursive, character-by-character forms that
 modlam.lam, modlam.typed and modlam.terms replaced, kept unchanged so
 the differential tests can compare the two on any input.  Only the
 scanning helpers they called are copied in beside them.  The recursive
-substitute, _shift and well_scoped of modlam.terms and the recursive
-lambda printer show are here too.  Also free_names, the
+substitute, _shift and well_scoped of modlam.terms, the recursive
+lambda printer show, and modlam.lam's recursive shift, subst, subst0
+and uses_bound (as lam_shift, lam_subst, lam_subst0 and uses_bound) and
+modlam.typed's recursive stlc_subst are here too.  Also free_names, the
 free names of a signature term, which only tests need; the recursive
 type printer show_type and type checker typecheck; and the generators gen_normal (build, then
 normalize the finished term) and gen_typed_term (a fresh candidate list
@@ -50,6 +52,7 @@ from modlam.typed import (
     TApp,
     TFree,
     TVar,
+    type_of,
 )
 
 
@@ -267,6 +270,85 @@ def substitute(sig: Signature, s, t: ScopedTerm, depth: int = 0) -> ScopedTerm:
     raise MalformedTermError(f"not a term: {t!r}")
 
 
+def lam_shift(t, by: int = 1, cutoff: int = 0):
+    if isinstance(t, Var):
+        ref = t.ref
+        if isinstance(ref, Bound):
+            return bvar(ref.index + by) if ref.index >= cutoff else t
+        if isinstance(ref, Free):
+            return t
+    elif isinstance(t, App):
+        f = lam_shift(t.fun, by, cutoff)
+        a = lam_shift(t.arg, by, cutoff)
+        return t if f is t.fun and a is t.arg else App(f, a)
+    elif isinstance(t, Abs):
+        b = lam_shift(t.body, by, cutoff + 1)
+        return t if b is t.body else t.with_body(b)
+    raise MalformedTermError(f"not a lambda term: {t!r}")
+
+
+def lam_subst(s, t, depth: int = 0):
+    if isinstance(t, Var):
+        ref = t.ref
+        if isinstance(ref, Free):
+            name = ref.name
+            if name in s:
+                return lam_shift(s[name], depth) if depth else s[name]
+            return t
+        if isinstance(ref, Bound):
+            return t
+    elif isinstance(t, App):
+        f = lam_subst(s, t.fun, depth)
+        a = lam_subst(s, t.arg, depth)
+        return t if f is t.fun and a is t.arg else App(f, a)
+    elif isinstance(t, Abs):
+        b = lam_subst(s, t.body, depth + 1)
+        return t if b is t.body else t.with_body(b)
+    raise MalformedTermError(f"not a lambda term: {t!r}")
+
+
+def lam_subst0(t, u):
+    shifted = {0: u}
+
+    def go(t, j: int):
+        if isinstance(t, Var):
+            ref = t.ref
+            if isinstance(ref, Bound):
+                k = ref.index
+                if k == j:
+                    image = shifted.get(j)
+                    if image is None:
+                        image = shifted[j] = lam_shift(u, j)
+                    return image
+                return bvar(k - 1) if k > j else t
+            if isinstance(ref, Free):
+                return t
+        elif isinstance(t, App):
+            f = go(t.fun, j)
+            a = go(t.arg, j)
+            return t if f is t.fun and a is t.arg else App(f, a)
+        elif isinstance(t, Abs):
+            b = go(t.body, j + 1)
+            return t if b is t.body else t.with_body(b)
+        raise MalformedTermError(f"not a lambda term: {t!r}")
+
+    return go(t, 0)
+
+
+def uses_bound(t, index: int) -> bool:
+    if isinstance(t, Var):
+        ref = t.ref
+        if isinstance(ref, Bound):
+            return ref.index == index
+        if isinstance(ref, Free):
+            return False
+    elif isinstance(t, App):
+        return uses_bound(t.fun, index) or uses_bound(t.arg, index)
+    elif isinstance(t, Abs):
+        return uses_bound(t.body, index + 1)
+    raise MalformedTermError(f"not a lambda term: {t!r}")
+
+
 def show(t, debruijn: bool = False) -> str:
     taken = set() if debruijn else lam.free_names(t)
     counter = [0]
@@ -425,6 +507,46 @@ def typecheck(
         case TAbs(ty, b):
             return Arrow(ty, typecheck(ctx, b, (ty,) + _binders))
     raise MalformedTermError(f"not a typed term: {t!r}")
+
+
+def stlc_subst(s, t):
+    image_types = {name: type_of(img) for name, img in s.items()}
+    declared: dict = {}
+    clashes: list = []
+
+    def go(t):
+        if isinstance(t, Var):
+            ref = t.ref
+            if isinstance(ref, TFree):
+                name = ref.name
+                ty = declared.setdefault(name, ref.type)
+                if ty is not ref.type:
+                    raise TypeCheckError(f"free name {name!r} used at two types")
+                if name in s:
+                    if image_types[name] is not ty:
+                        clashes.append(name)
+                    return s[name]
+                return t
+            if isinstance(ref, Bound):
+                return t
+        elif isinstance(t, App):
+            # The argument first, as free_types pops it first.
+            a = go(t.arg)
+            f = go(t.fun)
+            return t if f is t.fun and a is t.arg else App(f, a)
+        elif isinstance(t, TAbs):
+            b = go(t.body)
+            return t if b is t.body else TAbs(t.binder_type, b)
+        raise MalformedTermError(f"not a typed term: {t!r}")
+
+    out = go(t)
+    if clashes:
+        name = min(clashes)
+        raise TypeCheckError(
+            f"image for {name!r} has type {show_type(image_types[name])}, "
+            f"occurrence declares {show_type(declared[name])}"
+        )
+    return out
 
 
 def gen_normal(rng: random.Random, max_size: int = 8, depth: int = 0) -> NfTerm:

@@ -125,6 +125,15 @@ class TestLeq:
         assert capsys.readouterr().out == "not related within depth 1\n"
         assert run(["leq", t, "y", "--depth", "2"]) == EXIT_OK
 
+    def test_mult_reaches_its_numeral(self, capsys):
+        # Some step of this search substitutes a bare index whose image,
+        # shifted under a binder, is the very variable it replaces: that
+        # subterm comes back unchanged yet uses the index, so it must not
+        # be marked closed.
+        mult = f"(\\m. \\n. \\f. m (n f)) {numeral(2)} {numeral(3)}"
+        assert run(["leq", mult, numeral(6), "--depth", "20"]) == EXIT_OK
+        assert capsys.readouterr() == ("related\n", "")
+
     def test_negative_depth(self, capsys):
         assert run(["leq", "x", "x", "--depth", "-1"]) == EXIT_USAGE
         assert capsys.readouterr() == (

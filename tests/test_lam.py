@@ -1,3 +1,4 @@
+import random
 import re
 from functools import partial
 
@@ -46,9 +47,10 @@ from modlam.lam import (
     to_scoped,
     uses_bound,
 )
-from modlam.terms import Bound, Op, Var, bvar, fvar, parse_sexpr, well_scoped
+from modlam.terms import Bound, Free, Op, Var, bvar, fvar, parse_sexpr, well_scoped
 from modlam.typed import BASE, Arrow, TAbs
 
+import reference_terms as ref
 from faulty_instances import naive_prime_monad
 
 NAMES = ("x", "y", "z")
@@ -101,6 +103,42 @@ def naive_subst0(t, u, j: int = 0):
     if isinstance(t, App):
         return App(naive_subst0(t.fun, u, j), naive_subst0(t.arg, u, j))
     return t.with_body(naive_subst0(t.body, u, j + 1))
+
+
+def naive_subst(s, t, depth: int = 0):
+    """The reference for subst: rebuilds every node, shifts each image
+    afresh at every occurrence."""
+    if isinstance(t, Var):
+        ref = t.ref
+        if isinstance(ref, Free) and ref.name in s:
+            return naive_shift(s[ref.name], depth)
+        return Var(ref)
+    if isinstance(t, App):
+        return App(naive_subst(s, t.fun, depth), naive_subst(s, t.arg, depth))
+    return t.with_body(naive_subst(s, t.body, depth + 1))
+
+
+def dangling_below(t) -> int:
+    """The least L such that every dangling index of t is below L."""
+    if isinstance(t, Var):
+        return max(t.ref.index + 1, 0) if isinstance(t.ref, Bound) else 0
+    if isinstance(t, App):
+        return max(dangling_below(t.fun), dangling_below(t.arg))
+    return max(dangling_below(t.body) - 1, 0)
+
+
+def marks(*roots) -> list:
+    """(node, its mark) for every marked App or Abs under roots."""
+    out, seen, todo = [], set(), list(roots)
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Var) or id(t) in seen:
+            continue
+        seen.add(id(t))
+        if "_dangling_below" in vars(t):
+            out.append((t, vars(t)["_dangling_below"]))
+        todo += (t.fun, t.arg) if isinstance(t, App) else (t.body,)
+    return out
 
 
 class TestShiftAndSubst:
@@ -201,6 +239,156 @@ class TestShiftAndSubst:
     @given(lc_terms())
     def test_identity(self, t):
         assert subst({}, t) == t
+
+
+# One step on a pool of terms: (kind, two pool positions, by, cutoff).
+POOL_STEPS = st.tuples(
+    st.sampled_from(("subst0", "shift", "subst", "app", "abs")),
+    st.integers(0, 63),
+    st.integers(0, 63),
+    st.sampled_from((1, -1, 2)),
+    st.integers(0, 2),
+)
+
+
+class TestDanglingMarks:
+    """The loose-bound mark _dangling_below = L says every dangling index
+    of a node is below L; index rewrites read and write it on nodes that
+    later calls meet again."""
+
+    @given(
+        st.lists(lc_terms(2, binders=MIXED_BINDERS), min_size=1, max_size=4),
+        st.lists(POOL_STEPS, max_size=12),
+    )
+    def test_marks_left_by_one_call_hold_for_the_next(self, pool, steps):
+        # Each result joins the pool, sharing nodes with the terms it came
+        # from, so later steps meet nodes that earlier ones marked.  Bare
+        # indices in the pool make images that are the very variable they
+        # replace.
+        pool = [bvar(0), bvar(1), *pool]
+        for kind, i, j, by, cutoff in steps:
+            a, b = pool[i % len(pool)], pool[j % len(pool)]
+            if kind == "subst0":
+                out, expected = subst0(a, b), naive_subst0(a, b)
+            elif kind == "shift":
+                out, expected = shift(a, by, cutoff), naive_shift(a, by, cutoff)
+            elif kind == "subst":
+                s = {"x": b, "y": bvar(cutoff)}
+                out, expected = subst(s, a, cutoff), naive_subst(s, a, cutoff)
+            else:
+                out = expected = App(a, b) if kind == "app" else MIXED_BINDERS[cutoff](a)
+            # Dataclass equality compares classes and binder types too.
+            assert out == expected
+            pool.append(out)
+            for node, mark in marks(*pool):
+                assert dangling_below(node) <= mark, (node, mark)
+
+    def test_an_image_that_is_the_variable_it_replaces(self):
+        # Under the binder, #0 shifted is #1, the variable it replaces:
+        # the term comes back as it was, yet it uses index 0.
+        t = Abs(App(bvar(1), bvar(0)))
+        assert subst0(t, bvar(0)) is t
+        assert marks(t) == []
+        assert shift(t, 1) == Abs(App(bvar(2), bvar(0)))
+
+    def test_leq_mult_reaches_its_numeral(self):
+        mult = parse("(\\m. \\n. \\f. m (n f)) (\\f. \\x. f (f x)) (\\f. \\x. f (f (f x)))")
+        six = parse("\\f. \\x. f (f (f (f (f (f x)))))")
+        assert preorder_leq(mult, six, depth=20)
+
+    def test_a_shift_marks_what_it_leaves_alone(self):
+        closed = parse("\\x. x (\\y. y x)")
+        t = App(bvar(0), closed)
+        out = shift(t, 1)
+        assert out.arg is closed and vars(closed)["_dangling_below"] == 0
+        # Marked closed, it is shared by every later rewrite of indices.
+        assert subst0(App(closed, bvar(0)), fvar("z")).fun is closed
+        assert shift(closed, -1, 0) is closed and uses_bound(closed, 0) is False
+
+    def test_a_name_substitution_ignores_the_marks(self):
+        t = Abs(App(bvar(0), fvar("y")))
+        assert shift(t) is t and vars(t)["_dangling_below"] == 0
+        assert subst({"y": fvar("z")}, t) == Abs(App(bvar(0), fvar("z")))
+
+
+def malformed(rng, t):
+    """t with one leaf, reached by a random path, replaced by a non-term."""
+    if isinstance(t, App):
+        if rng.random() < 0.5:
+            return App(malformed(rng, t.fun), t.arg)
+        return App(t.fun, malformed(rng, t.arg))
+    if isinstance(t, Abs):
+        return t.with_body(malformed(rng, t.body))
+    return rng.choice((None, "junk", Var(None), Op(0, ())))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except MalformedTermError as e:
+        return str(e)
+
+
+def input_nodes_kept(out, *inputs) -> list:
+    """In pre-order over out, whether each App or Abs is a node of an input."""
+    ids = {id(n) for n in app_abs_nodes(*inputs)}
+    return [id(n) in ids for n in app_abs_nodes(out)]
+
+
+def app_abs_nodes(*roots) -> list:
+    out, todo = [], list(roots)
+    while todo:
+        t = todo.pop()
+        if isinstance(t, (App, Abs)):
+            out.append(t)
+            todo += (t.arg, t.fun) if isinstance(t, App) else (t.body,)
+    return out
+
+
+class TestWalksAgainstReference:
+    """shift, subst, subst0 and uses_bound against the recursive walks
+    they replaced (tests/reference_terms.py): the same result, the same
+    nodes shared with the inputs, and the same first MalformedTermError,
+    on a first call and again once the marks are written."""
+
+    def test_same_results_sharing_and_first_error(self):
+        rng = random.Random(2206)
+        for _ in range(3000):
+            t, u = gen_term(rng, 12, depth=2), gen_term(rng, 6, depth=1)
+            if rng.random() < 0.15:
+                t = malformed(rng, t)
+            if rng.random() < 0.05:
+                u = malformed(rng, u)
+            s = {"x": u, "y": gen_term(rng, 4)}
+            by, depth = rng.choice((1, -1, 3)), rng.randrange(3)
+            for new, old, args in (
+                (shift, ref.lam_shift, (t, by, depth)),
+                (subst0, ref.lam_subst0, (t, u)),
+                (subst, ref.lam_subst, (s, t, depth)),
+                (uses_bound, ref.uses_bound, (t, depth)),
+            ):
+                expected = outcome(old, *args)
+                for _ in range(2):
+                    got = outcome(new, *args)
+                    assert got == expected, (new.__name__, args)
+                    if isinstance(got, (App, Abs)):
+                        inputs = (t, u, *s.values())
+                        assert input_nodes_kept(got, *inputs) == input_nodes_kept(expected, *inputs)
+
+    def test_walks_past_the_recursion_limit(self):
+        n = 20000
+        t = bvar(n)  # index 0 of the scope around n binders
+        for _ in range(n):
+            t = Abs(t)
+        assert uses_bound(t, 0) and not uses_bound(t, 1)
+        out = subst0(t, App(bvar(0), fvar("y")))
+        shifted = shift(t, 2)
+        named = subst({"y": fvar("z")}, subst0(t, fvar("y")))
+        for _ in range(n):
+            out, shifted, named = out.body, shifted.body, named.body
+        assert out == App(bvar(n), fvar("y"))
+        assert shifted == bvar(n + 2)
+        assert named == fvar("z")
 
 
 class TestReduction:

@@ -374,7 +374,9 @@ class TestDepthLimit:
         assert err.startswith("depth limit exceeded") and err.count("\n") == 1
 
     def test_recursion_backstop(self):
-        # The spine is shallow, but subst0 shifts a 1500-deep argument.
+        # The spine is shallow, but the argument is 1500 deep: subst0 shifts
+        # it on an explicit stack, and the normalizer then stops at the
+        # depth limit, whose message names the recursion limit it sits below.
         deep = fvar("y")
         for _ in range(1500):
             deep = Abs(deep)

@@ -264,6 +264,17 @@ def gen_case(rng, reused):
     return s, t
 
 
+def nodes_of(t) -> list:
+    """The App and TAbs nodes of t, in pre-order."""
+    out, todo = [], [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, (TApp, TAbs)):
+            out.append(t)
+            todo += (t.arg, t.fun) if isinstance(t, TApp) else (t.body,)
+    return out
+
+
 class TestOneWalkSubstitution:
     """stlc_subst against its three-pass reference: the same term, or the
     same exception with the same message."""
@@ -338,6 +349,32 @@ class TestOneWalkSubstitution:
                 else:
                     kinds[next(f for f in self.TYPECHECK_FRAGMENTS if f in expected[1])] += 1
         assert min(kinds.values()) >= 100, kinds
+
+    def test_matches_the_recursive_walk(self):
+        # The explicit-stack walk against the recursive one it replaced:
+        # the same term, sharing the same nodes with t, or the same error.
+        rng = random.Random(20063)
+        reused = []
+        for _ in range(self.CASES // 4):
+            s, t = gen_case(rng, reused)
+            expected = outcome(ref.stlc_subst, s, t)
+            assert outcome(stlc_subst, s, t) == expected, (s, t)
+            if isinstance(expected, str):
+                nodes = {id(n) for n in nodes_of(t)}
+                kept = [id(n) in nodes for n in nodes_of(stlc_subst(s, t))]
+                assert kept == [id(n) in nodes for n in nodes_of(ref.stlc_subst(s, t))]
+
+    @pytest.mark.parametrize("n", [1000, 20000])
+    def test_past_the_recursion_limit(self, n):
+        k, m = free("k", Arrow(BASE, ARR)), free("m", Arrow(BASE, ARR))
+        t = TApp(TApp(k, TVar(Bound(0))), free("y"))
+        for _ in range(n):
+            t = TAbs(BASE, t)
+        out = stlc_subst({"y": free("z"), "k": m}, t)
+        for _ in range(n):
+            assert type(out) is TAbs and out.binder_type is BASE
+            out = out.body
+        assert out == TApp(TApp(m, TVar(Bound(0))), free("z"))
 
     def test_first_clash_by_name(self):
         # The walk meets y (the argument) first, but of the two clashing
