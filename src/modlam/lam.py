@@ -67,6 +67,33 @@ from .terms import (
 )
 
 
+def _same_term(a: LcTerm, b) -> bool:
+    # The __eq__ of App and Abs, on a stack of argument pairs: nodes of one
+    # class, binder data by identity (types are interned), leaves by their ==.
+    if not isinstance(b, (App, Abs, Var)):
+        return NotImplemented
+    todo = []
+    while True:
+        if a is not b:
+            cls = type(a)
+            if cls is App:
+                if type(b) is not App:
+                    return False
+                todo.append((a.arg, b.arg))
+                a, b = a.fun, b.fun
+                continue
+            if isinstance(a, Abs):
+                if type(b) is not cls or a.binder_type is not b.binder_type:
+                    return False
+                a, b = a.body, b.body
+                continue
+            if not a == b:
+                return False
+        if not todo:
+            return True
+        a, b = todo.pop()
+
+
 # The constructors write the instance __dict__ directly: a frozen
 # dataclass's own __init__ sets each field through object.__setattr__, and
 # the normalizer and the generators build hundreds of thousands of nodes.
@@ -74,13 +101,14 @@ from .terms import (
 # _dangling_below is the loose-bound mark (see _replace), unknown by default.
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False, unsafe_hash=True)
 class App:
     fun: "LcTerm"
     arg: "LcTerm"
 
     _normal = False
     _dangling_below = sys.maxsize
+    __eq__ = _same_term
 
     def __init__(self, fun: "LcTerm", arg: "LcTerm"):
         d = self.__dict__
@@ -88,7 +116,7 @@ class App:
         d["arg"] = arg
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False, unsafe_hash=True)
 class Abs:
     body: "LcTerm"
 
@@ -96,8 +124,10 @@ class Abs:
     # subclass carrying binder data (the typed calculus) keeps it across
     # every shift, substitution and reduction step.
     annotation = ""  # printed after the binder name
+    binder_type = None  # a subclass's binder data, compared by identity
     _normal = False
     _dangling_below = sys.maxsize
+    __eq__ = _same_term
 
     def __init__(self, body: "LcTerm"):
         self.__dict__["body"] = body
@@ -230,7 +260,7 @@ def shift(t: LcTerm, by: int = 1, cutoff: int = 0) -> LcTerm:
     return _replace(t, {}, by, None, cutoff)
 
 
-def subst(s: Mapping[str, LcTerm], t: LcTerm, depth: int = 0) -> LcTerm:
+def subst(s: Mapping[str, LcTerm], t: LcTerm) -> LcTerm:
     """Capture-avoiding simultaneous substitution of free names.
 
     Images are shifted by the binder depth at their point of use; for
@@ -241,7 +271,7 @@ def subst(s: Mapping[str, LcTerm], t: LcTerm, depth: int = 0) -> LcTerm:
     abstraction is rebuilt (with_body, keeping its binder data) only
     when its body changed.
     """
-    return _replace(t, s, 0, None, depth)
+    return _replace(t, s, 0, None, 0)
 
 
 def subst0(t: LcTerm, u: LcTerm) -> LcTerm:
@@ -352,9 +382,9 @@ def _sealed(t: LcTerm) -> NfTerm:
 
 # Nesting that the normalizer allows: binders entered, plus App nodes above
 # the argument being normalized, plus arguments pending on the head spine.
-# Every node of a normal form it returns sat at such a depth, so the walks
-# that still recurse (dataclass == and hash) run on it well below the
-# interpreter's recursion limit.  Church 2^9 needs 514; the law
+# Every node of a normal form it returns sat at such a depth, so the walk
+# that still recurses on terms, the dataclass hash, runs on it well below
+# the interpreter's recursion limit.  Church 2^9 needs 514; the law
 # suites' successful reductions stay below 10.
 MAX_DEPTH = 600
 
@@ -411,13 +441,13 @@ def _beta_normal(t: LcTerm, budget: Fuel) -> LcTerm:
                     if (
                         len(args) == snap_len
                         and len(frames) == snap_frames
-                        and (t is snap_t or _same_term(t, snap_t))
-                        and all(a is b or _same_term(a, b) for a, b in zip(args, snap_args))
+                        and t == snap_t
+                        and args == snap_args
                     ):
                         budget.remaining = 0
                         raise ReductionCycle(steps - snap_steps, steps)
                     if steps - run_start == power:
-                        snap_t, snap_args, snap_len = t, tuple(args), len(args)
+                        snap_t, snap_args, snap_len = t, args[:], len(args)
                         snap_frames, snap_steps = len(frames), steps
                         power *= 2
                     continue
@@ -509,24 +539,7 @@ def beta_eta_equiv(t1: LcTerm, t2: LcTerm, fuel: Fuel | int = DEFAULT_FUEL) -> E
         n2 = normalize(t2, b2)
     except FuelExhausted:
         return Equivalence.INCONCLUSIVE
-    same = _same_term(n1.term, n2.term)
-    return Equivalence.EQUIVALENT if same else Equivalence.INEQUIVALENT
-
-
-def _same_term(t1: LcTerm, t2: LcTerm) -> bool:
-    # Structural equality on an explicit stack: the dataclass __eq__
-    # recurses about two frames per level, too many for a normal form
-    # nested near MAX_DEPTH.
-    todo = [(t1, t2)]
-    while todo:
-        a, b = todo.pop()
-        if isinstance(a, App) and isinstance(b, App):
-            todo += ((a.fun, b.fun), (a.arg, b.arg))
-        elif isinstance(a, Abs) and type(a) is type(b) and a.annotation == b.annotation:
-            todo.append((a.body, b.body))
-        elif not (isinstance(a, Var) and a == b):
-            return False
-    return True
+    return Equivalence.EQUIVALENT if n1.term == n2.term else Equivalence.INEQUIVALENT
 
 
 # ---------- normal forms as a monad ----------
@@ -652,16 +665,8 @@ def to_scoped(t: LcTerm) -> ScopedTerm:
 
 
 def from_scoped(t: ScopedTerm) -> LcTerm:
-    match t:
-        case Var(_):
-            return t
-        case Op(op, args):
-            if op == _APP and len(args) == 2:
-                return App(from_scoped(args[0]), from_scoped(args[1]))
-            if op == _ABS and len(args) == 1:
-                return Abs(from_scoped(args[0]))
-            raise MalformedTermError(f"not a lambda-signature term: {t!r}")
-    raise MalformedTermError(f"not a term: {t!r}")
+    """The initial morphism from SIG_LC's generic syntax into LC."""
+    return fold(_LC_SYNTAX, t)
 
 
 # ---------- concrete grammar ----------
@@ -888,19 +893,11 @@ def gen_normal(
 
 
 def _gen_subst(rng: random.Random) -> dict:
-    return {
-        name: gen_term(rng, max_size=5)
-        for name in NAME_POOL
-        if rng.random() < 0.4
-    }
+    return {name: gen_term(rng, max_size=5) for name in NAME_POOL if rng.random() < 0.4}
 
 
 def _gen_nf_subst(rng: random.Random) -> dict:
-    return {
-        name: gen_normal(rng, max_size=5)
-        for name in NAME_POOL
-        if rng.random() < 0.4
-    }
+    return {name: gen_normal(rng, max_size=5) for name in NAME_POOL if rng.random() < 0.4}
 
 
 # ---------- instances ----------
@@ -915,6 +912,8 @@ LC = MonadInstance(
     gen_subst=_gen_subst,
     show_value=show,
 )
+
+_LC_SYNTAX = Representation(SIG_LC, (App, Abs), bound_value=bvar, monad=LC)
 
 NF = MonadInstance(
     name="nf",

@@ -126,7 +126,7 @@ TVar = Var
 TApp = App
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False, unsafe_hash=True)
 class TAbs(Abs):
     """An abstraction with its binder type; built and matched as
     TAbs(binder_type, body)."""

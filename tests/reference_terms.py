@@ -6,11 +6,13 @@ scanning helpers they called are copied in beside them.  The recursive
 substitute, _shift and well_scoped of modlam.terms, the recursive
 lambda printer show, and modlam.lam's recursive shift, subst, subst0
 and uses_bound (as lam_shift, lam_subst, lam_subst0 and uses_bound) and
-modlam.typed's recursive stlc_subst are here too.  Also free_names, the
-free names of a signature term, which only tests need; the recursive
-type printer show_type and type checker typecheck; and the generators gen_normal (build, then
-normalize the finished term) and gen_typed_term (a fresh candidate list
-at every leaf), which must draw and build exactly what modlam's do.
+modlam.typed's recursive stlc_subst are here too, and term_eq, the
+recursive equality App, Abs and TAbs had as dataclasses.  Also
+free_names, the free names of a signature term, which only tests need;
+the recursive type printer show_type and type checker typecheck; and
+the generators gen_normal (build, then normalize the finished term) and
+gen_typed_term (a fresh candidate list at every leaf), which must draw
+and build exactly what modlam's do.
 
 The reference s-expression parser reads an index after '#' with
 str.isdigit, so it takes non-ASCII digits: '#²' raises ValueError from
@@ -23,6 +25,7 @@ lambda always starts a binder, so there the two differ by design too.
 """
 
 import random
+from dataclasses import fields
 from functools import partial
 from operator import is_
 from typing import Any, Callable, Mapping, Optional
@@ -347,6 +350,21 @@ def uses_bound(t, index: int) -> bool:
     elif isinstance(t, Abs):
         return uses_bound(t.body, index + 1)
     raise MalformedTermError(f"not a lambda term: {t!r}")
+
+
+def term_eq(a, b) -> bool:
+    """a == b as it was when App, Abs and TAbs used the dataclass __eq__:
+    a node equals a node of the same class whose fields, left to right,
+    are each the same object or equal (recursively); a node equals no
+    other operand, and other operands compare with their own ==."""
+    if isinstance(a, (App, Abs)) or isinstance(b, (App, Abs)):
+        if type(a) is not type(b):
+            return False
+        return all(
+            x is y or term_eq(x, y)
+            for x, y in ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+        )
+    return a == b
 
 
 def show(t, debruijn: bool = False) -> str:

@@ -18,7 +18,7 @@ import pytest
 from modlam.errors import TypeCheckError
 from modlam.fuel import Fuel, FuelExhausted
 from modlam.harness import _sample_rng
-from modlam.lam import MAX_DEPTH, _beta_normal, _same_term, gen_normal
+from modlam.lam import MAX_DEPTH, _beta_normal, gen_normal
 from modlam.typed import (
     _POOL_VARS,
     _TLIST_VARS,
@@ -57,7 +57,7 @@ def test_gen_normal_matches_reference(max_size, depth):
         if isinstance(old, type):
             assert new is old, key
         else:
-            assert _same_term(new.term, old.term), key
+            assert new.term == old.term, key
 
 
 def test_gen_normal_output_is_marked_and_normal():
@@ -68,7 +68,7 @@ def test_gen_normal_output_is_marked_and_normal():
         for i in range(300):
             nf = gen_normal(_sample_rng(1, f"mark:{max_size}:{i}"), max_size, i % 3)
             assert nf.term._normal is True
-            assert _same_term(_beta_normal(nf.term, Fuel(0)), nf.term)
+            assert _beta_normal(nf.term, Fuel(0)) == nf.term
 
 
 @pytest.mark.parametrize("target", STLC_TYPES)
@@ -80,7 +80,7 @@ def test_gen_typed_term_matches_reference(target, binders, max_size):
         new, new_state = _run(gen_typed_term, _sample_rng(0, key), target, max_size, binders)
         old, old_state = _run(ref.gen_typed_term, _sample_rng(0, key), target, max_size, binders)
         assert new_state == old_state, key
-        assert _same_term(new, old), key
+        assert new == old, key
 
 
 def test_gen_typed_term_draws_its_target_like_the_reference():
@@ -89,7 +89,7 @@ def test_gen_typed_term_draws_its_target_like_the_reference():
         new, new_state = _run(gen_typed_term, _sample_rng(0, key))
         old, old_state = _run(ref.gen_typed_term, _sample_rng(0, key))
         assert new_state == old_state, key
-        assert _same_term(new, old), key
+        assert new == old, key
 
 
 def _clear_slots(pools, slot):

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 from functools import partial
 
 import pytest
@@ -116,6 +117,17 @@ def naive_subst(s, t, depth: int = 0):
     if isinstance(t, App):
         return App(naive_subst(s, t.fun, depth), naive_subst(s, t.arg, depth))
     return t.with_body(naive_subst(s, t.body, depth + 1))
+
+
+def subst_under(s, t, depth: int):
+    """subst as it acts under `depth` binders: t wrapped in that many
+    abstractions, substituted, and unwrapped."""
+    for _ in range(depth):
+        t = Abs(t)
+    out = subst(s, t)
+    for _ in range(depth):
+        out = out.body
+    return out
 
 
 def dangling_below(t) -> int:
@@ -274,10 +286,10 @@ class TestDanglingMarks:
                 out, expected = shift(a, by, cutoff), naive_shift(a, by, cutoff)
             elif kind == "subst":
                 s = {"x": b, "y": bvar(cutoff)}
-                out, expected = subst(s, a, cutoff), naive_subst(s, a, cutoff)
+                out, expected = subst_under(s, a, cutoff), naive_subst(s, a, cutoff)
             else:
                 out = expected = App(a, b) if kind == "app" else MIXED_BINDERS[cutoff](a)
-            # Dataclass equality compares classes and binder types too.
+            # Term equality compares classes and binder types too.
             assert out == expected
             pool.append(out)
             for node, mark in marks(*pool):
@@ -364,7 +376,7 @@ class TestWalksAgainstReference:
             for new, old, args in (
                 (shift, ref.lam_shift, (t, by, depth)),
                 (subst0, ref.lam_subst0, (t, u)),
-                (subst, ref.lam_subst, (s, t, depth)),
+                (subst_under, ref.lam_subst, (s, t, depth)),
                 (uses_bound, ref.uses_bound, (t, depth)),
             ):
                 expected = outcome(old, *args)
@@ -389,6 +401,108 @@ class TestWalksAgainstReference:
         assert out == App(bvar(n), fvar("y"))
         assert shifted == bvar(n + 2)
         assert named == fvar("z")
+
+
+def rebuilt(rng, t, keep: float = 0.0):
+    """A copy of t made of new nodes, variables included; each App or Abs
+    is kept as it is with probability keep, so the copy shares it."""
+    if isinstance(t, (App, Abs)) and rng.random() < keep:
+        return t
+    if isinstance(t, App):
+        return App(rebuilt(rng, t.fun, keep), rebuilt(rng, t.arg, keep))
+    if isinstance(t, Abs):
+        return t.with_body(rebuilt(rng, t.body, keep))
+    if isinstance(t, Var):
+        return Var(t.ref)
+    return "".join(t) if isinstance(t, str) else t
+
+
+def rebound(rng, t, p: float):
+    """t with each abstraction rebuilt, with probability p, by a binder
+    drawn from MIXED_BINDERS: an Abs may become a TAbs, and a TAbs may
+    change its binder type."""
+    if isinstance(t, App):
+        return App(rebound(rng, t.fun, p), rebound(rng, t.arg, p))
+    if isinstance(t, Abs):
+        body = rebound(rng, t.body, p)
+        return rng.choice(MIXED_BINDERS)(body) if rng.random() < p else t.with_body(body)
+    return t
+
+
+class TestTermEquality:
+    """App, Abs and TAbs compare by one stack walk, lam._same_term; the
+    recursive dataclass equality they had (reference_terms.term_eq) is
+    its oracle."""
+
+    def test_agrees_with_the_dataclass_equality(self):
+        rng = random.Random(2307)
+        seen = set()
+        for _ in range(3000):
+            t = rebound(rng, gen_term(rng, 12, depth=2), 0.7)
+            if rng.random() < 0.2:
+                t = malformed(rng, t)
+            kind = rng.choice(("copy", "shared", "binders", "malformed", "other"))
+            if kind == "copy":
+                u = rebuilt(rng, t)
+            elif kind == "shared":
+                u = rebuilt(rng, t, keep=0.3)
+            elif kind == "binders":
+                u = rebound(rng, rebuilt(rng, t), 0.3)
+            elif kind == "malformed":
+                u = malformed(rng, rebuilt(rng, t))
+            else:
+                u = rebound(rng, gen_term(rng, 12, depth=2), 0.7)
+            expected = ref.term_eq(t, u)
+            assert ref.term_eq(u, t) == expected
+            assert (t == u) == expected and (u == t) == expected, (kind, t, u)
+            assert (t != u) == (not expected)
+            if expected:
+                assert hash(t) == hash(u)
+            seen.add((kind, expected))
+        assert seen >= {("copy", True), ("shared", True), ("binders", True), ("binders", False)}
+        assert seen >= {("malformed", False), ("other", False)}
+
+    def test_fixed_rows(self):
+        x = fvar("x")
+        rows = [
+            (Abs(x), TAbs(BASE, x), False),
+            (TAbs(BASE, x), TAbs(BASE, Var(Free("x"))), True),
+            (TAbs(BASE, x), TAbs(Arrow(BASE, BASE), x), False),
+            (App(None, "junk"), App(None, "".join("junk")), True),
+            (App(None, "junk"), App(None, "other"), False),
+            (Abs(App(x, None)), Abs(App(x, x)), False),
+        ]
+        for a, b, expected in rows:
+            assert ref.term_eq(a, b) == expected
+            assert (a == b) == expected and (b == a) == expected, (a, b)
+            if expected:
+                assert hash(a) == hash(b)
+
+    def test_a_non_term_operand(self):
+        t = parse("\\x. x y")
+        for other in (None, "\\x. x y", 3, Op(1, ()), NfTerm(t)):
+            assert type(t).__eq__(t, other) is NotImplemented
+            assert not t == other and t != other
+            assert not ref.term_eq(t, other)
+
+    @pytest.mark.parametrize("limit", (1000, 4000))
+    def test_deep_terms_at_both_recursion_limits(self, limit):
+        def exp(n):  # Church 2^n
+            return f"(\\m. \\n. n m) (\\f. \\x. f (f x)) (\\f. \\x. {'f (' * n}x{')' * n})"
+
+        succ = "(\\n. \\f. \\x. f (n f x)) "
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit)
+        try:
+            nf = normalize(parse(exp(9))).term
+            assert nf == parse(show(nf))
+            assert nf != normalize(parse(succ + "(" + exp(9) + ")")).term
+            for shape in ("\\x. " * 20000 + "x {}", "f (" * 20000 + "{}" + ")" * 20000):
+                t = parse(shape.format("y"))
+                assert t == parse(shape.format("y"))
+                assert t != parse(shape.format("z"))
+        finally:
+            sys.setrecursionlimit(saved)
 
 
 class TestReduction:
@@ -648,6 +762,11 @@ class TestScopedConversion:
     @given(lc_terms())
     def test_roundtrip(self, t):
         assert from_scoped(to_scoped(t)) == t
+
+    def test_roundtrip_past_the_recursion_limit(self):
+        for text in ("\\x. " * 20000 + "x y", "f (" * 20000 + "\\y. y" + ")" * 20000):
+            t = parse(text)
+            assert from_scoped(to_scoped(t)) == t
 
 
 class TestGrammar:

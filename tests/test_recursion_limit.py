@@ -56,6 +56,23 @@ REQUESTS = {
         for n in range(2, 10)
     },
     "550-over-550": ["normalize", DEEPER_THAN_THE_LIMIT],
+    # parse, fold and typecheck at nesting 1000, 2000 and 20000.  A folded
+    # spine is renormalized at each application, so it ends in the depth
+    # limit.  leq is left out: preorder_leq hashes terms with the
+    # recursive dataclass hash, and its successors come from the recursive
+    # _contractions.
+    **{
+        f"{command}-{shape}-{n}": argv
+        for n in (1000, 2000, 20000)
+        for command, shape, argv in (
+            ("parse", "binders", ["parse", "\\x. " * n + "x y"]),
+            ("parse", "spine", ["parse", "f (" * n + "y" + ")" * n]),
+            ("fold", "binders", ["fold", "\\x. " * n + "x y", "--target", "nf"]),
+            ("fold", "spine", ["fold", "f (" * n + "y" + ")" * n, "--target", "nf"]),
+            ("typecheck", "binders", ["typecheck", "\\x:*. " * n + "x"]),
+            ("typecheck", "spine", ["typecheck", "\\f:* -> *. \\y:*. " + "f (" * n + "y" + ")" * n]),
+        )
+    },
 }
 
 
@@ -96,3 +113,13 @@ def test_the_deep_normalizations_end_in_the_depth_limit(at_both_limits):
         )
     assert low["subst-spine"] == (0, "g (" * 1999 + "g z" + ")" * 1999 + "\n", "")
     assert low["church-2^9"][0] == 0
+
+
+def test_the_deep_parse_fold_and_typecheck_requests(at_both_limits):
+    low, _ = at_both_limits
+    for n in (1000, 2000, 20000):
+        assert low[f"parse-spine-{n}"] == (0, "f (" * (n - 1) + "f y" + ")" * (n - 1) + "\n", "")
+        assert low[f"fold-binders-{n}"][:2] == (0, low[f"parse-binders-{n}"][1])
+        assert low[f"fold-spine-{n}"][0] == 3
+        assert low[f"typecheck-binders-{n}"] == (0, "* -> " * n + "*\n", "")
+        assert low[f"typecheck-spine-{n}"] == (0, "(* -> *) -> * -> *\n", "")
