@@ -23,6 +23,7 @@ from .harness import (
     check_module_laws,
     check_monad_laws,
     check_monad_morphism,
+    sampled_law,
     tautological_module,
 )
 from .terms import (
@@ -75,6 +76,7 @@ __all__ = [
     "fvar",
     "identity_morphism",
     "rename",
+    "sampled_law",
     "substitute",
     "tautological_module",
     "well_scoped",

@@ -18,7 +18,6 @@ from .harness import (
     ModuleInstance,
     MonadInstance,
     MonadMorphism,
-    check_monad_morphism,
     fresh_name,
 )
 from .terms import Free, Op, ScopedTerm, Signature, Var, fvar, substitute
@@ -133,20 +132,13 @@ def base_change(f: MonadMorphism, mod: ModuleInstance) -> ModuleInstance:
     """Pull a module over the target monad back along a monad morphism.
 
     The carrier is unchanged; substitutions over the source monad act
-    through their image under f.  The morphism squares are checked on
-    64 samples up front; a failing morphism is a configuration error.
+    through their image under f.  Building it is data: only the monad
+    names are compared, and check_monad_morphism checks f's squares.
     """
     if f.dst.name != mod.monad.name:
         raise ConfigError(
             f"base change along {f.name} lands in {f.dst.name}, module is over {mod.monad.name}"
         )
-    report = check_monad_morphism(f, samples=64, seed=0)
-    for check in report.checks:
-        if check.counterexample is not None:
-            raise ConfigError(
-                f"{f.name} is not a monad morphism ({check.name} fails):\n"
-                + check.counterexample.format()
-            )
 
     def mbind(s: Mapping, v: Any) -> Any:
         return mod.mbind({k: f.map(img) for k, img in s.items()}, v)

@@ -269,7 +269,8 @@ def _sweep(
     """The one sampling loop.  Probes run first; then sample i draws its
     inputs from the sub-generator keyed "{key}:{i}" and every law runs on
     them.  A draw that runs out of fuel skips the sample for every law;
-    a law stops at its first counterexample."""
+    a law stops at its first counterexample, and the loop stops, drawing
+    no more samples, once every law has one."""
     checked = [0] * len(laws)
     skipped = [0] * len(laws)
     found: list[Optional[Counterexample]] = [None] * len(laws)
@@ -297,6 +298,8 @@ def _sweep(
                 checked[k] += 1
             else:
                 found[k] = Counterexample(where, inputs(*inp), show(lhs), show(rhs))
+        if None not in found:
+            break
     return tuple(
         LawCheck(name, checked[k], skipped[k], found[k]) for k, (name, _, _) in enumerate(laws)
     )

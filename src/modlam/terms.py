@@ -235,14 +235,14 @@ def rename(sig: Signature, f: Mapping[str, str], t: ScopedTerm) -> ScopedTerm:
     return substitute(sig, {old: fvar(new) for old, new in f.items()}, t)
 
 
-def substitute(sig: Signature, s: Subst, t: ScopedTerm, depth: int = 0) -> ScopedTerm:
+def substitute(sig: Signature, s: Subst, t: ScopedTerm) -> ScopedTerm:
     """Capture-avoiding simultaneous substitution of free names.
 
     Under k binder slots an image is shifted by k, which leaves closed
     images untouched; bound variables are never rewritten.  Subterms
     with nothing replaced are shared with t, t itself included.
     """
-    return _replace(sig, s, 0, t, depth)
+    return _replace(sig, s, 0, t, 0)
 
 
 # ---------- representations and the generic fold ----------

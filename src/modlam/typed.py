@@ -678,3 +678,15 @@ def tlist_sort_module(sort: int) -> ModuleInstance:
         gen_value=lambda rng: gen_tlist(rng, sort),
         show_value=show_tlist,
     )
+
+
+def shifted_tlist_module() -> ModuleInstance:
+    """Lists with every sort one higher, acted on by substituting the
+    shifted images: the target of tlist_shift as a linear map."""
+    return ModuleInstance(
+        name="tlist+1",
+        monad=TLIST,
+        mbind=lambda s, v: tlist_subst({k: tlist_shift(img) for k, img in s.items()}, v),
+        gen_value=lambda rng: tlist_shift(gen_tlist(rng)),
+        show_value=show_tlist,
+    )

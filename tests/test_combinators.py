@@ -21,6 +21,7 @@ from modlam.combinators import (
 )
 from modlam.errors import ConfigError
 from modlam.harness import (
+    Counterexample,
     MonadMorphism,
     check_linearity,
     check_module_laws,
@@ -142,10 +143,14 @@ class TestBaseChange:
             base_change(identity_morphism(LIST), taut_lc())
 
     def test_rejects_non_morphisms(self):
+        # Base change is data: it builds along any map, and the morphism
+        # squares are check_monad_morphism's to check.
         collapse = MonadMorphism("collapse", LC, LC, lambda t: fvar("x"))
-        with pytest.raises(ConfigError) as exc:
-            base_change(collapse, taut_lc())
-        assert "not a monad morphism" in str(exc.value)
+        assert base_change(collapse, taut_lc()).monad is LC
+        report = check_monad_morphism(collapse, samples=64, seed=0)
+        assert not report.passed
+        check = report.check("morphism-unit")
+        assert check.counterexample == Counterexample("sample 0", (("name", "y"),), "x", "y")
 
     def test_normalize_is_a_monad_morphism(self):
         report = check_monad_morphism(normalize_morphism(), samples=150, seed=0)

@@ -10,6 +10,7 @@ from modlam.harness import (
     LawCheck,
     LawReport,
     _sample_rng,
+    _sweep,
     check_linearity,
     check_monad_laws,
     compose_subst,
@@ -226,7 +227,7 @@ class TestSamplingEngine:
         assert report.passed
 
     def test_linearity_suites_check_their_squares(self):
-        from modlam.catalog import run_suite
+        from modlam.catalog import linearity_squares, run_suite
 
         squares = {
             "lc": ["app", "abs"],
@@ -238,9 +239,39 @@ class TestSamplingEngine:
             "derived-lc": ["inner-inclusion", "outer-inclusion", "eval"],
             "product-lc": ["fst", "snd"],
         }
+        assert set(squares) == set(linearity_squares())
         for instance, names in squares.items():
             report = run_suite("linearity", instance, 20, 0)
             assert [c.name for c in report.checks] == names
+            assert names == [row[0] for row in linearity_squares()[instance]]
+
+    def counting(self, calls):
+        def gen(rng):
+            calls.append(None)
+            return (rng.randrange(10),)
+
+        return gen
+
+    def test_sweep_stops_when_every_law_has_failed(self):
+        calls = []
+        laws = [
+            (name, lambda n: (n, -1), lambda n: (("n", str(n)),)) for name in ("one", "two")
+        ]
+        checks = _sweep("stops", 50, 0, self.counting(calls), laws, str, probes=((3,),))
+        assert calls == []
+        assert [c.counterexample.where for c in checks] == ["probe 0", "probe 0"]
+        assert [c.checked + c.skipped for c in checks] == [0, 0]
+
+    def test_sweep_runs_on_while_a_law_passes(self):
+        calls = []
+        laws = [
+            ("fails", lambda n: (n, -1), lambda n: (("n", str(n)),)),
+            ("holds", lambda n: (n, n), lambda n: (("n", str(n)),)),
+        ]
+        checks = _sweep("runs-on", 50, 0, self.counting(calls), laws, str, probes=((3,),))
+        assert len(calls) == 50
+        assert checks[0].counterexample.where == "probe 0"
+        assert checks[1].passed and checks[1].checked == 51
 
 
 # Range sizes at the edges of getrandbits(n.bit_length()): one, powers of

@@ -10,9 +10,9 @@ from hypothesis import given, strategies as st
 import reference_terms as ref
 
 from modlam.catalog import run_suite
-from modlam import lam, typed
+from modlam import catalog, lam, typed
 from modlam.errors import MalformedTermError, ParseError, TypeCheckError
-from modlam.harness import check_module_laws, check_monad_laws
+from modlam.harness import _sample_rng, check_module_laws, check_monad_laws, show_subst
 from modlam.lam import Abs, beta_step, eta_step, shift, show, subst
 from modlam.terms import Bound, Free
 from modlam.typed import (
@@ -38,6 +38,7 @@ from modlam.typed import (
     scope_extended_module,
     semantic_fiber_module,
     semantic_scope_extended_module,
+    shifted_tlist_module,
     show_tlist,
     show_type,
     stlc_normalize,
@@ -632,6 +633,35 @@ class TestTypedLists:
         assert report.passed, report.format()
         names = [c.name for c in report.checks]
         assert names == ["nil", "cons", "shift-commute"]
+
+    def test_shifted_module_laws(self):
+        report = check_module_laws(shifted_tlist_module(), samples=300, seed=0)
+        assert report.passed, report.format()
+
+    def test_shift_commute_finds_a_shift_that_skips_nil(self, monkeypatch):
+        def nil_kept(t, by=1):
+            match t:
+                case LVar(name, sort):
+                    return LVar(name, sort + by)
+                case Cons(h, tl):
+                    return Cons(nil_kept(h, by), nil_kept(tl, by))
+            return t
+
+        monkeypatch.setattr(catalog, "tlist_shift", nil_kept)
+        report = run_suite("linearity", "tlist", 150, 0)
+        assert [c.name for c in report.checks if not c.passed] == ["shift-commute"]
+        assert report.check("shift-commute").format() == "\n".join([
+            "law shift-commute: FAIL (counterexample at sample 15)",
+            "  value: cons(cons(y@0, nil@0), xss@2)",
+            "  substitution: {xs -> cons(y@0, xs@1), xss -> cons(cons(x@0, nil@0), nil@1)}",
+            "  lhs: cons(cons(y@1, nil@0), cons(cons(x@1, nil@0), nil@1))",
+            "  rhs: cons(cons(y@1, nil@0), cons(cons(x@1, nil@1), nil@2))",
+        ])
+        # The inputs are sample 15's draws under the square's key, shown by show_tlist.
+        rng = _sample_rng(0, "linearity:shift-commute:15")
+        s = TLIST.gen_subst(rng)
+        inputs = (("value", show_tlist(gen_tlist(rng))), ("substitution", show_subst(TLIST, s)))
+        assert report.check("shift-commute").counterexample.inputs == inputs
 
 
 def reference_tlist_subst(s, t):

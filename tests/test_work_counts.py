@@ -155,7 +155,7 @@ TYPING_COUNTS = {
         ("linearity", "stlc"): (0, 0),
         ("monad", "tlist"): (0, 1002),
         ("module", "tlist"): (0, 917),
-        ("linearity", "tlist"): (0, 3184),
+        ("linearity", "tlist"): (0, 3292),
     },
     1: {
         ("monad", "stlc"): (514, 0),
@@ -163,6 +163,6 @@ TYPING_COUNTS = {
         ("linearity", "stlc"): (0, 0),
         ("monad", "tlist"): (0, 907),
         ("module", "tlist"): (0, 904),
-        ("linearity", "tlist"): (0, 3280),
+        ("linearity", "tlist"): (0, 3240),
     },
 }
