@@ -2,10 +2,10 @@
 
 `modlam --help` prints _DESCRIPTION, which lists the exit codes.  The
 commands and their arguments are one table, _COMMANDS.  A request whose
-first argument names a command builds only that command's parser; any
-other request (no arguments, help, an option or `--` first, an unknown
-command) builds them all, so help texts and usage errors are the same
-either way.
+first argument names a command builds just that command's parser, the
+one the full parser would hand the rest to, so help texts and usage
+errors are the same; any other request (no arguments, help, an option
+or `--` first, an unknown command) builds the full parser.
 """
 
 from __future__ import annotations
@@ -99,24 +99,33 @@ _COMMANDS = {
 }
 
 
-def _build_parser(names) -> _Parser:
-    """The top-level parser with a subparser for each of names, in order."""
-    parser = _Parser(prog="modlam", description=_DESCRIPTION)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in names:
-        help_line, arguments = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_line)
-        for args, kwargs in arguments:
-            p.add_argument(*args, **kwargs)
+def _add_arguments(parser: _Parser, command: str) -> _Parser:
+    for args, kwargs in _COMMANDS[command][1]:
+        parser.add_argument(*args, **kwargs)
     return parser
 
 
+def _build_parser() -> _Parser:
+    """The top-level parser with a subparser for each command, in order."""
+    parser = _Parser(prog="modlam", description=_DESCRIPTION)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_line), name)
+    return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    # Only the full parser lists the commands, in help and in the errors for
+    # a missing or unknown one; a named command's is the one add_parser makes.
+    if argv and argv[0] in _COMMANDS:
+        parser = _add_arguments(_Parser(prog=f"modlam {argv[0]}"), argv[0])
+        return parser.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    return _build_parser().parse_args(argv)
+
+
 def run(argv: list[str]) -> int:
-    # Only the full parser lists the commands, in help and in the errors
-    # for a missing or unknown one; a named command needs just its own.
-    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
     try:
-        args = _build_parser(names).parse_args(argv)
+        args = _parse_args(argv)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -126,11 +135,8 @@ def run(argv: list[str]) -> int:
     except ParseError as e:
         print(str(e), file=sys.stderr)
         return EXIT_PARSE
-    except DepthLimit as e:
-        print(f"depth limit exceeded: {e}", file=sys.stderr)
-        return EXIT_FUEL
-    except FuelExhausted:
-        print("fuel exhausted", file=sys.stderr)
+    except FuelExhausted as e:
+        print(_limit_message(e), file=sys.stderr)
         return EXIT_FUEL
     except (ConfigError, _UsageError) as e:
         print(f"usage error: {e}", file=sys.stderr)
@@ -139,6 +145,10 @@ def run(argv: list[str]) -> int:
         detail = " ".join(str(e).split())
         print(f"internal error: {type(e).__name__}: {detail}", file=sys.stderr)
         return EXIT_SOFTWARE
+
+
+def _limit_message(e: FuelExhausted) -> str:
+    return f"depth limit exceeded: {e}" if isinstance(e, DepthLimit) else "fuel exhausted"
 
 
 def _dispatch(args) -> int:
@@ -162,6 +172,13 @@ def _dispatch(args) -> int:
             return EXIT_OK
         if verdict is lam.Equivalence.INEQUIVALENT:
             return EXIT_NO
+        # Reduction is deterministic, so the side that ran out does again.
+        for side, t in (("term1", t1), ("term2", t2)):
+            try:
+                lam.normalize(t, args.fuel)
+            except FuelExhausted as e:
+                print(f"{side}: {_limit_message(e)}", file=sys.stderr)
+                break
         return EXIT_FUEL
 
     if args.command == "leq":

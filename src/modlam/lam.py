@@ -139,25 +139,6 @@ class Abs:
 LcTerm = Var | App | Abs
 
 
-def free_names(t: LcTerm) -> set[str]:
-    # One walk on an explicit stack into one set, left to right, so the
-    # first malformed node met is the one a recursive walk would meet.
-    out: set[str] = set()
-    stack = [t]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, App):
-            stack.append(t.arg)
-            stack.append(t.fun)
-        elif isinstance(t, Abs):
-            stack.append(t.body)
-        elif isinstance(t, Var) and isinstance(t.ref, Free):
-            out.add(t.ref.name)
-        elif not (isinstance(t, Var) and isinstance(t.ref, Bound)):
-            raise MalformedTermError(f"not a lambda term: {t!r}")
-    return out
-
-
 # ---------- shifting and substitution ----------
 #
 # shift, subst and subst0 are one walk, _replace.  It keeps the nodes it
@@ -720,6 +701,7 @@ def parse_binding(
     Open binders and parentheses wait on an explicit stack, so nesting is
     bounded by memory, not by the recursion limit."""
     tokens = _TOKEN.findall(text) + [""]  # "" marks the end of the input
+    name_tokens = {tok for tok in set(tokens) if _is_name(tok)}  # one test per distinct token
     frames: list = []  # (constructor, name, shadowed depth) or (None, None, spine outside '(')
     scope: dict[str, int] = {}  # each bound name's innermost binder depth
     depth = 0  # open binders
@@ -728,7 +710,7 @@ def parse_binding(
     while True:
         tok = tokens[i]
         i += 1
-        if _is_name(tok):
+        if tok in name_tokens:
             level = scope.get(tok)
             atom = free(tok) if level is None else bvar(depth - 1 - level)
             spine = atom if spine is None else App(spine, atom)
@@ -739,7 +721,7 @@ def parse_binding(
             if tok != "\\" and tok != "λ":
                 raise _error(_TOKEN, text, i - 1, "expected identifier")
             name = tokens[i]
-            if not _is_name(name):
+            if name not in name_tokens:
                 raise _error(_TOKEN, text, i, "expected identifier")
             make, i = binder(text, tokens, i + 1)
             frames.append((make, name, scope.get(name)))
@@ -769,14 +751,23 @@ def show(t: LcTerm, debruijn: bool = False) -> str:
     """Print a term in the concrete grammar.
 
     Named mode invents binder names v0, v1, ... avoiding the free names
-    of the whole term; a dangling index (possible on scope-extended
-    carriers) prints as #k, a diagnostic form outside the grammar.  De
-    Bruijn mode prints every binder as λ and every bound variable as
-    its index.  The walk keeps what is left to print on an explicit
-    stack, so nesting is bounded by memory.
+    of the whole term, which one walk collects as it prints; only if one
+    is a name it invented does a second walk print again, avoiding them.
+    A dangling index (possible on scope-extended carriers) prints as #k,
+    outside the grammar.  De Bruijn mode prints binders as λ and bound
+    variables as indices.  The walk's stack is explicit, bounded by memory.
     """
-    taken = set() if debruijn else free_names(t)
-    fresh = (name for name in map("v{}".format, count()) if name not in taken)
+    text, free, drawn = _show(t, debruijn, ())
+    if free and not free.isdisjoint(map("v{}".format, range(drawn))):
+        text = _show(t, debruijn, free)[0]
+    return text
+
+
+def _show(t: LcTerm, debruijn: bool, taken) -> tuple[str, set[str], int]:
+    # One printing walk: its text, the free names met, the names drawn from v0, v1, ...
+    drawn = count()
+    fresh = (name for name in map("v{}".format, drawn) if name not in taken)
+    free: set[str] = set()
     names: list[str] = []  # named mode: the binder names in scope, outermost first
     out: list[str] = []
     # What is left to print, last first: text, or (term, level, binders
@@ -785,15 +776,28 @@ def show(t: LcTerm, debruijn: bool = False) -> str:
     todo: list = [(t, 0, 0)]
     while todo:
         item = todo.pop()
-        if isinstance(item, str):
+        if type(item) is str:
             out.append(item)
             continue
         t, level, depth = item
-        if isinstance(t, App):
+        cls = type(t)
+        if cls is App or cls is not Var and isinstance(t, App):
             if level > 1:
                 out.append("(")
                 todo.append(")")
             todo += ((t.arg, 2, depth), " ", (t.fun, 1, depth))
+        elif (cls is Var or isinstance(t, Var)) and isinstance(t.ref, Bound):
+            k = t.ref.index
+            if debruijn:
+                out.append(str(k))
+            elif k < depth:
+                del names[depth:]
+                out.append(names[~k])
+            else:
+                out.append(f"#{k - depth}")
+        elif isinstance(t, Var) and isinstance(t.ref, Free):
+            free.add(t.ref.name)
+            out.append(t.ref.name)
         elif isinstance(t, Abs):
             if level > 0:
                 out.append("(")
@@ -805,20 +809,9 @@ def show(t: LcTerm, debruijn: bool = False) -> str:
                 names.append(next(fresh))
                 out.append(f"\\{names[-1]}{t.annotation}. ")
             todo.append((t.body, 0, depth + 1))
-        elif isinstance(t, Var) and isinstance(t.ref, Free):
-            out.append(t.ref.name)
-        elif isinstance(t, Var) and isinstance(t.ref, Bound):
-            k = t.ref.index
-            if debruijn:
-                out.append(str(k))
-            elif k < depth:
-                del names[depth:]
-                out.append(names[~k])
-            else:
-                out.append(f"#{k - depth}")
         else:
             raise MalformedTermError(f"not a lambda term: {t!r}")
-    return "".join(out)
+    return "".join(out), free, next(drawn)
 
 
 def show_nf(t: NfTerm, debruijn: bool = False) -> str:

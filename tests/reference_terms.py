@@ -8,8 +8,10 @@ lambda printer show, and modlam.lam's recursive shift, subst, subst0
 and uses_bound (as lam_shift, lam_subst, lam_subst0 and uses_bound) and
 modlam.typed's recursive stlc_subst are here too, and term_eq, the
 recursive equality App, Abs and TAbs had as dataclasses.  Also
-free_names, the free names of a signature term, which only tests need;
-the recursive type printer show_type and type checker typecheck; and
+free_names, the free names of a signature term, and lam_free_names, the
+free names of a lambda term (the prepass modlam.lam's printer made
+before it collected them as it prints), which only tests need; the
+recursive type printer show_type and type checker typecheck; and
 the generators gen_normal (build, then normalize the finished term) and
 gen_typed_term (a fresh candidate list at every leaf), which must draw
 and build exactly what modlam's do.
@@ -31,7 +33,6 @@ from operator import is_
 from typing import Any, Callable, Mapping, Optional
 
 from modlam.errors import ConfigError, MalformedTermError, ParseError, TypeCheckError
-from modlam import lam
 from modlam.lam import _POOL_VARS, Abs, App, NfTerm, _sealed, reduce_to_normal
 from modlam.terms import (
     Bound,
@@ -367,8 +368,27 @@ def term_eq(a, b) -> bool:
     return a == b
 
 
+def lam_free_names(t) -> set[str]:
+    # One walk on an explicit stack into one set, left to right, so the
+    # first malformed node met is the one a recursive walk would meet.
+    out: set[str] = set()
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, App):
+            stack.append(t.arg)
+            stack.append(t.fun)
+        elif isinstance(t, Abs):
+            stack.append(t.body)
+        elif isinstance(t, Var) and isinstance(t.ref, Free):
+            out.add(t.ref.name)
+        elif not (isinstance(t, Var) and isinstance(t.ref, Bound)):
+            raise MalformedTermError(f"not a lambda term: {t!r}")
+    return out
+
+
 def show(t, debruijn: bool = False) -> str:
-    taken = set() if debruijn else lam.free_names(t)
+    taken = set() if debruijn else lam_free_names(t)
     counter = [0]
 
     def next_name() -> str:

@@ -91,8 +91,16 @@ class TestEquiv:
         assert capsys.readouterr().out == "inequivalent\n"
 
     def test_inconclusive(self, capsys):
+        # One stderr line names the side that ran out and the limit.
         assert run(["equiv", OMEGA, "y", "--fuel", "50"]) == EXIT_FUEL
-        assert capsys.readouterr().out == "inconclusive\n"
+        assert capsys.readouterr() == ("inconclusive\n", "term1: fuel exhausted\n")
+        assert run(["equiv", "y", OMEGA, "--fuel", "50"]) == EXIT_FUEL
+        assert capsys.readouterr() == ("inconclusive\n", "term2: fuel exhausted\n")
+        deep = "\\x. " * 2000 + "x"
+        assert run(["equiv", "y", deep]) == EXIT_FUEL
+        out, err = capsys.readouterr()
+        assert out == "inconclusive\n" and err.count("\n") == 1
+        assert err.startswith("term2: depth limit exceeded: term nesting passed 600")
 
     def test_negative_fuel(self, capsys):
         assert run(["equiv", "x", "x", "--fuel", "-1"]) == EXIT_USAGE
@@ -369,8 +377,11 @@ class TestUsage:
 
 
 # Requests whose exit code and transcript the one-command parser must give
-# as the full parser gives them: each command with valid arguments, each
-# kind of usage error, and the requests that name no command.
+# as the full parser gives them: each command with valid arguments, the
+# shapes a parser standing alone might read otherwise (an abbreviated
+# option, --option=value, a term that looks like an option, with and
+# without --), each kind of usage error, and the requests that name no
+# command.
 PARSER_TABLE = [
     (["parse", "\\x. x y", "--debruijn"], EXIT_OK),
     (["normalize", "(\\x. x) y", "--fuel", "5"], EXIT_OK),
@@ -381,6 +392,11 @@ PARSER_TABLE = [
     (["fold", "(\\x. x) y", "--target", "nf", "--fuel", "5"], EXIT_OK),
     (["typecheck", "\\x:*. x"], EXIT_OK),
     (["parse", "--", "x"], EXIT_OK),
+    (["normalize", "x", "--fu", "3"], EXIT_OK),
+    (["normalize", "--fuel=3", "x"], EXIT_OK),
+    (["laws", "--suite=monad", "--instance=list", "--samples=5"], EXIT_OK),
+    (["normalize", "--", "-x"], EXIT_PARSE),
+    (["normalize", "-x"], EXIT_USAGE),
     (["parse"], EXIT_USAGE),
     (["normalize", "--fuel", "5"], EXIT_USAGE),
     (["equiv", "x"], EXIT_USAGE),
@@ -416,13 +432,17 @@ PARSER_TABLE = [
 ]
 
 
-def _parse_outcome(names, argv):
-    """What the parser for names makes of argv: the namespace, the usage
-    message, or the exit code and stdout of --help."""
+def _full_parse(argv):
+    return cli._build_parser().parse_args(argv)
+
+
+def _parse_outcome(parse, argv):
+    """What parse makes of argv: the namespace, the usage message, or the
+    exit code and stdout of --help."""
     out = io.StringIO()
     try:
         with contextlib.redirect_stdout(out):
-            return vars(cli._build_parser(names).parse_args(argv))
+            return vars(parse(argv))
     except cli._UsageError as e:
         return ("usage", str(e))
     except SystemExit as e:
@@ -437,9 +457,9 @@ class TestOneCommandParser:
         "argv, code", PARSER_TABLE, ids=[" ".join(argv) or "(none)" for argv, _ in PARSER_TABLE]
     )
     def test_same_transcript_as_the_full_parser(self, capsys, monkeypatch, argv, code):
+        assert _parse_outcome(cli._parse_args, argv) == _parse_outcome(_full_parse, argv)
         got = (run(argv), *capsys.readouterr())
-        build = cli._build_parser
-        monkeypatch.setattr(cli, "_build_parser", lambda names: build(cli._COMMANDS))
+        monkeypatch.setattr(cli, "_parse_args", _full_parse)
         want = (run(argv), *capsys.readouterr())
         assert got == want
         assert got[0] == code
@@ -463,13 +483,14 @@ class TestOneCommandParser:
 
 class TestParsersBuilt:
     """The work a request saves, as a count of the _Parser objects it
-    builds: the top-level one and one per command it adds."""
+    builds: a named command's own, or the top-level one and one per
+    command."""
 
     @pytest.mark.parametrize(
         "argv, built",
         [
-            (["normalize", "x"], 2),
-            (["laws", "--suite", "monad", "--instance", "bogus"], 2),
+            (["normalize", "x"], 1),
+            (["laws", "--suite", "monad", "--instance", "bogus"], 1),
             ([], 9),
             (["bogus"], 9),
             (["--", "normalize", "x"], 9),
@@ -570,4 +591,4 @@ class TestFuzz:
         assert code in (EXIT_OK, EXIT_NO, EXIT_PARSE, EXIT_FUEL, EXIT_USAGE, EXIT_SOFTWARE)
         assert "Traceback" not in err.getvalue()
         # the one-command parser reads argv as the full parser does
-        assert _parse_outcome([command], argv) == _parse_outcome(cli._COMMANDS, argv)
+        assert _parse_outcome(cli._parse_args, argv) == _parse_outcome(_full_parse, argv)

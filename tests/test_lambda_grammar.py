@@ -5,6 +5,7 @@ limit."""
 
 import re
 import sys
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -105,6 +106,16 @@ deep_texts = st.integers(300, 700).flatmap(
     )
 )
 
+# Term text whose binder names and atoms are names or tokens that are not
+# names: both readers must reject the same token, at the same place.
+NAME_POSITION_TOKENS = ("x", "y", "v0", "x'", "_", "1x", "'x", "λx", "->", "*")
+name_position_texts = st.lists(
+    st.sampled_from(("\\{}. ", "λ{}. ", "\\{}:*. ", "{} ", "({} ", ") "))
+    .flatmap(lambda piece: st.sampled_from(NAME_POSITION_TOKENS).map(piece.format)),
+    min_size=1,
+    max_size=8,
+).map("".join)
+
 
 class TestAgainstReference:
     @settings(max_examples=400, deadline=None)
@@ -133,6 +144,12 @@ class TestAgainstReference:
         assert_agrees(parse, ref.parse, text)
         assert_agrees(parse_stlc, ref.parse_stlc, text)
 
+    @settings(max_examples=400, deadline=None)
+    @given(name_position_texts)
+    def test_tokens_that_are_not_names_at_name_positions(self, text):
+        assert_agrees(parse, ref.parse, text)
+        assert_agrees(parse_stlc, ref.parse_stlc, text)
+
     def test_lambda_binder_names_differ_by_design(self):
         assert ref.parse("\\λ. x") == Abs(fvar("x"))
         assert ref.parse("\\λx. y") == Abs(fvar("y"))
@@ -155,6 +172,15 @@ def lambda_terms(draw):
     if rnd.random() < 0.5:
         t = subst({"x": fvar("v0"), "y": fvar("v2")}, t)
     return t
+
+
+# Free names that the walk's own binder names v0, v1, ... can collide
+# with, and indices up to 3, dangling past the binders around them.
+clashing_terms = st.recursive(
+    st.sampled_from(("v0", "v1", "v2", "v10", "x", "y")).map(fvar) | st.integers(0, 3).map(bvar),
+    lambda sub: st.builds(App, sub, sub) | st.builds(Abs, sub) | st.builds(partial(TAbs, BASE), sub),
+    max_leaves=12,
+)
 
 
 def show_outcome(printer, t, debruijn):
@@ -181,6 +207,17 @@ class TestShowAgainstReference:
         nf = normalize(parse(f"(\\m. \\n. n m) {numeral(2)} {numeral(k)}"))
         for debruijn in (False, True):
             assert show_nf(nf, debruijn) == ref.show(nf.term, debruijn)
+
+    @settings(max_examples=500, deadline=None)
+    @given(clashing_terms, st.booleans())
+    def test_free_names_that_are_binder_names(self, t, debruijn):
+        assert show(t, debruijn) == ref.show(t, debruijn)
+
+    def test_only_the_second_walk_avoids_the_clash(self):
+        # The first walk names the binders v0 and v1, and v1 is free.
+        t = parse("\\a. \\b. v1 a b")
+        assert show(t) == ref.show(t) == "\\v0. \\v2. v1 v0 v2"
+        assert show(parse("\\a. \\b. v2 a b")) == "\\v0. \\v1. v2 v0 v1"
 
     @pytest.mark.parametrize(
         "t",
