@@ -24,10 +24,12 @@ class ReductionCycle(FuelExhausted):
     has already reached: it would go round forever, so the budget is
     drained to 0 first, the outcome of stepping until it runs out.
 
-    period counts the beta steps of one round of the cycle; first_repeat
-    is the beta step, counted from the term given to the normalizer,
-    at which the repeat was found (the term there is the one period
-    steps earlier)."""
+    period counts the beta steps of one round of the cycle, exactly;
+    first_repeat is the beta step, counted from the term given to the
+    normalizer, at which the repeat was found (the term there is the one
+    period steps earlier).  The normalizer checks for a repeat after a
+    walk that may contract several steps at once, so first_repeat need
+    not be the first step at which the term repeats."""
 
     def __init__(self, period: int, first_repeat: int):
         super().__init__(

@@ -145,7 +145,9 @@ LcTerm = Var | App | Abs
 # is inside on an explicit stack, so nesting is bounded by memory, not by
 # the recursion limit.  A variable is dealt with where the walk meets it,
 # with no frame of its own.  A function goes before its argument, so the
-# first malformed node met is the one a recursive walk would meet.
+# first malformed node met is the one a recursive walk would meet.  One
+# index-rewriting walk substitutes any number of images at once, so a
+# head applied to m arguments is contracted in one walk, not m.
 
 # In a walk's stack, the frame of an abstraction holds _BODY where the
 # frame of an application holds its first walked child, or None.
@@ -157,10 +159,12 @@ def _replace(
 ) -> LcTerm:
     # Under d binders (depth counted in) a free name in s becomes its
     # image shifted by d.  With by nonzero, a dangling index k >= d
-    # becomes k + by; but when images is given, as {0: u}, index d
-    # becomes u shifted by d, kept in images[d] for the next occurrence.
-    # A node whose children all come back unchanged is shared, t itself
-    # included, and an abstraction is rebuilt through with_body.
+    # becomes k + by; but when images is given, as {0: a1, ..., m-1: am}
+    # with by = -m, t is the body of (\x1. ... \xm. t) a1 ... am and
+    # index d + m - 1 - j, bound by x(j+1), becomes images[j] shifted by
+    # d, kept in images[d * m + j] for the next occurrence.  A node whose
+    # children all come back unchanged is shared, t itself included, and
+    # an abstraction is rebuilt through with_body.
     #
     # Only an index rewrite (by nonzero) reads or writes the marks: it
     # returns a node marked at or below d as it is, and marks d on a node
@@ -178,12 +182,14 @@ def _replace(
                 k = ref.index
                 if by and k >= depth:
                     rewrites += 1
-                    if k > depth or images is None:
+                    if images is None or k >= depth - by:
                         t = bvar(k + by)
-                    else:
-                        t = images.get(depth)
+                    else:  # by is -m
+                        j = depth - by - 1 - k
+                        key = j - depth * by
+                        t = images.get(key)
                         if t is None:
-                            t = images[depth] = shift(images[0], depth)
+                            t = images[key] = shift(images[j], depth)
             elif isinstance(ref, Free):
                 name = ref.name
                 if name in s:
@@ -260,11 +266,13 @@ def subst0(t: LcTerm, u: LcTerm) -> LcTerm:
 
     t lives one scope deeper than its surroundings; occurrences of index
     0 become u (shifted under binders) and the remaining dangling indices
-    are decremented.  This is the beta contraction engine.  Subterms with
-    no index at or above the local cutoff are shared with t, t itself
-    included, and an abstraction is rebuilt (with_body) only when its body
-    changed.  Terms are immutable, so u is shifted at most once per binder
-    depth and every occurrence at that depth gets the same term.
+    are decremented.  This is the beta contraction engine, for one
+    argument; the normalizer calls the walk behind it with all the
+    arguments a head takes at once.  Subterms with no index at or above
+    the local cutoff are shared with t, t itself included, and an
+    abstraction is rebuilt (with_body) only when its body changed.  Terms
+    are immutable, so u is shifted at most once per binder depth and
+    every occurrence at that depth gets the same term.
     """
     return _replace(t, {}, -1, {0: u}, 0)
 
@@ -380,26 +388,40 @@ def _beta_normal(t: LcTerm, budget: Fuel) -> LcTerm:
     """Leftmost-outermost beta normal form by unwinding the head spine,
     eta-contracting each abstraction as it is closed.
 
-    Arguments wait on a stack that survives each head contraction, so a
-    step costs one subst0 and never a walk from the root.  A variable
-    head has its arguments normalized left to right; an unapplied
-    abstraction is entered.  These are the leftmost-outermost
-    contractions in their order, one fuel unit each.  frames holds the
-    context to rebuild: an abstraction around a body, or a list
-    [neutral so far, arguments still to normalize]; depth counts the
-    binders and App nodes that context puts above the focus.
+    Arguments wait on a stack that survives each head contraction, so no
+    step walks from the root.  A head (\\x1. ... \\xm. b) a1 ... am, m
+    the number of leading binders or of pending arguments, whichever is
+    smaller, is contracted in one walk over b (the walk behind subst0)
+    that substitutes all m arguments at once.  That is the result of its
+    m leftmost-outermost steps, which as m walks would first shift a1
+    under the binders the later ones strip again.  The m fuel units are
+    spent one at a time before the walk, so a budget runs out at the
+    unit it would run out at step by step.  A variable head has its
+    arguments normalized left to right; an unapplied abstraction is
+    entered.  These are the leftmost-outermost contractions in their
+    order, one fuel unit each.  frames holds the context to rebuild: an
+    abstraction around a body, or a list [neutral so far, arguments
+    still to normalize]; depth counts the binders and App nodes that
+    context puts above the focus.
 
     A closed abstraction is never reduced again and its body is already
     normal, so an eta contraction there (one fuel unit) gives the result
     and step count of an eta postpass over the beta-normal form.
 
     Each run of head contractions is checked for a cycle by Brent's
-    method: the state after a contraction is compared with a snapshot
-    retaken at power-of-two contraction counts of the run.  Within a run
-    frames only grows, so the state is the focus, the pending arguments
-    and len(frames).  Reduction is deterministic, so a repeated state
-    repeats forever: the budget is drained and ReductionCycle raised,
-    the outcome and remaining fuel of stepping until the budget is gone.
+    method: the state after a contraction walk is compared with a
+    snapshot retaken at power-of-two counts of the checks made in the
+    run.  Within a run frames only grows, so the state is the focus, the
+    pending arguments and len(frames).  A walk that leaves an
+    abstraction with arguments pending is not checked: the contractions
+    go on from there, and a cycle cannot stay in such states, since each
+    step takes an argument and none adds one.  Whether a state is
+    checked thus depends on the state alone, so the states checked recur
+    with the reduction's period, which is found exactly; first_repeat
+    is a step at which the state repeats, possibly later than the first
+    such step.  Reduction is deterministic, so a repeated state repeats
+    forever: the budget is drained and ReductionCycle raised, the
+    outcome and remaining fuel of stepping until the budget is gone.
     """
     frames: list = []
     depth = 0
@@ -407,7 +429,7 @@ def _beta_normal(t: LcTerm, budget: Fuel) -> LcTerm:
     steps = 0  # beta contractions so far
     while True:
         # The focus moved to an argument or out of a frame: a new run, no snapshot yet.
-        run_start, power, snap_len = steps, 1, -1
+        checks, power, snap_len = 0, 1, -1
         while True:
             if type(t) is App:
                 args.append(t.arg)
@@ -417,8 +439,17 @@ def _beta_normal(t: LcTerm, budget: Fuel) -> LcTerm:
             elif isinstance(t, Abs):
                 if args:
                     budget.spend()
-                    t = subst0(t.body, args.pop())
-                    steps += 1
+                    images = {0: args.pop()}  # the arguments to substitute, first first
+                    t = t.body
+                    while args and isinstance(t, Abs):
+                        budget.spend()
+                        images[len(images)] = args.pop()
+                        t = t.body
+                    m = len(images)
+                    t = _replace(t, {}, -m, images, 0)
+                    steps += m
+                    if args and isinstance(t, Abs):
+                        continue  # the contractions go on; not a checked state
                     if (
                         len(args) == snap_len
                         and len(frames) == snap_frames
@@ -427,7 +458,8 @@ def _beta_normal(t: LcTerm, budget: Fuel) -> LcTerm:
                     ):
                         budget.remaining = 0
                         raise ReductionCycle(steps - snap_steps, steps)
-                    if steps - run_start == power:
+                    checks += 1
+                    if checks == power:
                         snap_t, snap_args, snap_len = t, args[:], len(args)
                         snap_frames, snap_steps = len(frames), steps
                         power *= 2

@@ -10,7 +10,9 @@ modlam.typed's recursive stlc_subst are here too, and term_eq, the
 recursive equality App, Abs and TAbs had as dataclasses.  Also
 free_names, the free names of a signature term, and lam_free_names, the
 free names of a lambda term (the prepass modlam.lam's printer made
-before it collected them as it prints), which only tests need; the
+before it collected them as it prints), which only tests need;
+beta_normal, modlam.lam's normalizer as it was when each head
+contraction was a walk of its own, checked for a cycle after each; the
 recursive type printer show_type and type checker typecheck; and
 the generators gen_normal (build, then normalize the finished term) and
 gen_typed_term (a fresh candidate list at every leaf), which must draw
@@ -33,7 +35,19 @@ from operator import is_
 from typing import Any, Callable, Mapping, Optional
 
 from modlam.errors import ConfigError, MalformedTermError, ParseError, TypeCheckError
-from modlam.lam import _POOL_VARS, Abs, App, NfTerm, _sealed, reduce_to_normal
+from modlam.fuel import Fuel, ReductionCycle
+from modlam.lam import (
+    _POOL_VARS,
+    MAX_DEPTH,
+    Abs,
+    App,
+    NfTerm,
+    _eta_contract,
+    _sealed,
+    _too_deep,
+    reduce_to_normal,
+    subst0,
+)
 from modlam.terms import (
     Bound,
     Free,
@@ -640,3 +654,74 @@ def gen_typed_term(
         return TApp(fun, arg)
 
     return go(target, rng.randrange(1, max_size + 1), binders)
+
+
+def beta_normal(t, budget: Fuel):
+    """modlam.lam._beta_normal as it was when every head contraction was a
+    walk of its own: (\\x1. ... \\xm. b) a1 ... am took m subst0 calls, and
+    Brent's cycle check compared the state after each one, with the
+    snapshot retaken at power-of-two contraction counts of the run."""
+    frames: list = []
+    depth = 0
+    args: list = []
+    steps = 0  # beta contractions so far
+    while True:
+        # The focus moved to an argument or out of a frame: a new run, no snapshot yet.
+        run_start, power, snap_len = steps, 1, -1
+        while True:
+            if type(t) is App:
+                args.append(t.arg)
+                t = t.fun
+                if depth + len(args) > MAX_DEPTH:
+                    raise _too_deep()
+            elif isinstance(t, Abs):
+                if args:
+                    budget.spend()
+                    t = subst0(t.body, args.pop())
+                    steps += 1
+                    if (
+                        len(args) == snap_len
+                        and len(frames) == snap_frames
+                        and t == snap_t
+                        and args == snap_args
+                    ):
+                        budget.remaining = 0
+                        raise ReductionCycle(steps - snap_steps, steps)
+                    if steps - run_start == power:
+                        snap_t, snap_args, snap_len = t, args[:], len(args)
+                        snap_frames, snap_steps = len(frames), steps
+                        power *= 2
+                    continue
+                frames.append(t)
+                depth += 1
+                if depth > MAX_DEPTH:
+                    raise _too_deep()
+                t = t.body
+            elif isinstance(t, Var):
+                break
+            else:
+                raise MalformedTermError(f"not a lambda term: {t!r}")
+        if args:
+            frames.append([t, args])
+            depth += len(args)
+            t = args.pop()
+            args = []
+            continue
+        while frames:
+            frame = frames[-1]
+            depth -= 1
+            if type(frame) is list:
+                frame[0] = App(frame[0], t)
+                if frame[1]:
+                    t = frame[1].pop()
+                    break
+                t = frame[0]
+            else:
+                t = frame.with_body(t)
+                contracted = _eta_contract(t)
+                if contracted is not None:
+                    budget.spend()
+                    t = contracted
+            frames.pop()
+        else:
+            return t

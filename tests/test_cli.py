@@ -72,6 +72,21 @@ class TestNormalize:
         assert run(["normalize", OMEGA, "--fuel", "50"]) == EXIT_FUEL
         assert capsys.readouterr().err == "fuel exhausted\n"
 
+    @pytest.mark.parametrize(
+        "fuel, expected",
+        [
+            (1023, (EXIT_FUEL, "", "fuel exhausted\n")),
+            (1024, (EXIT_OK, "\\v0. \\v1. " + "v0 (" * 511 + "v0 v1" + ")" * 511 + "\n", "")),
+        ],
+        ids=["1023", "1024"],
+    )
+    def test_one_fuel_unit_per_beta_step(self, capsys, fuel, expected):
+        # 2^9 takes 1024 beta steps, most of them in walks that contract a
+        # two-binder head at once; the CI step "Fuel counts beta steps"
+        # runs the same two requests.
+        code = run(["normalize", TWO_TO_NINE, "--fuel", str(fuel)])
+        assert (code, *capsys.readouterr()) == expected
+
     def test_negative_fuel(self, capsys):
         assert run(["normalize", "x", "--fuel", "-1"]) == EXIT_USAGE
         assert capsys.readouterr().err == (

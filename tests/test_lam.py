@@ -46,6 +46,7 @@ from modlam.lam import (
     subst0,
     to_scoped,
     uses_bound,
+    _replace,
 )
 from modlam.terms import Bound, Free, Op, Var, bvar, fvar, parse_sexpr, well_scoped
 from modlam.typed import BASE, Arrow, TAbs
@@ -103,6 +104,25 @@ def naive_subst0(t, u, j: int = 0):
     if isinstance(t, App):
         return App(naive_subst0(t.fun, u, j), naive_subst0(t.arg, u, j))
     return t.with_body(naive_subst0(t.body, u, j + 1))
+
+
+def contract(t, *us):
+    """(\\x1. ... \\xm. t) u1 ... um in one walk, the one the normalizer
+    makes: us[j] for the index x(j+1) binds, the rest dropped by m."""
+    return _replace(t, {}, -len(us), dict(enumerate(us)), 0)
+
+
+def successive(subst_one, t, us):
+    """contract(t, *us) as m = len(us) one-image substitutions: t under
+    m - 1 binders, contracted one binder at a time, outermost first, as
+    the m beta steps of (\\x1. ... \\xm. t) u1 ... um are."""
+    for _ in us[1:]:
+        t = Abs(t)
+    for n, u in enumerate(us):
+        t = subst_one(t, u)
+        if n < len(us) - 1:
+            t = t.body
+    return t
 
 
 def naive_subst(s, t, depth: int = 0):
@@ -280,7 +300,9 @@ class TestDanglingMarks:
         for kind, i, j, by, cutoff in steps:
             a, b = pool[i % len(pool)], pool[j % len(pool)]
             if kind == "subst0":
-                out, expected = subst0(a, b), naive_subst0(a, b)
+                # cutoff + 1 images, from pool position j on
+                us = [pool[(j + n) % len(pool)] for n in range(cutoff + 1)]
+                out, expected = contract(a, *us), successive(naive_subst0, a, us)
             elif kind == "shift":
                 out, expected = shift(a, by, cutoff), naive_shift(a, by, cutoff)
             elif kind == "subst":
@@ -301,6 +323,14 @@ class TestDanglingMarks:
         assert subst0(t, bvar(0)) is t
         assert marks(t) == []
         assert shift(t, 1) == Abs(App(bvar(2), bvar(0)))
+        # So with more images: #1 for index 1 and #0 for index 0, at
+        # depth 0 and under a binder.
+        for t in (App(bvar(0), bvar(1)), Abs(App(bvar(2), App(bvar(1), bvar(0))))):
+            assert contract(t, bvar(1), bvar(0)) is t
+            assert marks(t) == []
+        assert contract(t, bvar(2), bvar(1), bvar(0)) is t
+        assert marks(t) == []
+        assert shift(t, 1) == Abs(App(bvar(3), App(bvar(2), bvar(0))))
 
     def test_leq_mult_reaches_its_numeral(self):
         mult = parse("(\\m. \\n. \\f. m (n f)) (\\f. \\x. f (f x)) (\\f. \\x. f (f (f x)))")
@@ -386,6 +416,42 @@ class TestWalksAgainstReference:
                         inputs = (t, u, *s.values())
                         assert input_nodes_kept(got, *inputs) == input_nodes_kept(expected, *inputs)
 
+    def test_m_images_in_one_walk(self):
+        # contract(t, *us) against m successive one-image calls.  One walk
+        # shares every closed input node the m calls share, and never fewer
+        # input nodes: an image with a dangling index placed at depth 0
+        # goes in whole, where the calls shift it under binders and back,
+        # and an image that is the very variable it replaces leaves the
+        # node above it shared.  Only t is malformed: an image met at depth
+        # 0 is placed unwalked, where the calls would walk it.
+        rng = random.Random(2606)
+        for _ in range(3000):
+            m = rng.randrange(1, 4)
+            t = rebound(rng, gen_term(rng, 12, depth=m + 1), 0.5)
+            us = [rebound(rng, gen_term(rng, 6, depth=1), 0.5) for _ in range(m)]
+            if rng.random() < 0.3:
+                # Images that are nodes of t, or bare indices, or repeated.
+                us[rng.randrange(m)] = rng.choice((*app_abs_nodes(t), bvar(0), bvar(1), us[0]))
+            inputs = app_abs_nodes(t, *us)
+            closed = {id(n) for n in inputs if dangling_below(n) == 0}
+            inputs = {id(n) for n in inputs}
+            broken = rng.random() < 0.15
+            if broken:
+                t = malformed(rng, t)
+            expected = outcome(successive, ref.lam_subst0, t, us)
+            if not broken:
+                assert successive(naive_subst0, t, us) == expected
+            for _ in range(2):  # again once the marks are written
+                got = outcome(contract, t, *us)
+                assert got == expected, (t, us)
+                if isinstance(got, (App, Abs)):
+                    pairs = list(zip(app_abs_nodes(got), app_abs_nodes(expected)))
+                    assert all(id(b) not in inputs or a is b for a, b in pairs)
+                    assert all(a is b for a, b in pairs if id(a) in closed or id(b) in closed)
+            if not broken:
+                for node, mark in marks(t, *us, got):
+                    assert dangling_below(node) <= mark, (node, mark)
+
     def test_walks_past_the_recursion_limit(self):
         n = 20000
         t = bvar(n)  # index 0 of the scope around n binders
@@ -400,6 +466,15 @@ class TestWalksAgainstReference:
         assert out == App(bvar(n), fvar("y"))
         assert shifted == bvar(n + 2)
         assert named == fvar("z")
+        # Indices 1 and 2 of the scope around n binders, and one past them,
+        # rewritten by three images in one walk.
+        t = App(App(bvar(n + 1), bvar(n + 2)), bvar(n + 3))
+        for _ in range(n):
+            t = Abs(t)
+        out = contract(t, fvar("w"), App(bvar(0), fvar("y")), fvar("u"))
+        for _ in range(n):
+            out = out.body
+        assert out == App(App(App(bvar(n), fvar("y")), fvar("w")), bvar(n))
 
 
 def rebuilt(rng, t, keep: float = 0.0):

@@ -440,24 +440,41 @@ def node_ids(t) -> set[int]:
 
 class TestSharing:
     def test_beta_contraction_rebuilds_no_untouched_node(self, monkeypatch):
-        # Normalizing Church 2^9 and 20*20 contracts 1067 redexes whose bodies
-        # hold 3979 untouched App/Abs nodes; a rebuilding subst0 makes 3923
-        # new ones (the rest reappear through the argument itself).
-        calls, untouched, rebuilt = 0, 0, 0
-        subst0 = lam.subst0
+        # Normalizing Church 2^9 and 20*20 takes 535 contraction walks, and
+        # their bodies hold no untouched App/Abs node: a run of head
+        # contractions is one walk, so no walk goes back into the images an
+        # earlier contraction placed (one walk per contraction met 3979
+        # untouched nodes in 1067 walks there).  The seeded samples and the
+        # three-binder head walk bodies that do hold them: 386 walks, 30 of
+        # them with more than one image, hold 366 untouched nodes.
+        calls, multi, untouched, rebuilt = 0, 0, 0, 0
+        replace = lam._replace
 
-        def counting(t, u):
-            nonlocal calls, untouched, rebuilt
+        def counting(t, s, by, images, depth):
+            # Only contraction walks: the shifts of their images are not.
+            nonlocal calls, multi, untouched, rebuilt
+            if not images:
+                return replace(t, s, by, images, depth)
             keep = untouched_nodes(t)
-            out = subst0(t, u)
+            multi += len(images) > 1
+            out = replace(t, s, by, images, depth)
             ids = node_ids(out)
             calls += 1
             untouched += len(keep)
             rebuilt += sum(id(n) not in ids for n in keep)
             return out
 
-        monkeypatch.setattr(lam, "subst0", counting)
+        monkeypatch.setattr(lam, "_replace", counting)
         mult = f"(\\m. \\n. \\f. m (n f)) {church_text(20)} {church_text(20)}"
         for text, n in ((power_of_two(9), 512), (mult, 400)):
             assert show(normalize(parse(text), 10**7).term) == show(church(n))
-        assert (calls, untouched, rebuilt) == (1067, 3979, 0)
+        assert (calls, untouched, rebuilt) == (535, 0, 0)
+        calls = multi = 0
+        for i in range(1000):
+            try:
+                normalize(gen_term(random.Random(i), max_size=40), 10_000)
+            except FuelExhausted:
+                pass
+        text = "(\\a. \\b. \\c. a (\\z. z) (b c (\\w. w w))) f g h"
+        assert show(normalize(parse(text)).term) == "f (\\v0. v0) (g h (\\v1. v1 v1))"
+        assert (calls, multi, untouched, rebuilt) == (386, 30, 366, 0)
