@@ -32,6 +32,7 @@ def numeral(n: int) -> str:
 
 # 2^9, whose normal form nests 514 levels deep
 TWO_TO_NINE = f"(\\m. \\n. n m) {numeral(2)} {numeral(9)}"
+NUMERAL_512 = "\\v0. \\v1. " + "v0 (" * 511 + "v0 v1" + ")" * 511 + "\n"
 
 
 class TestParse:
@@ -70,20 +71,19 @@ class TestNormalize:
 
     def test_fuel_exhaustion(self, capsys):
         assert run(["normalize", OMEGA, "--fuel", "50"]) == EXIT_FUEL
-        assert capsys.readouterr().err == "fuel exhausted\n"
+        assert capsys.readouterr() == ("", "fuel exhausted\n")
 
     @pytest.mark.parametrize(
         "fuel, expected",
         [
             (1023, (EXIT_FUEL, "", "fuel exhausted\n")),
-            (1024, (EXIT_OK, "\\v0. \\v1. " + "v0 (" * 511 + "v0 v1" + ")" * 511 + "\n", "")),
+            (1024, (EXIT_OK, NUMERAL_512, "")),
         ],
         ids=["1023", "1024"],
     )
     def test_one_fuel_unit_per_beta_step(self, capsys, fuel, expected):
         # 2^9 takes 1024 beta steps, most of them in walks that contract a
-        # two-binder head at once; the CI step "Fuel counts beta steps"
-        # runs the same two requests.
+        # two-binder head at once.
         code = run(["normalize", TWO_TO_NINE, "--fuel", str(fuel)])
         assert (code, *capsys.readouterr()) == expected
 
@@ -241,6 +241,19 @@ class TestLaws:
         with pytest.raises(ConfigError):
             catalog.run_suite(suite, instance, 5)
 
+    @pytest.mark.parametrize(
+        "suite, instance", [(s, i) for s in catalog.SUITES for i in catalog.INSTANCES]
+    )
+    def test_every_pair_of_the_grid_exits_as_the_table_says(self, capsys, suite, instance):
+        code = run(["laws", "--suite", suite, "--instance", instance, "--samples", "20"])
+        out, err = capsys.readouterr()
+        if (suite, instance) not in catalog.PAIRS:
+            assert (code, out, err.count("\n")) == (EXIT_USAGE, "", 1)
+        else:
+            assert (code, err) == (EXIT_OK, "")
+            if catalog.PAIRS[suite, instance]:
+                assert out.endswith("\nexpected failure: counterexample found\n")
+
     def test_the_grid_has_nine_pairs_outside_the_table(self):
         grid = {(s, i) for s in catalog.SUITES for i in catalog.INSTANCES}
         assert set(catalog.PAIRS) < grid and len(grid - set(catalog.PAIRS)) == 9
@@ -261,6 +274,7 @@ class TestFold:
 
     def test_fold_fuel(self, capsys):
         assert run(["fold", OMEGA, "--target", "nf", "--fuel", "50"]) == EXIT_FUEL
+        assert capsys.readouterr() == ("", "fuel exhausted\n")
 
     def test_negative_fuel(self, capsys):
         assert run(["fold", "x", "--target", "nf", "--fuel", "-1"]) == EXIT_USAGE
@@ -383,9 +397,13 @@ class TestDeepTerms:
 class TestUsage:
     def test_no_command(self, capsys):
         assert run([]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
 
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
 
     def test_missing_required_option(self, capsys):
         assert run(["subst", "x"]) == EXIT_USAGE
@@ -533,6 +551,20 @@ class TestEntryPoint:
         )
         assert proc.returncode == EXIT_OK
         assert proc.stdout == b"y\n"
+
+    def test_long_reductions_end_within_10_s(self):
+        # Without cycle detection, Ω at this fuel runs for minutes.
+        def modlam(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "modlam", *argv], capture_output=True, text=True, timeout=10
+            )
+
+        proc = modlam("normalize", OMEGA, "--fuel", "100000000")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_FUEL, "", "fuel exhausted\n")
+        proc = modlam("normalize", TWO_TO_NINE)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, NUMERAL_512, "")
+        proc = modlam("parse", NUMERAL_512.rstrip("\n"))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, NUMERAL_512, "")
 
 
 def _raise_recursion_error(text):

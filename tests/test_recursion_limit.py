@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from modlam.cli import EXIT_SOFTWARE
+from modlam.cli import EXIT_FUEL, EXIT_SOFTWARE
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
@@ -100,6 +100,11 @@ def test_same_transcript_at_both_limits(at_both_limits, name):
     low, high = (t[name] for t in at_both_limits)
     assert low == high
     assert low[0] != EXIT_SOFTWARE, low
+    if low[0] == EXIT_FUEL:
+        # Exit 3 always says why, on one stderr line; only equiv prints a verdict.
+        _, out, err = low
+        assert out == ("inconclusive\n" if REQUESTS[name][0] == "equiv" else "")
+        assert err.count("\n") == 1 and err.strip()
 
 
 def test_the_deep_normalizations_end_in_the_depth_limit(at_both_limits):
