@@ -37,6 +37,20 @@ skips it.  A name substitution neither reads nor writes the mark; it
 reaches marked nodes through the shifts of its images.  Like _normal,
 the mark is not a dataclass field, and it depends only on the node's
 structure, so it stays right.
+
+The normalizer keeps an argument of a variable head that is marked
+normal as it is, without walking it, when depth + height <= MAX_DEPTH:
+depth is the nesting the argument sits at, and height, the most App and
+Abs nodes on a path down from it, is the nesting the normalizer would
+count inside a normal form.  The height is cached in a third mark,
+_height, which only this module writes, the first time it is needed.
+So iota_fold, whose applications renormalize around a folded argument
+the normalizer has marked, costs time linear in the folded numeral.
+
+The fields of App and Abs live in __slots__ and the marks in the
+instance __dict__, which no walk touches: it is created by the first
+mark written, with object.__setattr__, and field reads keep the
+interpreter's fast path.
 """
 
 from __future__ import annotations
@@ -94,30 +108,40 @@ def _same_term(a: LcTerm, b) -> bool:
         a, b = todo.pop()
 
 
-# The constructors write the instance __dict__ directly: a frozen
-# dataclass's own __init__ sets each field through object.__setattr__, and
-# the normalizer and the generators build hundreds of thousands of nodes.
-# _normal is the normal-form mark (see reduce_to_normal), unset by default;
-# _dangling_below is the loose-bound mark (see _replace), unknown by default.
+# The fields live in __slots__, and the constructors set them through the
+# slot descriptors: a frozen dataclass's own __init__ sets each field
+# through object.__setattr__, and the normalizer and the generators build
+# hundreds of thousands of nodes.  The instance __dict__ holds only marks,
+# each with a class default: _normal is the normal-form mark (see
+# reduce_to_normal), unset by default; _dangling_below is the loose-bound
+# mark (see _replace), unknown by default; _height is the height (see
+# _height_of), unknown (-1) by default.  __reduce__ rebuilds a node through
+# its constructor and hands over its marks: the default copy and pickle
+# would set the slots through the frozen __setattr__.
 
 
 @dataclass(frozen=True, init=False, eq=False, unsafe_hash=True)
 class App:
+    __slots__ = ("fun", "arg", "__dict__")
     fun: "LcTerm"
     arg: "LcTerm"
 
     _normal = False
     _dangling_below = sys.maxsize
+    _height = -1
     __eq__ = _same_term
 
     def __init__(self, fun: "LcTerm", arg: "LcTerm"):
-        d = self.__dict__
-        d["fun"] = fun
-        d["arg"] = arg
+        _set_fun(self, fun)
+        _set_arg(self, arg)
+
+    def __reduce__(self):
+        return App, (self.fun, self.arg), self.__dict__ or None
 
 
 @dataclass(frozen=True, init=False, eq=False, unsafe_hash=True)
 class Abs:
+    __slots__ = ("body", "__dict__")
     body: "LcTerm"
 
     # The engine rebuilds an abstraction through the node itself, so a
@@ -127,14 +151,22 @@ class Abs:
     binder_type = None  # a subclass's binder data, compared by identity
     _normal = False
     _dangling_below = sys.maxsize
+    _height = -1
     __eq__ = _same_term
 
     def __init__(self, body: "LcTerm"):
-        self.__dict__["body"] = body
+        _set_body(self, body)
+
+    def __reduce__(self):
+        return Abs, (self.body,), self.__dict__ or None
 
     def with_body(self, body: "LcTerm") -> "Abs":
         return Abs(body)
 
+
+_set_fun = App.fun.__set__
+_set_arg = App.arg.__set__
+_set_body = Abs.body.__set__
 
 LcTerm = Var | App | Abs
 
@@ -226,7 +258,7 @@ def _replace(
             if f is _BODY:
                 depth -= 1
             if by and rewrites == before:
-                node.__dict__["_dangling_below"] = depth
+                object.__setattr__(node, "_dangling_below", depth)
                 t = node
             elif f is _BODY:
                 t = node if t is node.body else node.with_body(t)
@@ -365,7 +397,7 @@ class NfTerm:
 def _sealed(t: LcTerm) -> NfTerm:
     # An NfTerm without the certifying pass, for a term normal by construction.
     nf = object.__new__(NfTerm)
-    nf.__dict__["term"] = t
+    object.__setattr__(nf, "term", t)
     return nf
 
 
@@ -407,6 +439,11 @@ def _beta_normal(t: LcTerm, budget: Fuel) -> LcTerm:
     A closed abstraction is never reduced again and its body is already
     normal, so an eta contraction there (one fuel unit) gives the result
     and step count of an eta postpass over the beta-normal form.
+
+    An argument marked normal is kept as it is when the focus moves to
+    it, if depth + _height_of(argument) <= MAX_DEPTH: walking it would
+    spend no fuel, raise nothing and rebuild an equal term.  Past that
+    bound it is walked, and the walk raises DepthLimit where it would.
 
     Each run of head contractions is checked for a cycle by Brent's
     method: the state after a contraction walk is compared with a
@@ -478,7 +515,12 @@ def _beta_normal(t: LcTerm, budget: Fuel) -> LcTerm:
             depth += len(args)
             t = args.pop()
             args = []
-            continue
+            if not (
+                type(t) is not Var
+                and getattr(t, "_normal", False)
+                and depth + _height_of(t) <= MAX_DEPTH
+            ):
+                continue
         while frames:
             frame = frames[-1]
             depth -= 1
@@ -486,6 +528,12 @@ def _beta_normal(t: LcTerm, budget: Fuel) -> LcTerm:
                 frame[0] = App(frame[0], t)
                 if frame[1]:
                     t = frame[1].pop()
+                    if (
+                        type(t) is not Var
+                        and getattr(t, "_normal", False)
+                        and depth + _height_of(t) <= MAX_DEPTH
+                    ):
+                        continue  # kept as it is: the frame takes it as it stands
                     break
                 t = frame[0]
             else:
@@ -497,6 +545,31 @@ def _beta_normal(t: LcTerm, budget: Fuel) -> LcTerm:
             frames.pop()
         else:
             return t
+
+
+def _height_of(t: LcTerm) -> int:
+    # The most App and Abs nodes on a path down from t, cached in t's
+    # _height mark.  On a normal form, where every spine has a variable
+    # head, that is the nesting the normalizer counts inside t: binders,
+    # plus the arguments pending on each spine.  A walk on a stack of
+    # (node, nodes above it), which stops at a node with its height cached.
+    if isinstance(t, Var):
+        return 0
+    height = t._height
+    if height < 0:
+        height = 0
+        todo = [(t, 0)]
+        while todo:
+            u, above = todo.pop()
+            below = 0 if isinstance(u, Var) else u._height
+            if below >= 0:
+                height = max(height, above + below)
+            elif isinstance(u, App):
+                todo += ((u.fun, above + 1), (u.arg, above + 1))
+            else:
+                todo.append((u.body, above + 1))
+        object.__setattr__(t, "_height", height)
+    return height
 
 
 def reduce_to_normal(t: LcTerm, fuel: Fuel | int = DEFAULT_FUEL) -> LcTerm:
@@ -524,7 +597,7 @@ def reduce_to_normal(t: LcTerm, fuel: Fuel | int = DEFAULT_FUEL) -> LcTerm:
 def _marked(t: LcTerm) -> LcTerm:
     # Only for a term that reduce_to_normal, started at its root, would
     # return unchanged: beta-eta normal and nested within MAX_DEPTH.
-    t.__dict__["_normal"] = True
+    object.__setattr__(t, "_normal", True)
     return t
 
 

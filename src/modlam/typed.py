@@ -42,6 +42,7 @@ from .lam import (
     Abs,
     App,
     _expect,
+    _set_body,
     parse_binding,
     reduce_to_normal,
     show,
@@ -131,13 +132,18 @@ class TAbs(Abs):
     """An abstraction with its binder type; built and matched as
     TAbs(binder_type, body)."""
 
+    __slots__ = ("binder_type",)
     binder_type: SimpleType
     __match_args__ = ("binder_type", "body")
 
     def __init__(self, binder_type: SimpleType, body: "StlcTerm"):
-        d = self.__dict__  # as lam's nodes do, past the frozen __setattr__
-        d["binder_type"] = binder_type
-        d["body"] = body
+        # As lam's nodes do: through the slot descriptors, past the frozen
+        # __setattr__, so the instance __dict__ holds only marks and _type.
+        _set_binder_type(self, binder_type)
+        _set_body(self, body)
+
+    def __reduce__(self):
+        return TAbs, (self.binder_type, self.body), self.__dict__ or None
 
     def with_body(self, body: "StlcTerm") -> "TAbs":
         return TAbs(self.binder_type, body)
@@ -146,6 +152,8 @@ class TAbs(Abs):
     def annotation(self) -> str:
         return ":" + show_type(self.binder_type)
 
+
+_set_binder_type = TAbs.binder_type.__set__
 
 StlcTerm = TVar | TApp | TAbs
 
@@ -442,7 +450,7 @@ def gen_typed_term(
 
     t = go(target, rng.randrange(1, max_size + 1), binders)
     if not binders:
-        t.__dict__["_type"] = target
+        object.__setattr__(t, "_type", target)
     return t
 
 
@@ -648,7 +656,7 @@ def gen_tlist(rng: random.Random, sort: Optional[int] = None, max_size: int = 8)
 
     t = go(sort, rng.randrange(1, max_size + 1))
     if sort >= 0:
-        t.__dict__["_sort"] = sort
+        object.__setattr__(t, "_sort", sort)
     return t
 
 

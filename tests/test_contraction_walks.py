@@ -11,6 +11,10 @@ the two sides' detection steps ends one side in ReductionCycle and the
 other in a plain FuelExhausted, both with no fuel left.  Such cases are
 counted.
 
+The panel is run a second time with every argument normalized and marked
+beforehand, so that the normalizer keeps the marked arguments it meets
+as they are, where their height allows, and the reference walks them.
+
 The comparison runs in two interpreters, at recursion limits 1000 and
 4000, as tests/test_recursion_limit.py does."""
 
@@ -21,9 +25,10 @@ import random
 import subprocess
 import sys
 
+from modlam import lam
 from modlam.errors import MalformedTermError
 from modlam.fuel import Fuel, FuelExhausted, ReductionCycle
-from modlam.lam import gen_term, parse, reduce_to_normal
+from modlam.lam import Abs, App, gen_term, parse, reduce_to_normal
 from modlam.typed import gen_typed_term
 
 import reference_terms as ref
@@ -57,12 +62,43 @@ def outcome(normalizer, t, fuel: int) -> tuple:
         return type(e).__name__, None, budget.remaining, None, None
 
 
-def compare() -> dict:
-    """Run both normalizers over the panel; assert they agree and count
-    what the differential saw."""
-    seen = {"runs": 0, "cycles": 0, "later_repeat": 0, "cycle_vs_budget": 0}
+def premarked(t):
+    """t with the argument of every App node replaced by its normal form,
+    which the normalizer marks, wherever that takes at most 10000 steps."""
+    if isinstance(t, App):
+        arg = premarked(t.arg)
+        try:
+            arg = reduce_to_normal(arg, 10_000)
+        except FuelExhausted:
+            pass
+        return App(premarked(t.fun), arg)
+    if isinstance(t, Abs):
+        return t.with_body(premarked(t.body))
+    return t
 
+
+def compare(premark: bool = False) -> dict:
+    """Run both normalizers over the panel, with its arguments marked if
+    premark; assert they agree and count what the differential saw,
+    including how often the normalizer took a marked argument's height."""
+    seen = {"runs": 0, "cycles": 0, "later_repeat": 0, "cycle_vs_budget": 0, "heights": 0}
+    height_of = lam._height_of
+
+    def counted_height_of(t):
+        seen["heights"] += 1
+        return height_of(t)
+
+    lam._height_of = counted_height_of
+    try:
+        run_panel(seen, premarked if premark else lambda t: t)
+    finally:
+        lam._height_of = height_of
+    return seen
+
+
+def run_panel(seen: dict, prepare) -> None:
     def check(t, fuel: int) -> tuple:
+        t = prepare(t)
         expected = outcome(ref.beta_normal, t, fuel)
         got = outcome(reduce_to_normal, t, fuel)
         seen["runs"] += 1
@@ -101,14 +137,13 @@ def compare() -> dict:
             check(parse(text), fuel)
     for text in church_panel():
         check_at_the_last_unit(parse(text), 10**7)
-    return seen
 
 
 RUNNER = """
 import json, sys
 sys.setrecursionlimit(int(sys.argv[1]))
 import test_contraction_walks
-print(json.dumps(test_contraction_walks.compare()))
+print(json.dumps([test_contraction_walks.compare(p) for p in (False, True)]))
 """
 
 
@@ -124,7 +159,13 @@ def test_one_walk_per_run_matches_one_walk_per_contraction():
             timeout=600,
         )
         assert proc.returncode == 0, proc.stderr[-3000:]
-        seen = json.loads(proc.stdout)
+        plain, marked = json.loads(proc.stdout)
         # 38 cycles found, 6 of them at a later step than the reference's;
         # no budget ran out between the two sides' detection steps.
-        assert seen == {"runs": 61063, "cycles": 38, "later_repeat": 6, "cycle_vs_budget": 0}, limit
+        assert plain == {
+            "runs": 61063, "cycles": 38, "later_repeat": 6, "cycle_vs_budget": 0, "heights": 0,
+        }, limit
+        # With the arguments marked, 23484 heights were taken.
+        assert marked == {
+            "runs": 58159, "cycles": 38, "later_repeat": 4, "cycle_vs_budget": 0, "heights": 23484,
+        }, limit

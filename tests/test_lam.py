@@ -1,6 +1,10 @@
+import copy
+import dataclasses
+import pickle
 import random
 import re
 import sys
+import types
 from functools import partial
 
 import pytest
@@ -15,6 +19,7 @@ from modlam.harness import (
     check_monad_morphism,
     compose_subst,
 )
+from modlam import lam
 from modlam.lam import (
     LC,
     NF,
@@ -501,6 +506,87 @@ def rebound(rng, t, p: float):
         body = rebound(rng, t.body, p)
         return rng.choice(MIXED_BINDERS)(body) if rng.random() < p else t.with_body(body)
     return t
+
+
+def with_marks(t):
+    """A node equal to t that carries all three marks, each written by its
+    own writer: the normal-form mark by the normalizer, the loose-bound
+    mark by a shift that finds no dangling index, the height by the
+    normalizer's height cache."""
+    node = lam.reduce_to_normal(t)
+    assert shift(node) is node
+    lam._height_of(node)
+    return node
+
+
+class TestNodes:
+    """App, Abs and TAbs are frozen dataclasses whose fields live in
+    __slots__: building a node writes no instance __dict__, and the marks,
+    which do live there, are invisible to everything a dataclass gives."""
+
+    NODES = {
+        App: (lambda: App(fvar("f"), Abs(bvar(0))), ["fun", "arg"]),
+        Abs: (lambda: Abs(App(bvar(0), fvar("y"))), ["body"]),
+        TAbs: (lambda: TAbs(Arrow(BASE, BASE), App(bvar(0), fvar("y"))), ["body", "binder_type"]),
+    }
+    MARKS = {"_normal": True, "_dangling_below": 0, "_height": 2}
+
+    @pytest.fixture(params=list(NODES), ids=lambda cls: cls.__name__)
+    def case(self, request):
+        build, fields = self.NODES[request.param]
+        return request.param, build, fields
+
+    def test_fields_are_slots_and_a_new_node_has_no_dict_entries(self, case):
+        cls, build, fields = case
+        assert [f.name for f in dataclasses.fields(cls)] == fields
+        assert all(isinstance(getattr(cls, name), types.MemberDescriptorType) for name in fields)
+        assert vars(build()) == {}
+
+    def test_frozen(self, case):
+        cls, build, fields = case
+        t = with_marks(build())
+        for name in [*fields, *self.MARKS]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(t, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(t, name)
+        assert vars(t) == self.MARKS
+
+    def test_marks_are_invisible(self, case):
+        cls, build, fields = case
+        t, fresh = with_marks(build()), build()
+        assert type(t) is cls and vars(t) == self.MARKS
+        assert t == fresh and fresh == t and hash(t) == hash(fresh)
+        assert repr(t) == repr(fresh)
+        assert dataclasses.replace(t) == t and vars(dataclasses.replace(t)) == {}
+
+    def test_repr_replace_and_match(self):
+        t = App(fvar("f"), bvar(0))
+        assert repr(t) == "App(fun=Var(ref=Free(name='f')), arg=Var(ref=Bound(index=0)))"
+        assert dataclasses.replace(t, arg=fvar("y")) == App(fvar("f"), fvar("y"))
+        a = TAbs(BASE, t)
+        assert repr(a) == f"TAbs(body={t!r}, binder_type=BaseType())"
+        assert dataclasses.replace(a, binder_type=Arrow(BASE, BASE)) == TAbs(Arrow(BASE, BASE), t)
+        match Abs(t):
+            case Abs(App(Var(Free(name)), Var(Bound(k)))):
+                assert (name, k) == ("f", 0)
+            case _:
+                pytest.fail("Abs(App(fun, arg)) did not match")
+        match a:
+            case TAbs(ty, App(f, _)):
+                assert ty is BASE and f == fvar("f")
+            case _:
+                pytest.fail("TAbs(binder_type, body) did not match")
+
+    def test_marks_survive_copy_and_pickle(self, case):
+        cls, build, fields = case
+        t = with_marks(build())
+        for out in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert type(out) is cls and out == t and out is not t
+            assert vars(out) == self.MARKS
+            assert lam.reduce_to_normal(out, Fuel(0)) is out
+        for out in (copy.copy(build()), pickle.loads(pickle.dumps(build()))):
+            assert vars(out) == {}
 
 
 class TestTermEquality:

@@ -272,6 +272,83 @@ class TestNormalMark:
             assert lam._beta_normal(nf.term, Fuel(0)) == nf.term
 
 
+def chain(height: int) -> LcTerm:
+    """f (f (... (f y))): a normal form with `height` App nodes on its spine."""
+    t = fvar("y")
+    for _ in range(height):
+        t = App(fvar("f"), t)
+    return t
+
+
+def try_normalize(t, fuel: int) -> tuple:
+    """(result or exception class, fuel left)."""
+    budget = Fuel(fuel)
+    try:
+        return lam.reduce_to_normal(t, budget), budget.remaining
+    except FuelExhausted as e:
+        return type(e), budget.remaining
+
+
+class TestMarkedArguments:
+    """An argument of a variable head that is marked normal is kept as it
+    is when the depth it sits at plus its height is within MAX_DEPTH; past
+    that it is walked, and the walk raises DepthLimit.  Either way the
+    outcome is that of an unmarked copy."""
+
+    # (context, the depth its hole sits at): the hole is a first argument,
+    # a later argument (the argument frame's second pop), an argument
+    # under a binder, and the argument left by a head contraction.
+    CONTEXTS = {
+        "x a": (lambda a: App(fvar("x"), a), 1),
+        "x a z": (lambda a: App(App(fvar("x"), a), fvar("z")), 2),
+        "x z a": (lambda a: App(App(fvar("x"), fvar("z")), a), 1),
+        "\\w. w a z": (lambda a: Abs(App(App(bvar(0), a), fvar("z"))), 3),
+        "(\\v. x v) a": (lambda a: App(Abs(App(fvar("x"), bvar(0))), a), 1),
+    }
+
+    @pytest.mark.parametrize("context, depth", CONTEXTS.values(), ids=CONTEXTS)
+    def test_at_the_limit_and_one_past(self, context, depth):
+        for height in (MAX_DEPTH - depth, MAX_DEPTH - depth + 1):
+            arg = lam.reduce_to_normal(chain(height))
+            assert marked(arg) and lam._height_of(arg) == height
+            kept, unmarked = try_normalize(context(arg), 10), try_normalize(context(chain(height)), 10)
+            assert kept == unmarked
+            if height + depth <= MAX_DEPTH:
+                assert kept[0] != DepthLimit
+                assert id(arg) in node_ids(kept[0])  # kept, not rebuilt
+            else:
+                assert kept[0] is DepthLimit
+
+    def test_height_is_the_most_nodes_on_a_path(self):
+        for i in range(300):
+            nf = gen_normal(random.Random(i), max_size=30)
+            assert lam._height_of(nf.term) == height(nf.term)
+
+    def test_fold_builds_linearly_many_nodes(self, monkeypatch):
+        # Each application of the fold keeps its folded argument: the App
+        # nodes built grow linearly with the numeral, not quadratically.
+        built = []
+        init = App.__init__
+        monkeypatch.setattr(App, "__init__", lambda self, f, a: built.append(1) or init(self, f, a))
+
+        def count(n: int) -> int:
+            t = parse(church_text(n))
+            built.clear()
+            out = iota_fold(t)
+            assert out.term == church(n)
+            return len(built)
+
+        assert count(80) <= 2.2 * count(40)
+
+
+def height(t) -> int:
+    if isinstance(t, App):
+        return 1 + max(height(t.fun), height(t.arg))
+    if isinstance(t, Abs):
+        return 1 + height(t.body)
+    return 0
+
+
 # The 12 reductions that ran out of steps in the four laws-nf suite pairs
 # (monad nf, module nf, linearity nf, linearity stlc) at law seeds 0 and 1,
 # before cycle detection: each burnt the whole default budget.

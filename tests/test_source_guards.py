@@ -1,11 +1,13 @@
 """The source invariants that keep the law reports reproducible and the
 code free of dead parts, checked on the syntax trees of src/modlam and
 perfbench: every sample draw goes through harness._sample_rng, lam alone
-writes the normal-form and loose-bound marks and typed alone the type and
-sort slots, only the harness and the catalog run a law, nothing is
-imported, defined or exported that nothing loads, and the defs that call
-themselves are exactly README.md's "What still recurses" list.  Each test
-lists every `path:line: ...` that breaks its rule."""
+writes the normal-form, loose-bound and height marks and typed alone the
+type and sort slots, no term's instance __dict__ is touched outside the
+__reduce__ helpers and terms.Op's constructor, only the harness and the
+catalog run a law, nothing is imported, defined or exported that nothing
+loads, and the defs that call themselves are exactly README.md's "What
+still recurses" list.  Each test lists every `path:line: ...` that breaks
+its rule."""
 
 import ast
 import pathlib
@@ -21,12 +23,15 @@ CHECKERS = {
     "_sweep", "sampled_law", "check_monad_laws", "check_module_laws",
     "check_linearity", "check_monad_morphism", "algebra_check",
 }
-# The normal-form and loose-bound marks and the type and sort slots are
-# sound only because lam alone writes the marks and typed alone the slots.
+# The normal-form, loose-bound and height marks and the type and sort slots
+# are sound only because lam alone writes the marks and typed alone the slots.
 SLOTS = (
-    ("_normal", "lam.py"), ("_dangling_below", "lam.py"),
+    ("_normal", "lam.py"), ("_dangling_below", "lam.py"), ("_height", "lam.py"),
     ("_type", "typed.py"), ("_sort", "typed.py"),
 )
+# The defs that may touch an instance __dict__: a node's fields live in
+# slots, and a read of x.__dict__ or vars(x) creates the dict it reads.
+DICT_USERS = {"__reduce__", "Op.__init__"}
 # The defs that call themselves, each named in README.md's "What still
 # recurses" list by the part after its module.
 RECURSIVE = {
@@ -166,6 +171,30 @@ def test_marks_and_slots_have_one_writer(src):
         for n in ast.walk(tree)
         if slot in (getattr(n, "id", None), getattr(n, "attr", None), getattr(n, "name", None))
         or (isinstance(n, ast.Constant) and n.value == slot)
+    ])
+
+
+def enclosing_defs(tree, prefix=""):
+    """(dotted name of the innermost def or class around node, node) for
+    every node under tree."""
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, (*DEFS, ast.ClassDef)):
+            yield from enclosing_defs(child, prefix + child.name + ".")
+        else:
+            yield prefix[:-1], child
+            yield from enclosing_defs(child, prefix)
+
+
+def test_instance_dicts_only_in_reduce_and_op(src):
+    # A node whose __dict__ is created, even empty, loses the interpreter's
+    # fast path for its field reads, so no walk may read or write it.
+    report([
+        f"{path}:{n.lineno}: instance __dict__ touched in {owner or 'module scope'}"
+        for path, tree in src.items()
+        for owner, n in enclosing_defs(tree)
+        if (isinstance(n, ast.Attribute) and n.attr == "__dict__")
+        or (isinstance(n, ast.Call) and getattr(n.func, "id", None) == "vars")
+        if not any(owner == d or owner.endswith("." + d) for d in DICT_USERS)
     ])
 
 
