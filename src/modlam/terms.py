@@ -118,18 +118,58 @@ class Signature:
         return self._index[name]
 
 
-@dataclass(frozen=True, init=False)
+def _same_op(a: "Op", b) -> bool:
+    # The __eq__ of Op, on a stack of the operator pairs still to compare:
+    # at each pair the class, operator index and argument count, then the
+    # arguments, each pair by identity first, then a pair of operators
+    # onto the stack and a pair of leaves by their ==.
+    if type(b) is not type(a):
+        return False if isinstance(b, (Op, Var)) else NotImplemented
+    todo = []
+    while True:
+        if a.op != b.op or len(a.args) != len(b.args):
+            return False
+        for x, y in zip(a.args, b.args):
+            if x is not y:
+                if isinstance(x, Op):
+                    todo.append((x, y))
+                elif not x == y:
+                    return False
+        if not todo:
+            return True
+        a, b = todo.pop()
+        if type(b) is not type(a):
+            return False
+
+
+# The fields live in __slots__ and the constructor sets them through the
+# slot descriptors, as lam's App and Abs do: no instance __dict__ is ever
+# created, since nothing marks an operator node, and field reads keep the
+# interpreter's fast path.  __reduce__ rebuilds a node through its
+# constructor: the default copy and pickle would set the slots through
+# the frozen __setattr__.
+
+
+@dataclass(frozen=True, init=False, eq=False, unsafe_hash=True)
 class Op:
     """An operator node: signature index plus argument terms."""
 
+    __slots__ = ("op", "args")
     op: int
     args: tuple["ScopedTerm", ...]
 
+    __eq__ = _same_op
+
     def __init__(self, op: int, args: tuple["ScopedTerm", ...]):
-        # Past the frozen __setattr__, as lam builds its nodes.
-        d = self.__dict__
-        d["op"] = op
-        d["args"] = args
+        _set_op(self, op)
+        _set_args(self, args)
+
+    def __reduce__(self):
+        return Op, (self.op, self.args)
+
+
+_set_op = Op.op.__set__
+_set_args = Op.args.__set__
 
 
 ScopedTerm = Var | Op
@@ -455,7 +495,8 @@ def show_sexpr(sig: Signature, t: ScopedTerm) -> str:
 
 # ---------- signature files ----------
 #
-# One operator per line, `name: [n1, n2, ...]`, '#' starts a comment.
+# One operator per line, `name: [n1, n2, ...]`, each nk ASCII digits;
+# '#' starts a comment.
 
 
 def parse_signature(text: str) -> Signature:
@@ -474,12 +515,10 @@ def parse_signature(text: str) -> Signature:
         if not (rest.startswith("[") and rest.endswith("]")):
             raise ParseError(f"expected [..] arity on line {lineno}", lineno)
         inner = rest[1:-1].strip()
-        if inner:
-            try:
-                arity = tuple(int(p.strip()) for p in inner.split(","))
-            except ValueError:
-                raise ParseError(f"bad arity on line {lineno}", lineno) from None
-        else:
-            arity = ()
-        ops.append((name, arity))
+        # Binder counts are ASCII digits only; int() would also take
+        # `1_0`, `+1`, `-1` and non-ASCII digits.
+        counts = [p.strip() for p in inner.split(",")] if inner else []
+        if not all(c.isascii() and c.isdigit() for c in counts):
+            raise ParseError(f"bad arity on line {lineno}", lineno)
+        ops.append((name, tuple(map(int, counts))))
     return Signature(tuple(ops))

@@ -6,8 +6,9 @@ scanning helpers they called are copied in beside them.  The recursive
 substitute, _shift and well_scoped of modlam.terms, the recursive
 lambda printer show, and modlam.lam's recursive shift, subst, subst0
 and uses_bound (as lam_shift, lam_subst, lam_subst0 and uses_bound) and
-modlam.typed's recursive stlc_subst are here too, and term_eq, the
-recursive equality App, Abs and TAbs had as dataclasses.  Also
+modlam.typed's recursive stlc_subst are here too, and term_eq and
+op_eq, the recursive equalities App, Abs and TAbs and modlam.terms' Op
+had as dataclasses.  Also
 free_names, the free names of a signature term, and lam_free_names, the
 free names of a lambda term (the prepass modlam.lam's printer made
 before it collected them as it prints), which only tests need;
@@ -378,6 +379,21 @@ def term_eq(a, b) -> bool:
         return all(
             x is y or term_eq(x, y)
             for x, y in ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+        )
+    return a == b
+
+
+def op_eq(a, b) -> bool:
+    """a == b as it was when Op used the dataclass __eq__: an operator
+    equals an operator of the same class whose (op, args) pair is equal
+    element by element, each the same object or equal (recursively); an
+    operator equals no other operand, and other operands compare with
+    their own ==."""
+    if isinstance(a, Op) or isinstance(b, Op):
+        return (
+            type(a) is type(b) and (a.op is b.op or a.op == b.op)
+            and len(a.args) == len(b.args)
+            and all(x is y or op_eq(x, y) for x, y in zip(a.args, b.args))
         )
     return a == b
 

@@ -53,6 +53,11 @@ CASES = [
     (parse_signature, "℘: []", "parse error at 1: bad operator name '℘' on line 1"),
     (parse_signature, "app: 0, 0", "parse error at 1: expected [..] arity on line 1"),
     (parse_signature, "app: [0]\nabs: [a]", "parse error at 2: bad arity on line 2"),
+    # binder counts are ASCII digits: int() alone takes each of these
+    (parse_signature, "a: [1_0]", "parse error at 1: bad arity on line 1"),
+    (parse_signature, "a: [+1]", "parse error at 1: bad arity on line 1"),
+    (parse_signature, "a: [\u0663]", "parse error at 1: bad arity on line 1"),
+    (parse_signature, "app: [0, 0]\na: [-1]", "parse error at 2: bad arity on line 2"),
 ]
 
 

@@ -2,12 +2,12 @@
 code free of dead parts, checked on the syntax trees of src/modlam and
 perfbench: every sample draw goes through harness._sample_rng, lam alone
 writes the normal-form, loose-bound and height marks and typed alone the
-type and sort slots, no term's instance __dict__ is touched outside the
-__reduce__ helpers and terms.Op's constructor, only the harness and the
-catalog run a law, nothing is imported, defined or exported that nothing
-loads, and the defs that call themselves are exactly README.md's "What
-still recurses" list.  Each test lists every `path:line: ...` that breaks
-its rule."""
+type and sort slots, every term node class keeps its fields in
+__slots__, no term's instance __dict__ is touched outside the __reduce__
+helpers, only the harness and the catalog run a law, nothing is
+imported, defined or exported that nothing loads, and the defs that call
+themselves are exactly README.md's "What still recurses" list.  Each
+test lists every `path:line: ...` that breaks its rule."""
 
 import ast
 import pathlib
@@ -31,7 +31,11 @@ SLOTS = (
 )
 # The defs that may touch an instance __dict__: a node's fields live in
 # slots, and a read of x.__dict__ or vars(x) creates the dict it reads.
-DICT_USERS = {"__reduce__", "Op.__init__"}
+DICT_USERS = {"__reduce__"}
+# The term node classes, each keeping the fields it declares in __slots__.
+# A dataclass with its own __init__ builds its fields as the nodes do, and
+# a subclass of a node is a node, so either must be listed here.
+NODES = {"terms.Op", "lam.App", "lam.Abs", "typed.TAbs"}
 # The defs that call themselves, each named in README.md's "What still
 # recurses" list by the part after its module.
 RECURSIVE = {
@@ -185,7 +189,7 @@ def enclosing_defs(tree, prefix=""):
             yield from enclosing_defs(child, prefix)
 
 
-def test_instance_dicts_only_in_reduce_and_op(src):
+def test_instance_dicts_only_in_reduce(src):
     # A node whose __dict__ is created, even empty, loses the interpreter's
     # fast path for its field reads, so no walk may read or write it.
     report([
@@ -196,6 +200,45 @@ def test_instance_dicts_only_in_reduce_and_op(src):
         or (isinstance(n, ast.Call) and getattr(n.func, "id", None) == "vars")
         if not any(owner == d or owner.endswith("." + d) for d in DICT_USERS)
     ])
+
+
+def is_dataclass(cls):
+    return any(
+        getattr(getattr(d, "func", d), "id", None) == "dataclass" for d in cls.decorator_list
+    )
+
+
+def test_node_fields_are_slots(src):
+    # A node whose fields are not slots builds an instance __dict__ for
+    # them, with the cost test_instance_dicts_only_in_reduce names.
+    node_names = {name.split(".")[1] for name in NODES}
+    found, bad = set(), []
+    for path, tree in src.items():
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and is_dataclass(cls)):
+                continue
+            name = f"{path.stem}.{cls.name}"
+            if name not in NODES:
+                own_init = any(isinstance(n, DEFS) and n.name == "__init__" for n in cls.body)
+                if own_init or node_names & {getattr(b, "id", None) for b in cls.bases}:
+                    bad.append(f"{path}:{cls.lineno}: {name} builds its fields or extends a node,"
+                               " and is not in NODES")
+                continue
+            found.add(name)
+            slots = [
+                e.value for n in cls.body if isinstance(n, ast.Assign)
+                and any(getattr(t, "id", None) == "__slots__" for t in n.targets)
+                for e in n.value.elts
+            ]
+            fields = [n.target.id for n in cls.body if isinstance(n, ast.AnnAssign)]
+            bad += [
+                f"{path}:{cls.lineno}: field {field} of node {name} is not in __slots__"
+                for field in fields if field not in slots
+            ]
+            if not fields:
+                bad.append(f"{path}:{cls.lineno}: node {name} declares no fields")
+    bad += [f"src/modlam: node class {name} not found" for name in sorted(NODES - found)]
+    report(bad)
 
 
 def loaded_names(src, bench):

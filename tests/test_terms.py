@@ -4,6 +4,7 @@ import pickle
 import random
 import re
 import sys
+import types
 from types import SimpleNamespace
 
 import pytest
@@ -443,7 +444,8 @@ class TestAgainstReference:
 
 class TestDeepNesting:
     """Parse and print run on an explicit stack, far past the recursion
-    limit.  Only strings are compared, since dataclass == recurses."""
+    limit.  Terms are compared as printed strings, which a failing
+    assertion can show: the dataclass repr of a term recurses."""
 
     DEPTH = 20_000
 
@@ -634,8 +636,9 @@ class TestWalksAgainstReference:
 
 
 class TestOpNode:
-    """Op builds its fields past the frozen __setattr__; everything else
-    a frozen dataclass gives stays as it was."""
+    """Op is a frozen dataclass whose fields live in __slots__, with no
+    __dict__ slot: building a node creates no instance dict, and
+    everything else a frozen dataclass gives stays as it was."""
 
     T = Op(1, (fvar("x"), bvar(0)))
 
@@ -646,11 +649,19 @@ class TestOpNode:
         assert hash(self.T) == hash((1, (fvar("x"), bvar(0))))
         assert Op.__eq__(self.T, (1, self.T.args)) is NotImplemented
 
+    def test_fields_are_slots_and_there_is_no_dict(self):
+        assert Op.__slots__ == ("op", "args")
+        assert all(isinstance(getattr(Op, f), types.MemberDescriptorType) for f in Op.__slots__)
+        with pytest.raises(TypeError):
+            vars(Op(0, ()))
+
     def test_frozen(self):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            self.T.op = 0
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            del self.T.args
+        for name in ("op", "args"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(self.T, name, 0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(self.T, name)
+        assert (self.T.op, self.T.args) == (1, (fvar("x"), bvar(0)))
 
     def test_repr(self):
         assert repr(self.T) == (
@@ -659,8 +670,8 @@ class TestOpNode:
 
     def test_copy_and_pickle(self):
         for other in (copy.copy(self.T), copy.deepcopy(self.T), pickle.loads(pickle.dumps(self.T))):
-            assert other == self.T and other is not self.T
-            assert vars(other) == {"op": 1, "args": self.T.args}
+            assert type(other) is Op and other == self.T and other is not self.T
+            assert (other.op, other.args) == (1, self.T.args)
 
     def test_replace_and_keywords(self):
         assert dataclasses.replace(self.T, op=0) == Op(0, self.T.args)
@@ -673,3 +684,83 @@ class TestOpNode:
                 assert (op, name) == (1, "x")
             case _:
                 pytest.fail("Op(op, args) did not match")
+
+
+def rebuilt(rng, t, keep=0.0):
+    """A copy of t with fresh operator nodes, each subterm kept as the
+    very object with probability keep; leaves are shared."""
+    if not isinstance(t, Op) or rng.random() < keep:
+        return t
+    return Op(t.op, tuple(rebuilt(rng, a, keep) for a in t.args))
+
+
+def changed_leaf(rng, t):
+    """t with one leaf, chosen at random, replaced by another leaf."""
+    if not isinstance(t, Op) or not t.args:
+        return rng.choice([fvar("w"), bvar(7), None, Var("w"), fvar("x")])
+    k = rng.randrange(len(t.args))
+    return Op(t.op, t.args[:k] + (changed_leaf(rng, t.args[k]),) + t.args[k + 1:])
+
+
+class TestOpEquality:
+    """Op compares by one stack walk, terms._same_op; the recursive
+    dataclass equality it had (reference_terms.op_eq) is its oracle."""
+
+    def test_agrees_with_the_dataclass_equality(self):
+        seen = set()
+        for sig, t, s, rng in seeded_cases(1500):
+            kind = rng.choice(("copy", "shared", "leaf", "other"))
+            if kind == "copy":
+                u = rebuilt(rng, t)
+            elif kind == "shared":
+                u = rebuilt(rng, t, keep=0.3)
+            elif kind == "leaf":
+                u = changed_leaf(rng, rebuilt(rng, t))
+            else:
+                u = s.get("x", fvar("x"))
+            expected = ref.op_eq(t, u)
+            assert ref.op_eq(u, t) == expected
+            assert (t == u) == expected and (u == t) == expected, (kind, t, u)
+            assert (t != u) == (not expected)
+            if expected:
+                assert hash(t) == hash(u)
+            seen.add((kind, expected))
+        assert seen >= {("copy", True), ("shared", True), ("leaf", True), ("leaf", False)}
+        assert ("other", False) in seen
+
+    def test_fixed_rows(self):
+        x = fvar("x")
+        rows = [
+            (Op(0, (x, x)), Op(0, (x, Var(Free("x")))), True),
+            (Op(0, (x, x)), Op(1, (x, x)), False),
+            (Op(0, (x,)), Op(0, (x, x)), False),
+            (Op(0, ()), Op(0, ()), True),
+            (Op(0, (None, "junk")), Op(0, (None, "".join("junk"))), True),
+            (Op(0, (Op(1, (x,)),)), Op(0, (x,)), False),
+            (Op(0, (x,)), x, False),
+        ]
+        for a, b, expected in rows:
+            assert ref.op_eq(a, b) == expected
+            assert (a == b) == expected and (b == a) == expected, (a, b)
+
+    def test_a_non_term_operand(self):
+        for other in (None, "(abs #0)", 3, (1, ()), [Op(1, ())]):
+            assert Op.__eq__(Op(1, ()), other) is NotImplemented
+            assert not Op(1, ()) == other and Op(1, ()) != other
+
+    @pytest.mark.parametrize("depth", (300, 2000, 20_000))
+    @pytest.mark.parametrize(
+        "nest",
+        [abs_, lambda t: app(t, fvar("y")), lambda t: app(fvar("y"), t)],
+        ids=["binders", "left spine", "right spine"],
+    )
+    def test_deep_terms(self, depth, nest):
+        def build(leaf):
+            t = leaf
+            for _ in range(depth):
+                t = nest(t)
+            return t
+
+        t, u, v = build(fvar("x")), build(fvar("x")), build(fvar("z"))
+        assert t == u and u == t and not t != u
+        assert t != v and v != t and not t == v
