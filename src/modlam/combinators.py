@@ -20,7 +20,7 @@ from .harness import (
     MonadMorphism,
     fresh_name,
 )
-from .terms import Free, Op, ScopedTerm, Signature, Var, fvar, substitute
+from .terms import Free, Op, ScopedTerm, Signature, fvar, substitute
 
 # ---------- derivation ----------
 
@@ -189,7 +189,7 @@ def double_and_swap(t: PtTerm) -> PtTerm:
     commute with substitution; the harness finds the witness.
     """
     match t:
-        case Var(Free(_)):
+        case Free():
             return Plus(t, t)
         case Op(op, (l, r)) if op == _PLUS:
             return Times(double_and_swap(l), double_and_swap(r))
@@ -201,7 +201,7 @@ def double_and_swap(t: PtTerm) -> PtTerm:
 def show_pt(t: PtTerm) -> str:
     def go(t: PtTerm, level: int) -> str:
         match t:
-            case Var(Free(name)):
+            case Free(name):
                 return name
             case Op(op, (l, r)) if op == _PLUS:
                 s = f"{go(l, 0)}+{go(r, 1)}"

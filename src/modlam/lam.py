@@ -23,6 +23,9 @@ nesting from where it starts: nf_abs and nf_app1 can nest a normal form
 one level deeper, so they do not mark.  The mark is not a dataclass
 field, so equality, hashing, repr and dataclasses.replace do not see it;
 copy and pickle carry it.  Nodes are immutable, so a mark stays right.
+A variable is a node too, a Free or Bound leaf, and leaves are shared
+(bvar's table, the generators' pools), so the mark lands on shared
+leaves; it says what is true of every variable.
 
 App and Abs nodes carry a second mark, the loose-bound mark
 _dangling_below, which only this module writes too.  _dangling_below = L
@@ -50,7 +53,8 @@ the normalizer has marked, costs time linear in the folded numeral.
 The fields of App and Abs live in __slots__ and the marks in the
 instance __dict__, which no walk touches: it is created by the first
 mark written, with object.__setattr__, and field reads keep the
-interpreter's fast path.
+interpreter's fast path.  Free and Bound are plain frozen dataclasses,
+whose __dict__ holds their field and any mark.
 """
 
 from __future__ import annotations
@@ -84,7 +88,7 @@ from .terms import (
 def _same_term(a: LcTerm, b) -> bool:
     # The __eq__ of App and Abs, on a stack of argument pairs: nodes of one
     # class, binder data by identity (types are interned), leaves by their ==.
-    if not isinstance(b, (App, Abs, Var)):
+    if not isinstance(b, LcTerm):
         return NotImplemented
     todo = []
     while True:
@@ -208,43 +212,40 @@ def _replace(
     # else None) for each node the walk is inside
     stack = []
     while True:
-        if isinstance(t, Var):
-            ref = t.ref
-            if isinstance(ref, Bound):
-                k = ref.index
-                if by and k >= depth:
-                    rewrites += 1
-                    if images is None or k >= depth - by:
-                        t = bvar(k + by)
-                    else:  # by is -m
-                        j = depth - by - 1 - k
-                        key = j - depth * by
-                        t = images.get(key)
-                        if t is None:
-                            t = images[key] = shift(images[j], depth)
-            elif isinstance(ref, Free):
-                name = ref.name
-                if name in s:
-                    t = s[name]
-                    if depth and (closed is None or name not in closed):
-                        shifted = shift(t, depth)
-                        if shifted is t:
-                            closed = closed or set()
-                            closed.add(name)
-                        t = shifted
-            else:
-                raise MalformedTermError(f"not a lambda term: {t!r}")
-        elif isinstance(t, App):
+        cls = type(t)
+        if cls is App:
             if not by or t._dangling_below > depth:
                 stack.append((t, rewrites, None))
                 t = t.fun
                 continue
-        elif isinstance(t, Abs):
+        elif cls is Bound:
+            k = t.index
+            if by and k >= depth:
+                rewrites += 1
+                if images is None or k >= depth - by:
+                    t = bvar(k + by)
+                else:  # by is -m
+                    j = depth - by - 1 - k
+                    key = j - depth * by
+                    t = images.get(key)
+                    if t is None:
+                        t = images[key] = shift(images[j], depth)
+        elif cls is Abs or isinstance(t, Abs):
             if not by or t._dangling_below > depth:
                 stack.append((t, rewrites, _BODY))
                 depth += 1
                 t = t.body
                 continue
+        elif isinstance(t, Free):
+            name = t.name
+            if name in s:
+                t = s[name]
+                if depth and (closed is None or name not in closed):
+                    shifted = shift(t, depth)
+                    if shifted is t:
+                        closed = closed or set()
+                        closed.add(name)
+                    t = shifted
         else:
             raise MalformedTermError(f"not a lambda term: {t!r}")
         # t is walked: hand it to the nodes it is inside, up to one with
@@ -322,10 +323,10 @@ def uses_bound(t: LcTerm, index: int) -> bool:
         elif isinstance(t, Abs):
             if t._dangling_below > k:
                 todo.append((t.body, k + 1))
-        elif isinstance(t, Var) and isinstance(t.ref, Bound):
-            if t.ref.index == k:
+        elif isinstance(t, Bound):
+            if t.index == k:
                 return True
-        elif not (isinstance(t, Var) and isinstance(t.ref, Free)):
+        elif not isinstance(t, Free):
             raise MalformedTermError(f"not a lambda term: {t!r}")
     return False
 
@@ -338,7 +339,7 @@ def _eta_contract(t: Abs) -> Optional[LcTerm]:
     b = t.body
     if isinstance(b, App):
         a = b.arg
-        if isinstance(a, Var) and isinstance(a.ref, Bound) and a.ref.index == 0:
+        if isinstance(a, Bound) and a.index == 0:
             if not uses_bound(b.fun, 0):
                 return shift(b.fun, -1)
     return None
@@ -511,25 +512,22 @@ def _beta_normal(t: LcTerm, budget: Fuel) -> LcTerm:
             else:
                 raise MalformedTermError(f"not a lambda term: {t!r}")
         if args:
+            # The frame loop takes the arguments, the first included: the
+            # focus is None while no argument is normalized yet.
             frames.append([t, args])
-            depth += len(args)
-            t = args.pop()
+            depth += len(args) + 1
+            t = None
             args = []
-            if not (
-                type(t) is not Var
-                and getattr(t, "_normal", False)
-                and depth + _height_of(t) <= MAX_DEPTH
-            ):
-                continue
         while frames:
             frame = frames[-1]
             depth -= 1
             if type(frame) is list:
-                frame[0] = App(frame[0], t)
+                if t is not None:
+                    frame[0] = App(frame[0], t)
                 if frame[1]:
                     t = frame[1].pop()
                     if (
-                        type(t) is not Var
+                        (type(t) is App or isinstance(t, Abs))
                         and getattr(t, "_normal", False)
                         and depth + _height_of(t) <= MAX_DEPTH
                     ):
@@ -886,13 +884,13 @@ def _show(t: LcTerm, debruijn: bool, taken) -> tuple[str, set[str], int]:
             continue
         t, level, depth = item
         cls = type(t)
-        if cls is App or cls is not Var and isinstance(t, App):
+        if cls is App:
             if level > 1:
                 out.append("(")
                 todo.append(")")
             todo += ((t.arg, 2, depth), " ", (t.fun, 1, depth))
-        elif (cls is Var or isinstance(t, Var)) and isinstance(t.ref, Bound):
-            k = t.ref.index
+        elif cls is Bound:
+            k = t.index
             if debruijn:
                 out.append(str(k))
             elif k < depth:
@@ -900,9 +898,9 @@ def _show(t: LcTerm, debruijn: bool, taken) -> tuple[str, set[str], int]:
                 out.append(names[~k])
             else:
                 out.append(f"#{k - depth}")
-        elif isinstance(t, Var) and isinstance(t.ref, Free):
-            free.add(t.ref.name)
-            out.append(t.ref.name)
+        elif isinstance(t, Free):
+            free.add(t.name)
+            out.append(t.name)
         elif isinstance(t, Abs):
             if level > 0:
                 out.append("(")

@@ -2,8 +2,11 @@
 
 A term over a signature is either a variable or an operator applied to
 arguments, where each argument position may open a number of binder slots.
-Bound variables are de Bruijn indices counted from the innermost slot;
-free variables are names.  Substitution only ever touches free names, so
+A variable is a leaf node of its own, Free(name) or Bound(index): the
+unit of the syntax monad sends a name to the term Free(name), and Var =
+Free | Bound names the two for annotations and isinstance.  Bound
+variables are de Bruijn indices counted from the innermost slot; free
+variables are names.  Substitution only ever touches free names, so
 capture is impossible by construction: binders bind indices, not names.
 
 Substitution images are expected to be closed at binder depth 0 (no
@@ -39,31 +42,27 @@ class Bound:
     index: int
 
 
-@dataclass(frozen=True)
-class Var:
-    """A variable occurrence, free or bound."""
-
-    ref: Free | Bound
+Var = Free | Bound  # a type, for annotations and isinstance
 
 
-def fvar(name: str) -> Var:
-    return Var(Free(name))
+def fvar(name: str) -> Free:
+    return Free(name)
 
 
-def bvar(index: int) -> Var:
+def bvar(index: int) -> Bound:
     """The bound variable of the given index.  Variables are immutable, so
     one object per small nonnegative index serves every occurrence; any
     other index (negative ones included) is built afresh."""
     if 0 <= index < _BVAR_TABLE_SIZE:
         return _BVARS[index]
-    return Var(Bound(index))
+    return Bound(index)
 
 
 # Indices are binder distances, small in practice: reducing Church numerals
 # never goes past 4.  Anything larger is merely built, so no limit elsewhere
 # has to agree with this size.
 _BVAR_TABLE_SIZE = 64
-_BVARS = tuple(Var(Bound(k)) for k in range(_BVAR_TABLE_SIZE))
+_BVARS = tuple(Bound(k) for k in range(_BVAR_TABLE_SIZE))
 
 
 # ---------- signatures ----------
@@ -124,7 +123,7 @@ def _same_op(a: "Op", b) -> bool:
     # arguments, each pair by identity first, then a pair of operators
     # onto the stack and a pair of leaves by their ==.
     if type(b) is not type(a):
-        return False if isinstance(b, (Op, Var)) else NotImplemented
+        return False if isinstance(b, ScopedTerm) else NotImplemented
     todo = []
     while True:
         if a.op != b.op or len(a.args) != len(b.args):
@@ -206,10 +205,7 @@ def well_scoped(sig: Signature, t: ScopedTerm, depth: int = 0) -> bool:
                 todo = zip(a.args, arity)
                 depth += n
                 break
-            if not isinstance(a, Var):
-                return False
-            ref = a.ref
-            if not (isinstance(ref, Free) or isinstance(ref, Bound) and 0 <= ref.index < depth + n):
+            if not (isinstance(a, Free) or isinstance(a, Bound) and 0 <= a.index < depth + n):
                 return False
         else:
             if not stack:
@@ -218,10 +214,10 @@ def well_scoped(sig: Signature, t: ScopedTerm, depth: int = 0) -> bool:
 
 
 def _replace(sig: Signature, s: Subst, by: int, t: ScopedTerm, depth: int) -> ScopedTerm:
-    # The walk behind substitute and _shift.  Under d binder slots (depth
-    # counted in) a free name in s becomes its image shifted by d, and a
-    # bound index k >= d becomes k + by.  Operators whose arguments all
-    # come back unchanged are shared, t itself included.
+    # The walk behind substitute; with s empty it shifts an image.  Under
+    # d binder slots (depth counted in) a free name in s becomes its image
+    # shifted by d, and a bound index k >= d becomes k + by.  Operators
+    # whose arguments all come back unchanged are shared, t itself included.
     arities = sig._arities
     # Names whose image one shift left as it was: it has no dangling index,
     # so no shift changes it, and it is placed unshifted from then on.
@@ -241,18 +237,18 @@ def _replace(sig: Signature, s: Subst, by: int, t: ScopedTerm, depth: int) -> Sc
                 node, new, todo = a, [], zip(args, arity)
                 depth += n
                 break
-            if isinstance(a, Var) and isinstance(a.ref, Free):
-                name = a.ref.name
+            if isinstance(a, Free):
+                name = a.name
                 if name in s:
                     a = s[name]
                     if depth + n and name not in closed:
-                        shifted = _shift(sig, a, depth + n, 0)
+                        shifted = _replace(sig, {}, depth + n, a, 0)
                         if shifted is a:
                             closed.add(name)
                         a = shifted
-            elif isinstance(a, Var) and isinstance(a.ref, Bound):
-                if by and a.ref.index >= depth + n:
-                    a = bvar(a.ref.index + by)
+            elif isinstance(a, Bound):
+                if by and a.index >= depth + n:
+                    a = bvar(a.index + by)
             else:
                 raise MalformedTermError(f"not a term: {a!r}")
             new.append(a)
@@ -262,12 +258,6 @@ def _replace(sig: Signature, s: Subst, by: int, t: ScopedTerm, depth: int) -> Sc
             done = node if all(map(is_, new, node.args)) else Op(node.op, tuple(new))
             node, new, todo, depth = stack.pop()
             new.append(done)
-
-
-def _shift(sig: Signature, t: ScopedTerm, by: int, cutoff: int) -> ScopedTerm:
-    # Adjust dangling indices (>= cutoff) by `by`.  Subterms with no such
-    # index are shared with t, t itself included, as in substitute.
-    return _replace(sig, {}, by, t, cutoff)
 
 
 def rename(sig: Signature, f: Mapping[str, str], t: ScopedTerm) -> ScopedTerm:
@@ -350,12 +340,12 @@ def fold(
                 stack.append((op, values, todo))
                 op, values, todo = a.op, [], iter(args)
                 break
-            if isinstance(a, Var) and isinstance(a.ref, Free):
-                values.append(env_fn(a.ref.name))
-            elif isinstance(a, Var) and isinstance(a.ref, Bound):
+            if isinstance(a, Free):
+                values.append(env_fn(a.name))
+            elif isinstance(a, Bound):
                 if bound_value is None:
                     raise ConfigError("representation has no bound_value for binder slots")
-                values.append(bound_value(a.ref.index))
+                values.append(bound_value(a.index))
             else:
                 raise MalformedTermError(f"not a term: {a!r}")
         else:
@@ -480,10 +470,10 @@ def show_sexpr(sig: Signature, t: ScopedTerm) -> str:
                 stack.append(todo)
                 todo = iter(args)
                 break
-            if isinstance(a, Var) and isinstance(a.ref, Free):
-                append(" " + a.ref.name)
-            elif isinstance(a, Var) and isinstance(a.ref, Bound):
-                append(f" #{a.ref.index}")
+            if isinstance(a, Free):
+                append(" " + a.name)
+            elif isinstance(a, Bound):
+                append(f" #{a.index}")
             else:
                 raise MalformedTermError(f"not a term: {a!r}")
         else:

@@ -1,11 +1,12 @@
 """Simply typed lambda calculus and sort-indexed lists.
 
-Both syntaxes live over fibered alphabets: a typed free variable pairs a
-name with a declared type (or sort), and substitution is checked to
-preserve the fiber.  Typed terms are terms of the untyped module whose
-free variables carry types and whose abstractions record their binder
-types, so checking is syntax-directed while shifting, reduction and
-printing run on the untyped engine unchanged.
+Both syntaxes live over fibered alphabets: a typed free variable is its
+TFree node, a name with a declared type, as a list variable is its LVar,
+a name with a sort, so both units are the identity; substitution is
+checked to preserve the fiber.  Typed terms are terms of the untyped
+module whose free variables carry types and whose abstractions record
+their binder types, so checking is syntax-directed while shifting,
+reduction and printing run on the untyped engine unchanged.
 
 Simple types are interned (hash-consed): BaseType() is BASE and Arrow(d,
 c) returns one canonical instance per pair, so two types are equal
@@ -47,7 +48,7 @@ from .lam import (
     reduce_to_normal,
     show,
 )
-from .terms import Bound, Free, Var
+from .terms import Bound, Free
 
 # ---------- simple types ----------
 
@@ -123,7 +124,7 @@ class TFree(Free):
     type: SimpleType
 
 
-TVar = Var
+TVar = TFree | Bound  # a type, for annotations and isinstance
 TApp = App
 
 
@@ -169,10 +170,10 @@ def free_types(t: StlcTerm) -> dict[str, SimpleType]:
             todo += (t.fun, t.arg)
         elif isinstance(t, TAbs):
             todo.append(t.body)
-        elif isinstance(t, Var) and isinstance(t.ref, TFree):
-            if out.setdefault(t.ref.name, t.ref.type) is not t.ref.type:
-                raise TypeCheckError(f"free name {t.ref.name!r} used at two types")
-        elif not (isinstance(t, Var) and isinstance(t.ref, Bound)):
+        elif isinstance(t, TFree):
+            if out.setdefault(t.name, t.type) is not t.type:
+                raise TypeCheckError(f"free name {t.name!r} used at two types")
+        elif not isinstance(t, Bound):
             raise MalformedTermError(f"not a typed term: {t!r}")
     return out
 
@@ -218,8 +219,8 @@ def typecheck(ctx: Mapping[str, SimpleType], t: StlcTerm) -> SimpleType:
         elif isinstance(t, TAbs):
             binders.append(t.binder_type)
             todo += (t, _PARTS_TYPED, t.body)
-        elif isinstance(t, Var) and isinstance(t.ref, TFree):
-            name, ty = t.ref.name, t.ref.type
+        elif isinstance(t, TFree):
+            name, ty = t.name, t.type
             if name not in ctx:
                 raise TypeCheckError(f"unbound free name {name!r}")
             if ctx[name] is not ty:
@@ -228,8 +229,8 @@ def typecheck(ctx: Mapping[str, SimpleType], t: StlcTerm) -> SimpleType:
                     f"but context gives {show_type(ctx[name])}"
                 )
             types.append(ty)
-        elif isinstance(t, Var) and isinstance(t.ref, Bound):
-            k = t.ref.index
+        elif isinstance(t, Bound):
+            k = t.index
             if not 0 <= k < len(binders):
                 raise TypeCheckError(f"bound index {k} escapes its scope")
             types.append(binders[-1 - k])
@@ -278,19 +279,15 @@ def stlc_subst(s: Mapping[str, StlcTerm], t: StlcTerm) -> StlcTerm:
     clashes: list[str] = []
     stack = []  # (node, _BODY or the new argument once walked, else None) of each enclosing one
     while True:
-        if isinstance(t, Var):
-            ref = t.ref
-            if isinstance(ref, TFree):
-                name = ref.name
-                ty = declared.setdefault(name, ref.type)
-                if ty is not ref.type:
-                    raise TypeCheckError(f"free name {name!r} used at two types")
-                if name in s:
-                    if image_types[name] is not ty:
-                        clashes.append(name)
-                    t = s[name]
-            elif not isinstance(ref, Bound):
-                raise MalformedTermError(f"not a typed term: {t!r}")
+        if isinstance(t, TFree):
+            name = t.name
+            ty = declared.setdefault(name, t.type)
+            if ty is not t.type:
+                raise TypeCheckError(f"free name {name!r} used at two types")
+            if name in s:
+                if image_types[name] is not ty:
+                    clashes.append(name)
+                t = s[name]
         elif isinstance(t, App):
             # The argument first, as free_types pops it first.
             stack.append((t, None))
@@ -300,7 +297,7 @@ def stlc_subst(s: Mapping[str, StlcTerm], t: StlcTerm) -> StlcTerm:
             stack.append((t, _BODY))
             t = t.body
             continue
-        else:
+        elif not isinstance(t, Bound):
             raise MalformedTermError(f"not a typed term: {t!r}")
         while stack:
             node, a = stack.pop()
@@ -343,7 +340,7 @@ def stlc_normalize(t: StlcTerm, fuel: Fuel | int = DEFAULT_FUEL) -> StlcTerm:
 
 
 def parse_stlc(text: str) -> StlcTerm:
-    return parse_binding(text, _typed_binder, lambda name: TVar(TFree(name, BASE)))
+    return parse_binding(text, _typed_binder, lambda name: TFree(name, BASE))
 
 
 def _typed_binder(text: str, tokens: list[str], i: int) -> tuple[Callable[[StlcTerm], TAbs], int]:
@@ -398,7 +395,7 @@ STLC_POOL = (
 
 # The pool's variables of each type, in STLC_POOL order.
 _POOL_VARS = {
-    ty: tuple(TVar(tf) for tf in STLC_POOL if tf.type is ty)
+    ty: tuple(tf for tf in STLC_POOL if tf.type is ty)
     for ty in dict.fromkeys(tf.type for tf in STLC_POOL)
 }
 
@@ -428,7 +425,7 @@ def gen_typed_term(
         opts = _LEAVES.get((ty, binders))
         if opts is None:
             opts = _LEAVES[ty, binders] = (
-                *(TVar(Bound(i)) for i, b in enumerate(binders) if b is ty),
+                *(Bound(i) for i, b in enumerate(binders) if b is ty),
                 *_POOL_VARS.get(ty, ()),
             )
         if opts:
@@ -465,7 +462,7 @@ def _gen_stlc_subst(rng: random.Random) -> dict:
 STLC = MonadInstance(
     name="stlc",
     names=STLC_POOL,
-    unit=TVar,
+    unit=lambda tf: tf,
     bind=stlc_subst,
     gen_value=lambda rng: gen_typed_term(rng),
     gen_subst=_gen_stlc_subst,

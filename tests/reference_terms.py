@@ -56,7 +56,6 @@ from modlam.terms import (
     Representation,
     ScopedTerm,
     Signature,
-    Var,
     bvar,
     fvar,
 )
@@ -70,7 +69,6 @@ from modlam.typed import (
     TAbs,
     TApp,
     TFree,
-    TVar,
     type_of,
 )
 
@@ -173,9 +171,9 @@ def parse_sexpr(sig: Signature, text: str) -> ScopedTerm:
 
 def show_sexpr(sig: Signature, t: ScopedTerm) -> str:
     match t:
-        case Var(Free(name)):
+        case Free(name):
             return name
-        case Var(Bound(k)):
+        case Bound(k):
             return f"#{k}"
         case Op(op, args):
             if len(args) != len(sig.arity(op)):
@@ -206,9 +204,9 @@ def fold(
 
     def go(t: ScopedTerm) -> Any:
         match t:
-            case Var(Free(name)):
+            case Free(name):
                 return env_fn(name)
-            case Var(Bound(k)):
+            case Bound(k):
                 if rep.bound_value is None:
                     raise ConfigError("representation has no bound_value for binder slots")
                 return rep.bound_value(k)
@@ -222,9 +220,9 @@ def fold(
 
 def free_names(t: ScopedTerm) -> set[str]:
     match t:
-        case Var(Free(name)):
+        case Free(name):
             return {name}
-        case Var(Bound(_)):
+        case Bound(_):
             return set()
         case Op(_, args):
             out: set[str] = set()
@@ -236,9 +234,9 @@ def free_names(t: ScopedTerm) -> set[str]:
 
 def well_scoped(sig: Signature, t: ScopedTerm, depth: int = 0) -> bool:
     match t:
-        case Var(Free(_)):
+        case Free(_):
             return True
-        case Var(Bound(k)):
+        case Bound(k):
             return 0 <= k < depth
         case Op(op, args):
             arity = sig._arities.get(op)
@@ -251,12 +249,10 @@ def well_scoped(sig: Signature, t: ScopedTerm, depth: int = 0) -> bool:
 
 
 def _shift(sig: Signature, t: ScopedTerm, by: int, cutoff: int) -> ScopedTerm:
-    if isinstance(t, Var):
-        ref = t.ref
-        if isinstance(ref, Bound):
-            return bvar(ref.index + by) if ref.index >= cutoff else t
-        if isinstance(ref, Free):
-            return t
+    if isinstance(t, Bound):
+        return bvar(t.index + by) if t.index >= cutoff else t
+    elif isinstance(t, Free):
+        return t
     elif isinstance(t, Op):
         args = t.args
         arity = sig._arities.get(t.op)
@@ -268,15 +264,13 @@ def _shift(sig: Signature, t: ScopedTerm, by: int, cutoff: int) -> ScopedTerm:
 
 
 def substitute(sig: Signature, s, t: ScopedTerm, depth: int = 0) -> ScopedTerm:
-    if isinstance(t, Var):
-        ref = t.ref
-        if isinstance(ref, Free):
-            name = ref.name
-            if name in s:
-                return _shift(sig, s[name], depth, 0) if depth else s[name]
-            return t
-        if isinstance(ref, Bound):
-            return t
+    if isinstance(t, Free):
+        name = t.name
+        if name in s:
+            return _shift(sig, s[name], depth, 0) if depth else s[name]
+        return t
+    elif isinstance(t, Bound):
+        return t
     elif isinstance(t, Op):
         args = t.args
         arity = sig._arities.get(t.op)
@@ -290,12 +284,10 @@ def substitute(sig: Signature, s, t: ScopedTerm, depth: int = 0) -> ScopedTerm:
 
 
 def lam_shift(t, by: int = 1, cutoff: int = 0):
-    if isinstance(t, Var):
-        ref = t.ref
-        if isinstance(ref, Bound):
-            return bvar(ref.index + by) if ref.index >= cutoff else t
-        if isinstance(ref, Free):
-            return t
+    if isinstance(t, Bound):
+        return bvar(t.index + by) if t.index >= cutoff else t
+    elif isinstance(t, Free):
+        return t
     elif isinstance(t, App):
         f = lam_shift(t.fun, by, cutoff)
         a = lam_shift(t.arg, by, cutoff)
@@ -307,15 +299,13 @@ def lam_shift(t, by: int = 1, cutoff: int = 0):
 
 
 def lam_subst(s, t, depth: int = 0):
-    if isinstance(t, Var):
-        ref = t.ref
-        if isinstance(ref, Free):
-            name = ref.name
-            if name in s:
-                return lam_shift(s[name], depth) if depth else s[name]
-            return t
-        if isinstance(ref, Bound):
-            return t
+    if isinstance(t, Free):
+        name = t.name
+        if name in s:
+            return lam_shift(s[name], depth) if depth else s[name]
+        return t
+    elif isinstance(t, Bound):
+        return t
     elif isinstance(t, App):
         f = lam_subst(s, t.fun, depth)
         a = lam_subst(s, t.arg, depth)
@@ -330,18 +320,16 @@ def lam_subst0(t, u):
     shifted = {0: u}
 
     def go(t, j: int):
-        if isinstance(t, Var):
-            ref = t.ref
-            if isinstance(ref, Bound):
-                k = ref.index
-                if k == j:
-                    image = shifted.get(j)
-                    if image is None:
-                        image = shifted[j] = lam_shift(u, j)
-                    return image
-                return bvar(k - 1) if k > j else t
-            if isinstance(ref, Free):
-                return t
+        if isinstance(t, Bound):
+            k = t.index
+            if k == j:
+                image = shifted.get(j)
+                if image is None:
+                    image = shifted[j] = lam_shift(u, j)
+                return image
+            return bvar(k - 1) if k > j else t
+        elif isinstance(t, Free):
+            return t
         elif isinstance(t, App):
             f = go(t.fun, j)
             a = go(t.arg, j)
@@ -355,12 +343,10 @@ def lam_subst0(t, u):
 
 
 def uses_bound(t, index: int) -> bool:
-    if isinstance(t, Var):
-        ref = t.ref
-        if isinstance(ref, Bound):
-            return ref.index == index
-        if isinstance(ref, Free):
-            return False
+    if isinstance(t, Bound):
+        return t.index == index
+    elif isinstance(t, Free):
+        return False
     elif isinstance(t, App):
         return uses_bound(t.fun, index) or uses_bound(t.arg, index)
     elif isinstance(t, Abs):
@@ -410,9 +396,9 @@ def lam_free_names(t) -> set[str]:
             stack.append(t.fun)
         elif isinstance(t, Abs):
             stack.append(t.body)
-        elif isinstance(t, Var) and isinstance(t.ref, Free):
-            out.add(t.ref.name)
-        elif not (isinstance(t, Var) and isinstance(t.ref, Bound)):
+        elif isinstance(t, Free):
+            out.add(t.name)
+        elif not isinstance(t, Bound):
             raise MalformedTermError(f"not a lambda term: {t!r}")
     return out
 
@@ -430,9 +416,9 @@ def show(t, debruijn: bool = False) -> str:
 
     def go(t, level: int, binders: tuple[str, ...]) -> str:
         match t:
-            case Var(Free(name)):
+            case Free(name):
                 return name
-            case Var(Bound(k)):
+            case Bound(k):
                 if debruijn:
                     return str(k)
                 return binders[k] if k < len(binders) else f"#{k - len(binders)}"
@@ -505,7 +491,7 @@ def parse_binding(
 
 
 def parse_stlc(text: str):
-    return parse_binding(text, _typed_binder, lambda name: TVar(TFree(name, BASE)))
+    return parse_binding(text, _typed_binder, lambda name: TFree(name, BASE))
 
 
 def _typed_binder(text: str, pos: int):
@@ -546,7 +532,7 @@ def typecheck(
     ctx: Mapping[str, SimpleType], t, _binders: tuple[SimpleType, ...] = ()
 ) -> SimpleType:
     match t:
-        case TVar(TFree(name, ty)):
+        case TFree(name, ty):
             if name not in ctx:
                 raise TypeCheckError(f"unbound free name {name!r}")
             if ctx[name] is not ty:
@@ -555,7 +541,7 @@ def typecheck(
                     f"but context gives {show_type(ctx[name])}"
                 )
             return ty
-        case TVar(Bound(k)):
+        case Bound(k):
             if not 0 <= k < len(_binders):
                 raise TypeCheckError(f"bound index {k} escapes its scope")
             return _binders[k]
@@ -583,20 +569,18 @@ def stlc_subst(s, t):
     clashes: list = []
 
     def go(t):
-        if isinstance(t, Var):
-            ref = t.ref
-            if isinstance(ref, TFree):
-                name = ref.name
-                ty = declared.setdefault(name, ref.type)
-                if ty is not ref.type:
-                    raise TypeCheckError(f"free name {name!r} used at two types")
-                if name in s:
-                    if image_types[name] is not ty:
-                        clashes.append(name)
-                    return s[name]
-                return t
-            if isinstance(ref, Bound):
-                return t
+        if isinstance(t, TFree):
+            name = t.name
+            ty = declared.setdefault(name, t.type)
+            if ty is not t.type:
+                raise TypeCheckError(f"free name {name!r} used at two types")
+            if name in s:
+                if image_types[name] is not ty:
+                    clashes.append(name)
+                return s[name]
+            return t
+        elif isinstance(t, Bound):
+            return t
         elif isinstance(t, App):
             # The argument first, as free_types pops it first.
             a = go(t.arg)
@@ -647,7 +631,7 @@ def gen_typed_term(
         target = STLC_TYPES[rng.randrange(len(STLC_TYPES))]
 
     def candidates(ty, binders):
-        out = [TVar(Bound(i)) for i, b in enumerate(binders) if b is ty]
+        out = [Bound(i) for i, b in enumerate(binders) if b is ty]
         out.extend(_TYPED_POOL_VARS.get(ty, ()))
         return out
 
@@ -713,7 +697,7 @@ def beta_normal(t, budget: Fuel):
                 if depth > MAX_DEPTH:
                     raise _too_deep()
                 t = t.body
-            elif isinstance(t, Var):
+            elif isinstance(t, (Free, Bound)):
                 break
             else:
                 raise MalformedTermError(f"not a lambda term: {t!r}")

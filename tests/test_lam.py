@@ -53,7 +53,7 @@ from modlam.lam import (
     uses_bound,
     _replace,
 )
-from modlam.terms import Bound, Free, Op, Var, bvar, fvar, parse_sexpr, well_scoped
+from modlam.terms import Bound, Free, Op, bvar, fvar, parse_sexpr, well_scoped
 from modlam.typed import BASE, Arrow, TAbs
 
 import reference_terms as ref
@@ -86,11 +86,10 @@ MIXED_BINDERS = (Abs, partial(TAbs, BASE), partial(TAbs, Arrow(BASE, BASE)))
 
 
 def naive_shift(t, by: int, cutoff: int = 0):
-    if isinstance(t, Var):
-        ref = t.ref
-        if isinstance(ref, Bound) and ref.index >= cutoff:
-            return Var(Bound(ref.index + by))
-        return Var(ref)
+    if isinstance(t, Bound) and t.index >= cutoff:
+        return Bound(t.index + by)
+    if isinstance(t, (Free, Bound)):
+        return dataclasses.replace(t)
     if isinstance(t, App):
         return App(naive_shift(t.fun, by, cutoff), naive_shift(t.arg, by, cutoff))
     return t.with_body(naive_shift(t.body, by, cutoff + 1))
@@ -99,13 +98,12 @@ def naive_shift(t, by: int, cutoff: int = 0):
 def naive_subst0(t, u, j: int = 0):
     """The reference for subst0: rebuilds every node, shifts u afresh at
     every occurrence."""
-    if isinstance(t, Var):
-        ref = t.ref
-        if isinstance(ref, Bound):
-            if ref.index == j:
-                return naive_shift(u, j)
-            return Var(Bound(ref.index - 1 if ref.index > j else ref.index))
-        return Var(ref)
+    if isinstance(t, Bound):
+        if t.index == j:
+            return naive_shift(u, j)
+        return Bound(t.index - 1 if t.index > j else t.index)
+    if isinstance(t, Free):
+        return dataclasses.replace(t)
     if isinstance(t, App):
         return App(naive_subst0(t.fun, u, j), naive_subst0(t.arg, u, j))
     return t.with_body(naive_subst0(t.body, u, j + 1))
@@ -133,11 +131,10 @@ def successive(subst_one, t, us):
 def naive_subst(s, t, depth: int = 0):
     """The reference for subst: rebuilds every node, shifts each image
     afresh at every occurrence."""
-    if isinstance(t, Var):
-        ref = t.ref
-        if isinstance(ref, Free) and ref.name in s:
-            return naive_shift(s[ref.name], depth)
-        return Var(ref)
+    if isinstance(t, Free) and t.name in s:
+        return naive_shift(s[t.name], depth)
+    if isinstance(t, (Free, Bound)):
+        return dataclasses.replace(t)
     if isinstance(t, App):
         return App(naive_subst(s, t.fun, depth), naive_subst(s, t.arg, depth))
     return t.with_body(naive_subst(s, t.body, depth + 1))
@@ -156,8 +153,10 @@ def subst_under(s, t, depth: int):
 
 def dangling_below(t) -> int:
     """The least L such that every dangling index of t is below L."""
-    if isinstance(t, Var):
-        return max(t.ref.index + 1, 0) if isinstance(t.ref, Bound) else 0
+    if isinstance(t, Bound):
+        return max(t.index + 1, 0)
+    if isinstance(t, Free):
+        return 0
     if isinstance(t, App):
         return max(dangling_below(t.fun), dangling_below(t.arg))
     return max(dangling_below(t.body) - 1, 0)
@@ -168,7 +167,7 @@ def marks(*roots) -> list:
     out, seen, todo = [], set(), list(roots)
     while todo:
         t = todo.pop()
-        if isinstance(t, Var) or id(t) in seen:
+        if isinstance(t, (Free, Bound)) or id(t) in seen:
             continue
         seen.add(id(t))
         if "_dangling_below" in vars(t):
@@ -222,7 +221,7 @@ class TestShiftAndSubst:
 
     @pytest.mark.parametrize("s", [{}, {"x": fvar("y")}], ids=["empty", "renaming"])
     def test_subst_rejects_a_leaf_that_is_not_a_term(self, s):
-        for t in (App(fvar("x"), "junk"), Abs(App(None, fvar("x"))), Var(None)):
+        for t in (App(fvar("x"), "junk"), Abs(App(None, fvar("x")))):
             with pytest.raises(MalformedTermError):
                 subst(s, t)
 
@@ -365,7 +364,7 @@ def malformed(rng, t):
         return App(t.fun, malformed(rng, t.arg))
     if isinstance(t, Abs):
         return t.with_body(malformed(rng, t.body))
-    return rng.choice((None, "junk", Var(None), Op(0, ())))
+    return rng.choice((None, "junk", Op(0, ())))
 
 
 def outcome(fn, *args):
@@ -491,8 +490,8 @@ def rebuilt(rng, t, keep: float = 0.0):
         return App(rebuilt(rng, t.fun, keep), rebuilt(rng, t.arg, keep))
     if isinstance(t, Abs):
         return t.with_body(rebuilt(rng, t.body, keep))
-    if isinstance(t, Var):
-        return Var(t.ref)
+    if isinstance(t, (Free, Bound)):
+        return dataclasses.replace(t)
     return "".join(t) if isinstance(t, str) else t
 
 
@@ -562,13 +561,13 @@ class TestNodes:
 
     def test_repr_replace_and_match(self):
         t = App(fvar("f"), bvar(0))
-        assert repr(t) == "App(fun=Var(ref=Free(name='f')), arg=Var(ref=Bound(index=0)))"
+        assert repr(t) == "App(fun=Free(name='f'), arg=Bound(index=0))"
         assert dataclasses.replace(t, arg=fvar("y")) == App(fvar("f"), fvar("y"))
         a = TAbs(BASE, t)
         assert repr(a) == f"TAbs(body={t!r}, binder_type=BaseType())"
         assert dataclasses.replace(a, binder_type=Arrow(BASE, BASE)) == TAbs(Arrow(BASE, BASE), t)
         match Abs(t):
-            case Abs(App(Var(Free(name)), Var(Bound(k)))):
+            case Abs(App(Free(name), Bound(k))):
                 assert (name, k) == ("f", 0)
             case _:
                 pytest.fail("Abs(App(fun, arg)) did not match")
@@ -626,7 +625,7 @@ class TestTermEquality:
         x = fvar("x")
         rows = [
             (Abs(x), TAbs(BASE, x), False),
-            (TAbs(BASE, x), TAbs(BASE, Var(Free("x"))), True),
+            (TAbs(BASE, x), TAbs(BASE, Free("x")), True),
             (TAbs(BASE, x), TAbs(Arrow(BASE, BASE), x), False),
             (App(None, "junk"), App(None, "".join("junk")), True),
             (App(None, "junk"), App(None, "other"), False),

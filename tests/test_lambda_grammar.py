@@ -14,7 +14,7 @@ import reference_terms as ref
 
 from modlam.errors import ParseError
 from modlam.lam import SIG_LC, Abs, App, gen_term, normalize, parse, show, show_nf, subst, to_scoped
-from modlam.terms import Var, bvar, fvar, show_sexpr
+from modlam.terms import bvar, fvar, show_sexpr
 from modlam.typed import BASE, Arrow, TAbs, gen_typed_term, parse_stlc
 
 
@@ -223,8 +223,8 @@ class TestShowAgainstReference:
         "t",
         [
             App(fvar("x"), "y"),
-            Abs(Var(None)),
-            App(Abs(bvar(0)), Abs(Var("v0"))),
+            Abs(None),
+            App(Abs(bvar(0)), Abs("v0")),
             "x",
             Abs(App(bvar(-1), bvar(0))),
         ],

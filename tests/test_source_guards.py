@@ -43,6 +43,7 @@ RECURSIVE = {
     "lam._contractions", "lam.gen_term.go", "lam.gen_normal.neutral", "lam.gen_normal.nf",
     "typed.tlist_sort", "typed.tlist_shift", "typed.show_tlist", "typed.tlist_subst.go",
     "typed.gen_typed_term.leaf", "typed.gen_typed_term.go", "typed.gen_tlist.go",
+    "terms._replace",
 }
 
 

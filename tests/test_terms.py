@@ -19,8 +19,7 @@ from modlam.terms import (
     Op,
     Representation,
     Signature,
-    Var,
-    _shift,
+    _replace,
     bvar,
     fold,
     fvar,
@@ -77,17 +76,17 @@ class TestBoundVariables:
     def test_small_indices_share_one_object(self):
         for k in (0, 1, 2, 63):
             assert bvar(k) is bvar(k)
-            assert bvar(k) == Var(Bound(k))
+            assert bvar(k) == Bound(k)
 
     def test_negative_index_is_built_not_looked_up(self):
         # Indexing a table with -1 would silently give its last entry.
-        assert bvar(-1).ref.index == -1
-        assert bvar(-2) == Var(Bound(-2))
+        assert bvar(-1).index == -1
+        assert bvar(-2) == Bound(-2)
 
     def test_index_past_the_table_is_built(self):
-        assert bvar(64) == Var(Bound(64))
-        assert bvar(699) == Var(Bound(699))
-        assert bvar(10**6).ref.index == 10**6
+        assert bvar(64) == Bound(64)
+        assert bvar(699) == Bound(699)
+        assert bvar(10**6).index == 10**6
 
 
 class TestSignature:
@@ -374,7 +373,7 @@ class TestAgainstReference:
             return
         got = outcome(parse_sexpr, sig, text)
         assert got == outcome(ref.parse_sexpr, sig, text)
-        if isinstance(got, (Op, Var)):
+        if isinstance(got, (Op, Free, Bound)):
             assert show_sexpr(sig, got) == ref.show_sexpr(sig, got)
 
     @settings(deadline=None)
@@ -396,8 +395,8 @@ class TestAgainstReference:
             Op(-1, (fvar("x"),)),
             app(fvar("x"), "y"),
             app(Op(APP, (fvar("x"),)), Op(7, ())),
-            Var("x"),
-            abs_(Var(None)),
+            ("x",),
+            abs_(None),
         ],
     )
     def test_malformed(self, t):
@@ -506,7 +505,7 @@ class TestDeepNesting:
         want = self.nested(f"(app #{2 * self.DEPTH} z)", 2 * self.DEPTH)
         assert show_sexpr(SIG, got) == want
         shifted = self.nested(f"(app #{2 * self.DEPTH} z)")
-        assert show_sexpr(SIG, _shift(SIG, image, self.DEPTH, 0)) == shifted
+        assert show_sexpr(SIG, shift(SIG, image, self.DEPTH, 0)) == shifted
 
 
 # ---------- the walks against the recursive ones they replaced ----------
@@ -524,7 +523,7 @@ def seeded_term(rng, sig, budget, depth=0, dangling=False, malformed=0.0):
             return Op(op, tuple(fvar("x") for _ in sig.arity(op)[1:]))
         if kind == 1:
             return Op(len(sig), (fvar("x"),))
-        return rng.choice(["x", Var("x"), Var(None), None])
+        return rng.choice(["x", None])
     if budget <= 1 or rng.random() < 0.2:
         if (depth or dangling) and rng.random() < 0.5:
             return bvar(rng.randrange(depth + 2 if dangling else depth))
@@ -580,6 +579,12 @@ def substitute_under(sig, s, t, depth):
     return out
 
 
+def shift(sig, t, by, cutoff):
+    """Indices at or above cutoff moved by `by`: the walk behind
+    substitute with nothing to substitute, as it shifts an image."""
+    return _replace(sig, {}, by, t, cutoff)
+
+
 class TestWalksAgainstReference:
     """The explicit-stack walks give what the recursive ones in
     tests/reference_terms.py give: the same result, the same subterms
@@ -591,7 +596,7 @@ class TestWalksAgainstReference:
         got = outcome(walk, *args)
         want = outcome(reference, *args)
         assert got == want
-        if isinstance(want, (Op, Var)):
+        if isinstance(want, (Op, Free, Bound)):
             assert sharing(t, got) == sharing(t, want)
 
     def test_substitute(self):
@@ -605,13 +610,13 @@ class TestWalksAgainstReference:
             want = outcome(ref.substitute, sig, {a: fvar(b) for a, b in f.items()}, t)
             got = outcome(rename, sig, f, t)
             assert got == want
-            if isinstance(want, (Op, Var)):
+            if isinstance(want, (Op, Free, Bound)):
                 assert sharing(t, got) == sharing(t, want)
 
     def test_shift(self):
         for sig, t, s, rng in seeded_cases(self.CASES):
             by, cutoff = rng.randrange(-1, 4), rng.randrange(3)
-            self.assert_same(_shift, ref._shift, t, sig, t, by, cutoff)
+            self.assert_same(shift, ref._shift, t, sig, t, by, cutoff)
 
     def test_well_scoped(self):
         for sig, t, s, rng in seeded_cases(self.CASES):
@@ -622,7 +627,7 @@ class TestWalksAgainstReference:
         for sig, t, s, rng in seeded_cases(self.CASES):
             if ref.well_scoped(sig, t, 2):
                 assert substitute_under(sig, {"v": fvar("u")}, t, 2) is t
-                assert _shift(sig, t, 3, 2) is t
+                assert shift(sig, t, 3, 2) is t
 
     def test_malformed_cases_occur(self):
         raised = [
@@ -665,7 +670,7 @@ class TestOpNode:
 
     def test_repr(self):
         assert repr(self.T) == (
-            "Op(op=1, args=(Var(ref=Free(name='x')), Var(ref=Bound(index=0))))"
+            "Op(op=1, args=(Free(name='x'), Bound(index=0)))"
         )
 
     def test_copy_and_pickle(self):
@@ -680,7 +685,7 @@ class TestOpNode:
 
     def test_match(self):
         match self.T:
-            case Op(op, (Var(Free(name)), _)):
+            case Op(op, (Free(name), _)):
                 assert (op, name) == (1, "x")
             case _:
                 pytest.fail("Op(op, args) did not match")
@@ -697,7 +702,7 @@ def rebuilt(rng, t, keep=0.0):
 def changed_leaf(rng, t):
     """t with one leaf, chosen at random, replaced by another leaf."""
     if not isinstance(t, Op) or not t.args:
-        return rng.choice([fvar("w"), bvar(7), None, Var("w"), fvar("x")])
+        return rng.choice([fvar("w"), bvar(7), None, fvar("x")])
     k = rng.randrange(len(t.args))
     return Op(t.op, t.args[:k] + (changed_leaf(rng, t.args[k]),) + t.args[k + 1:])
 
@@ -731,7 +736,7 @@ class TestOpEquality:
     def test_fixed_rows(self):
         x = fvar("x")
         rows = [
-            (Op(0, (x, x)), Op(0, (x, Var(Free("x")))), True),
+            (Op(0, (x, x)), Op(0, (x, Free("x"))), True),
             (Op(0, (x, x)), Op(1, (x, x)), False),
             (Op(0, (x,)), Op(0, (x, x)), False),
             (Op(0, ()), Op(0, ()), True),

@@ -29,7 +29,6 @@ from modlam.typed import (
     TAbs,
     TApp,
     TFree,
-    TVar,
     fiber_module,
     free_types,
     gen_tlist,
@@ -55,7 +54,7 @@ ARR = Arrow(BASE, BASE)
 
 
 def free(name, ty=BASE):
-    return TVar(TFree(name, ty))
+    return TFree(name, ty)
 
 
 class TestTypes:
@@ -140,14 +139,14 @@ class TestTypecheck:
         assert "two types" in str(exc.value)
 
     def test_free_types_reads_each_declaration(self):
-        t = TAbs(BASE, TApp(free("f", ARR), TApp(TVar(Bound(0)), free("x"))))
+        t = TAbs(BASE, TApp(free("f", ARR), TApp(Bound(0), free("x"))))
         assert free_types(t) == {"f": ARR, "x": BASE}
         with pytest.raises(TypeCheckError, match="'x' used at two types"):
             free_types(TApp(free("x", ARR), free("x")))
 
     def test_escaping_index(self):
         with pytest.raises(TypeCheckError) as exc:
-            typecheck({}, TVar(Bound(0)))
+            typecheck({}, Bound(0))
         assert "escapes" in str(exc.value)
 
 
@@ -170,14 +169,14 @@ class TestSubstitution:
         assert stlc_subst({"y": free("f", ARR)}, free("x")) == free("x")
 
     def test_under_binder(self):
-        t = TAbs(BASE, TApp(TVar(Bound(0)), free("x")))
+        t = TAbs(BASE, TApp(Bound(0), free("x")))
         out = stlc_subst({"x": free("y")}, t)
-        assert out == TAbs(BASE, TApp(TVar(Bound(0)), free("y")))
+        assert out == TAbs(BASE, TApp(Bound(0), free("y")))
 
     def test_scope_extend(self):
-        assert shift(TVar(Bound(0))) == TVar(Bound(1))
+        assert shift(Bound(0)) == Bound(1)
         assert shift(free("x")) == free("x")
-        assert shift(TAbs(BASE, TVar(Bound(0)))) == TAbs(BASE, TVar(Bound(0)))
+        assert shift(TAbs(BASE, Bound(0))) == TAbs(BASE, Bound(0))
 
     @given(st.integers(0, 5_000))
     def test_preserves_types(self, seed):
@@ -209,7 +208,7 @@ def outcome(fn, s, t):
         return type(e).__name__, str(e)
 
 
-NON_TERMS = (None, "junk", Abs(free("x")), Free("x"), TVar(Free("x")))
+NON_TERMS = (None, "junk", Abs(free("x")), Free("x"))
 
 
 def plant(rng, t, leaf):
@@ -232,7 +231,7 @@ def gen_image(rng, ty, reused):
     elif r < 0.68:  # ill-typed: applies a base-typed term, or mismatches an argument
         img = TApp(gen_typed_term(rng, rng.choice((BASE, ARR)), max_size=4), free("x"))
     elif r < 0.76:  # a dangling index, bare or under a generated context
-        img = rng.choice((TVar(Bound(0)), gen_typed_term(rng, ty, max_size=6, binders=(BASE,))))
+        img = rng.choice((Bound(0), gen_typed_term(rng, ty, max_size=6, binders=(BASE,))))
     elif r < 0.82:  # one name at two types inside the image
         img = plant(rng, gen_typed_term(rng, ty, max_size=6), free("x", ARR))
     elif r < 0.87:
@@ -257,7 +256,7 @@ def gen_case(rng, reused):
     for _ in range(rng.choice((0, 0, 0, 0, 0, 1, 2))):  # a name at a second type
         tf = STLC_POOL[rng.randrange(len(STLC_POOL))]
         other = next(ty for ty in STLC_TYPES if ty is not tf.type)
-        t = TApp(t, plant(rng, gen_typed_term(rng), TVar(TFree(tf.name, other))))
+        t = TApp(t, plant(rng, gen_typed_term(rng), TFree(tf.name, other)))
     for _ in range(rng.choice((0, 0, 0, 0, 0, 0, 1, 2))):  # a leaf that is not a term
         t = plant(rng, t, rng.choice(NON_TERMS))
     if rng.random() < 0.03:
@@ -368,14 +367,14 @@ class TestOneWalkSubstitution:
     @pytest.mark.parametrize("n", [1000, 20000])
     def test_past_the_recursion_limit(self, n):
         k, m = free("k", Arrow(BASE, ARR)), free("m", Arrow(BASE, ARR))
-        t = TApp(TApp(k, TVar(Bound(0))), free("y"))
+        t = TApp(TApp(k, Bound(0)), free("y"))
         for _ in range(n):
             t = TAbs(BASE, t)
         out = stlc_subst({"y": free("z"), "k": m}, t)
         for _ in range(n):
             assert type(out) is TAbs and out.binder_type is BASE
             out = out.body
-        assert out == TApp(TApp(m, TVar(Bound(0))), free("z"))
+        assert out == TApp(TApp(m, Bound(0)), free("z"))
 
     def test_first_clash_by_name(self):
         # The walk meets y (the argument) first, but of the two clashing
@@ -399,8 +398,8 @@ class TestOneWalkSubstitution:
             stlc_subst({}, t)
 
     def test_one_walk_and_no_retyping(self, monkeypatch):
-        img = TAbs(BASE, TApp(free("f", ARR), TVar(Bound(0))))
-        t = TAbs(ARR, TApp(TVar(Bound(0)), TApp(free("g", ARR), free("x"))))
+        img = TAbs(BASE, TApp(free("f", ARR), Bound(0)))
+        t = TAbs(ARR, TApp(Bound(0), TApp(free("g", ARR), free("x"))))
         expected = reference_stlc_subst({"g": img}, t)
         assert stlc_subst({"g": img}, t) == expected
 
@@ -414,10 +413,10 @@ class TestOneWalkSubstitution:
 
 
 def test_lam_subst_keeps_binder_types():
-    t = TAbs(ARR, TApp(TVar(Bound(0)), TAbs(BASE, free("x"))))
+    t = TAbs(ARR, TApp(Bound(0), TAbs(BASE, free("x"))))
     assert subst({}, t) is t
     out = subst({"x": free("y")}, t)
-    assert out == TAbs(ARR, TApp(TVar(Bound(0)), TAbs(BASE, free("y"))))
+    assert out == TAbs(ARR, TApp(Bound(0), TAbs(BASE, free("y"))))
     assert type(out) is TAbs and out.binder_type is ARR
     assert type(out.body.arg) is TAbs and out.body.arg.binder_type is BASE
 
@@ -427,14 +426,14 @@ class TestTypeSlot:
     of sight of equality, hashing and printing, and only once it typed."""
 
     def typed_image(self):
-        img = TAbs(ARR, TApp(TVar(Bound(0)), free("x")))
+        img = TAbs(ARR, TApp(Bound(0), free("x")))
         assert stlc_subst({"h": img}, free("h", Arrow(ARR, BASE))) is img
         return img
 
     def test_invisible(self):
         img = self.typed_image()
         assert vars(img)["_type"] is Arrow(ARR, BASE)
-        fresh = TAbs(ARR, TApp(TVar(Bound(0)), free("x")))
+        fresh = TAbs(ARR, TApp(Bound(0), free("x")))
         assert img == fresh and fresh == img
         assert hash(img) == hash(fresh) and repr(img) == repr(fresh)
         assert {img: 1}[fresh] == 1
@@ -445,7 +444,7 @@ class TestTypeSlot:
         img = self.typed_image()
         c = copier(img)
         assert c == img and hash(c) == hash(img) and repr(c) == repr(img)
-        assert c.binder_type is ARR and c.body.arg.ref.type is BASE
+        assert c.binder_type is ARR and c.body.arg.type is BASE
         assert vars(c).get("_type", Arrow(ARR, BASE)) is Arrow(ARR, BASE)
         # A kept type is compared by identity, so a copy that kept a
         # non-canonical one would be refused here.
@@ -458,11 +457,10 @@ class TestTypeSlot:
         [
             (TApp(free("x"), free("y")), TypeCheckError, "non-function"),
             (TApp(free("x", ARR), free("x")), TypeCheckError, "used at two types"),
-            (TVar(Bound(0)), TypeCheckError, "escapes its scope"),
+            (Bound(0), TypeCheckError, "escapes its scope"),
         ]
         + [(leaf, MalformedTermError, f"not a typed term: {leaf!r}") for leaf in NON_TERMS],
-        ids=["ill-typed", "two-types", "dangling", "none", "junk", "untyped-abs", "free",
-             "untyped-var"],
+        ids=["ill-typed", "two-types", "dangling", "none", "junk", "untyped-abs", "free"],
     )
     def test_failure_is_never_kept(self, img, error, message):
         for _ in range(3):
@@ -496,7 +494,7 @@ class TestReduction:
         assert stlc_normalize(t) == parse_stlc("\\x:*. x")
 
     def test_eta_preserves_type(self):
-        t = TAbs(BASE, TApp(free("f", ARR), TVar(Bound(0))))
+        t = TAbs(BASE, TApp(free("f", ARR), Bound(0)))
         stepped = eta_step(t)
         assert stepped == free("f", ARR)
         assert type_of(stepped) == type_of(t)
@@ -531,7 +529,7 @@ class TestStlcGrammar:
     def test_show(self):
         assert show(parse_stlc("\\x:*. x y")) == "\\v0:*. v0 y"
         assert show(free("x")) == "x"
-        assert show(TVar(Bound(0))) == "#0"
+        assert show(Bound(0)) == "#0"
 
     def test_parse_errors(self):
         with pytest.raises(ParseError):

@@ -16,6 +16,8 @@ tlist_sort recurses through its module global, so its count is of nodes
 visited.
 """
 
+import importlib.util
+import pathlib
 import sys
 from collections import Counter
 
@@ -166,3 +168,39 @@ TYPING_COUNTS = {
         ("linearity", "tlist"): (0, 3240),
     },
 }
+
+
+def _perfbench_tracing():
+    """perfbench/tracing.py, the benchmark's tracer, loaded from its file."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The traced laws-nf counts split lam.exhausted into depth and steps by
+# the word "recursion" in the exception's message, which only DepthLimit's
+# text holds today: a restated message would move a round's 8 depth
+# exhaustions into lam.exhausted.steps without a test failing.  A
+# reduction cycle counts as steps.
+EXHAUSTIONS = (
+    ("depth", "\\x. " * 700 + "x", DEFAULT_FUEL),
+    ("depth", "(\\x. x x x) (\\x. x x x)", DEFAULT_FUEL),
+    ("steps", "(\\x. x x) (\\x. x x)", DEFAULT_FUEL),
+    ("steps", "(\\x. x x x) (\\x. x x x)", 20),
+)
+
+
+def test_perfbench_tells_depth_limits_from_step_budgets():
+    tracing = _perfbench_tracing()
+    tracer = tracing.Tracer()
+    traced = tracing._normalizing("lam")(tracer, "lam.normalize", lam.normalize, None, None)
+    counts = tracer.counts
+    for kind, text, fuel in EXHAUSTIONS:
+        before = counts[f"lam.exhausted.{kind}"]
+        with pytest.raises(FuelExhausted) as exc:
+            traced(lam.parse(text), fuel)
+        assert isinstance(exc.value, DepthLimit) == (kind == "depth")
+        assert counts[f"lam.exhausted.{kind}"] == before + 1, (kind, text, fuel)
+    assert (counts["lam.exhausted.depth"], counts["lam.exhausted.steps"]) == (2, 2)
