@@ -6,10 +6,15 @@ suite does: its point is the counterexample, so the CLI treats a found
 counterexample as success.  A linearity suite is the instance's list
 of squares in linearity_squares and nothing else: each square is one
 check_linearity run, its samples keyed "linearity:{square}:{i}".
+
+Every square's carriers are built in linearity_squares: most are a
+monad's tautological module drawing from one generator call, the rest
+derive, product, constant_module, normal_forms or shifted_tlist_module.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import partial
 
 from .combinators import (
@@ -32,16 +37,7 @@ from .harness import (
     check_monad_laws,
     tautological_module,
 )
-from .lam import (
-    LC,
-    NF,
-    Abs,
-    App,
-    nf_abs,
-    nf_app1,
-    scope_derived_lc_module,
-    scope_derived_nf_module,
-)
+from .lam import LC, NF, Abs, App, gen_normal, gen_term, nf_abs, nf_app1
 from .lists import LIST, concat, int_add_algebra
 from .typed import (
     BASE,
@@ -52,14 +48,11 @@ from .typed import (
     Nil,
     TAbs,
     TApp,
-    fiber_module,
-    scope_extended_module,
-    semantic_fiber_module,
-    semantic_scope_extended_module,
+    gen_tlist,
+    gen_typed_term,
     shifted_tlist_module,
     stlc_normalize,
     tlist_shift,
-    tlist_sort_module,
 )
 
 MONADS = {
@@ -104,40 +97,54 @@ def linearity_squares() -> dict[str, list[tuple]]:
 
     Built on each call, so every operation is looked up when a suite runs.
     """
-    lc, nf, lst, pt = (tautological_module(MONADS[n]) for n in ("lc", "nf", "list", "pt"))
+    lc, nf, lst, pt, stlc, tlist = (tautological_module(m) for m in MONADS.values())
     lc_pair = product(lc, lc)
     lc1 = derive(lc)
     lc2 = derive(lc1)
     inner, outer = second_derivative_inclusions(lc)
-    nf1 = scope_derived_nf_module()
-    arr = Arrow(BASE, BASE)
-    fib, fib_arr = fiber_module(BASE), fiber_module(arr)
-    sem, sem_arr = semantic_fiber_module(BASE), semantic_fiber_module(arr)
-    tl0, tl1 = tlist_sort_module(0), tlist_sort_module(1)
+    # Terms one scope deeper, index 0 the fresh variable: substitution shifts
+    # images under binders, which is the derived action.
+    lc_scope = replace(lc, name="lc-scope-derived", gen_value=partial(gen_term, depth=1))
+    nf1 = replace(nf, name="nf-scope-derived", gen_value=partial(gen_normal, depth=1))
+    fib, fib_arr = (
+        replace(stlc, name=f"stlc@{n}", gen_value=partial(gen_typed_term, target=t, max_size=10))
+        for n, t in (("*", BASE), ("* -> *", Arrow(BASE, BASE)))
+    )
+    # The partial derivative at * of the fiber at *: the dangling index is typed *.
+    scoped = partial(gen_typed_term, target=BASE, max_size=8, binders=(BASE,))
+    fib_d = replace(stlc, name="stlc-d*@*", gen_value=scoped)
+
+    def normal_forms(mod: ModuleInstance) -> ModuleInstance:
+        # The carrier's normal forms, acted on by substitute-then-normalize.
+        return replace(
+            mod,
+            name=mod.name.replace("stlc", "stlc-nf", 1),
+            mbind=lambda s, t: stlc_normalize(mod.mbind(s, t)),
+            gen_value=lambda rng: stlc_normalize(mod.gen_value(rng)),
+        )
+
+    sem, sem_arr, sem_d = (normal_forms(mod) for mod in (fib, fib_arr, fib_d))
+    tl0, tl1 = (
+        replace(tlist, name=f"tlist@{k}", gen_value=partial(gen_tlist, sort=k)) for k in (0, 1)
+    )
     return {
         "lc": [
             ("app", lc_pair, lc, lambda p: App(p[0], p[1]), ()),
-            ("abs", scope_derived_lc_module(), lc, Abs, ()),
+            ("abs", lc_scope, lc, Abs, ()),
         ],
         "nf": [("abs", nf1, nf, nf_abs, ()), ("app1", nf, nf1, nf_app1, ())],
         "list": [("concat", product(lst, lst), lst, concat, ())],
         "pt": [("double-and-swap", pt, pt, double_and_swap, (PT_WITNESS,))],
         "stlc": [
             ("app@*,*", product(fib_arr, fib), fib, lambda p: TApp(*p), ()),
-            ("abs@*,*", scope_extended_module(BASE, BASE), fib_arr, partial(TAbs, BASE), ()),
+            ("abs@*,*", fib_d, fib_arr, partial(TAbs, BASE), ()),
             ("app-nf@*,*", product(sem_arr, sem), sem, lambda p: stlc_normalize(TApp(*p)), ()),
-            (
-                "abs-nf@*,*",
-                semantic_scope_extended_module(BASE, BASE),
-                sem_arr,
-                lambda b: stlc_normalize(TAbs(BASE, b)),
-                (),
-            ),
+            ("abs-nf@*,*", sem_d, sem_arr, lambda b: stlc_normalize(TAbs(BASE, b)), ()),
         ],
         "tlist": [
             ("nil", constant_module(TLIST), tl1, lambda _: Nil(0), ()),
             ("cons", product(tl0, tl1), tl1, lambda p: Cons(p[0], p[1]), ()),
-            ("shift-commute", tautological_module(TLIST), shifted_tlist_module(), tlist_shift, ()),
+            ("shift-commute", tlist, shifted_tlist_module(), tlist_shift, ()),
         ],
         "derived-lc": [
             ("inner-inclusion", lc1, lc2, inner, ()),

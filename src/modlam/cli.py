@@ -56,7 +56,7 @@ def _nonnegative_int(text: str) -> int:
 
 def _read_term_arg(text: str) -> str:
     if text == "-":
-        return sys.stdin.read().strip()
+        return sys.stdin.read().rstrip()
     return text
 
 
@@ -193,16 +193,23 @@ def _dispatch(args) -> int:
     if args.command == "subst":
         t = lam.parse(_read_term_arg(args.term))
         s = {}
+        start = 0  # where the piece starts in --map
         for piece in args.mapping.split(","):
             if "=" not in piece:
                 raise _UsageError(f"bad --map entry {piece!r}")
             name, image = piece.split("=", 1)
+            at = start + len(name) + 1  # where the image starts in --map
+            start += len(piece) + 1
             name = name.strip()
             if lam._TOKEN.findall(name) != [name] or not lam._is_name(name):
                 raise _UsageError(f"bad name {name!r} in --map")
             if name in s:
                 raise _UsageError(f"name {name!r} mapped twice in --map")
-            s[name] = lam.parse(image)
+            try:
+                s[name] = lam.parse(image)
+            except ParseError as e:
+                # Locate the error in --map, not in the image alone.
+                raise ParseError(str(e).split(": ", 1)[1], at + e.position) from None
         print(lam.show(lam.subst(s, t)))
         return EXIT_OK
 

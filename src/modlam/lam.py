@@ -69,7 +69,7 @@ from typing import Callable, Iterator, Mapping, Optional
 
 from .errors import ConfigError, MalformedTermError
 from .fuel import DEFAULT_FUEL, DepthLimit, Fuel, FuelExhausted, ReductionCycle
-from .harness import MonadInstance, ModuleInstance
+from .harness import MonadInstance
 from .terms import (
     Bound,
     Free,
@@ -1020,28 +1020,3 @@ NF = MonadInstance(
     gen_subst=_gen_nf_subst,
     show_value=show_nf,
 )
-
-
-def scope_derived_lc_module() -> ModuleInstance:
-    """The derived module of the calculus in scope form: carriers are
-    terms one scope deeper, the dangling index 0 standing for the fresh
-    variable, and the action is ordinary substitution (which shifts
-    images under binders, exactly the derived action)."""
-    return ModuleInstance(
-        name="lc-scope-derived",
-        monad=LC,
-        mbind=subst,
-        gen_value=lambda rng: gen_term(rng, depth=1),
-        show_value=show,
-    )
-
-
-def scope_derived_nf_module() -> ModuleInstance:
-    """Normal forms one scope deeper, acted on by substitute-and-renormalize."""
-    return ModuleInstance(
-        name="nf-scope-derived",
-        monad=NF,
-        mbind=nf_bind,
-        gen_value=lambda rng: gen_normal(rng, depth=1),
-        show_value=show_nf,
-    )

@@ -31,7 +31,7 @@ one.  Nodes are immutable, so a kept type or sort stays right.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Mapping, Optional
 
@@ -472,49 +472,6 @@ STLC = MonadInstance(
 )
 
 
-def fiber_module(ty: SimpleType) -> ModuleInstance:
-    """Terms of one fixed type, acted on by typed substitution."""
-    return ModuleInstance(
-        name=f"stlc@{show_type(ty)}",
-        monad=STLC,
-        mbind=stlc_subst,
-        gen_value=lambda rng: gen_typed_term(rng, ty, max_size=10),
-        show_value=show,
-    )
-
-
-def scope_extended_module(slot_type: SimpleType, ty: SimpleType) -> ModuleInstance:
-    """The partial derivative at slot_type of the fiber at ty: terms one
-    scope deeper, the dangling index typed slot_type by convention."""
-    return ModuleInstance(
-        name=f"stlc-d{show_type(slot_type)}@{show_type(ty)}",
-        monad=STLC,
-        mbind=stlc_subst,
-        gen_value=lambda rng: gen_typed_term(rng, ty, max_size=8, binders=(slot_type,)),
-        show_value=show,
-    )
-
-
-def _normal_forms(mod: ModuleInstance, name: str) -> ModuleInstance:
-    # The carrier's normal forms, acted on by substitute-then-normalize.
-    return replace(
-        mod,
-        name=name,
-        mbind=lambda s, t: stlc_normalize(stlc_subst(s, t)),
-        gen_value=lambda rng: stlc_normalize(mod.gen_value(rng)),
-    )
-
-
-def semantic_fiber_module(ty: SimpleType) -> ModuleInstance:
-    """Normal forms of one fixed type, acted on by substitute-then-normalize."""
-    return _normal_forms(fiber_module(ty), f"stlc-nf@{show_type(ty)}")
-
-
-def semantic_scope_extended_module(slot_type: SimpleType, ty: SimpleType) -> ModuleInstance:
-    name = f"stlc-nf-d{show_type(slot_type)}@{show_type(ty)}"
-    return _normal_forms(scope_extended_module(slot_type, ty), name)
-
-
 # ---------- sort-indexed lists ----------
 #
 # Sorts are depths: a list whose elements have sort k has sort k+1.
@@ -672,17 +629,6 @@ TLIST = MonadInstance(
     key=lambda v: v.name,
     show_name=show_tlist,
 )
-
-
-def tlist_sort_module(sort: int) -> ModuleInstance:
-    """Terms of one fixed sort under sort-checked substitution."""
-    return ModuleInstance(
-        name=f"tlist@{sort}",
-        monad=TLIST,
-        mbind=tlist_subst,
-        gen_value=lambda rng: gen_tlist(rng, sort),
-        show_value=show_tlist,
-    )
 
 
 def shifted_tlist_module() -> ModuleInstance:

@@ -54,13 +54,7 @@ from modlam.lam import (
     to_scoped,
 )
 from modlam.terms import fold, fvar, self_representation
-from modlam.typed import (
-    BASE,
-    gen_typed_term,
-    scope_extended_module,
-    stlc_normalize,
-    type_of,
-)
+from modlam.typed import gen_typed_term, stlc_normalize, type_of
 from modlam import catalog
 
 from faulty_instances import broken_list_monad
@@ -113,7 +107,7 @@ def test_c02_module_laws():
         catalog.module_instance("derived-lc"),
         catalog.module_instance("product-lc"),
         base_change(normalize_morphism(), tautological_module(NF)),
-        scope_extended_module(BASE, BASE),
+        next(src for name, src, *_ in catalog.linearity_squares()["stlc"] if name == "abs@*,*"),
         constant_module(LC),
     ]
     ok = True

@@ -58,6 +58,10 @@ class TestParse:
         monkeypatch.setattr(sys, "stdin", io.StringIO("\\x. x\n"))
         assert run(["parse", "-"]) == EXIT_OK
         assert capsys.readouterr().out == "\\v0. v0\n"
+        # Leading blanks stay, so a position is an index into the input.
+        monkeypatch.setattr(sys, "stdin", io.StringIO("   x )\n"))
+        assert run(["parse", "-"]) == EXIT_PARSE
+        assert capsys.readouterr() == ("", "parse error at 5: trailing input\n")
 
 
 class TestNormalize:
@@ -176,7 +180,13 @@ class TestSubst:
         assert "usage error" in capsys.readouterr().err
 
     def test_image_parse_error(self, capsys):
+        # The position counts from the start of --map, so it names the image.
         assert run(["subst", "x", "--map", "x=(y"]) == EXIT_PARSE
+        assert capsys.readouterr() == ("", "parse error at 4: expected ')'\n")
+        assert run(["subst", "x", "--map", "y=w,x=(y"]) == EXIT_PARSE
+        assert capsys.readouterr() == ("", "parse error at 8: expected ')'\n")
+        assert run(["subst", "x", "--map", "y=(w,x=y"]) == EXIT_PARSE
+        assert capsys.readouterr() == ("", "parse error at 4: expected ')'\n")
 
     def test_repeated_name(self, capsys):
         # A name mapped twice is refused, not resolved by the last entry.

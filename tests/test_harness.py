@@ -12,6 +12,7 @@ from modlam.harness import (
     _sample_rng,
     _sweep,
     check_linearity,
+    check_module_laws,
     check_monad_laws,
     compose_subst,
     fresh_name,
@@ -244,6 +245,21 @@ class TestSamplingEngine:
             report = run_suite("linearity", instance, 20, 0)
             assert [c.name for c in report.checks] == names
             assert names == [row[0] for row in linearity_squares()[instance]]
+
+    def test_every_square_carrier_obeys_the_module_laws(self):
+        from modlam.catalog import linearity_squares
+
+        carriers = {
+            id(mod): mod
+            for rows in linearity_squares().values()
+            for _, src, dst, _, _ in rows
+            for mod in (src, dst)
+        }
+        assert len(carriers) == 24
+        for mod in carriers.values():
+            report = check_module_laws(mod, samples=300, seed=0)
+            assert report.passed, report.format()
+            assert sum(c.skipped for c in report.checks) == 0, mod.name
 
     def counting(self, calls):
         def gen(rng):

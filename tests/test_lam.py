@@ -19,7 +19,7 @@ from modlam.harness import (
     check_monad_morphism,
     compose_subst,
 )
-from modlam import lam
+from modlam import catalog, lam
 from modlam.lam import (
     LC,
     NF,
@@ -41,8 +41,6 @@ from modlam.lam import (
     normalize,
     parse,
     preorder_leq,
-    scope_derived_lc_module,
-    scope_derived_nf_module,
     shift,
     show,
     show_nf,
@@ -984,11 +982,18 @@ class TestInstances:
     def test_lc_monad_laws(self):
         assert check_monad_laws(LC, samples=200, seed=0).passed
 
+    def square(self, instance, name):
+        return next(row for row in catalog.linearity_squares()[instance] if row[0] == name)
+
     def test_scope_derived_module_laws(self):
-        assert check_module_laws(scope_derived_lc_module(), samples=200, seed=0).passed
+        src = self.square("lc", "abs")[1]
+        assert src.name == "lc-scope-derived"
+        assert check_module_laws(src, samples=200, seed=0).passed
 
     def test_scope_derived_nf_module_laws(self):
-        assert check_module_laws(scope_derived_nf_module(), samples=200, seed=0).passed
+        src = self.square("nf", "abs")[1]
+        assert src.name == "nf-scope-derived"
+        assert check_module_laws(src, samples=200, seed=0).passed
 
     def test_abs_is_not_a_monad_morphism(self):
         # The frozen witness: under s = {y -> #0} the fresh slot of the

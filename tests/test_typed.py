@@ -12,7 +12,13 @@ import reference_terms as ref
 from modlam.catalog import run_suite
 from modlam import catalog, lam, typed
 from modlam.errors import MalformedTermError, ParseError, TypeCheckError
-from modlam.harness import _sample_rng, check_module_laws, check_monad_laws, show_subst
+from modlam.harness import (
+    _sample_rng,
+    check_module_laws,
+    check_monad_laws,
+    show_subst,
+    tautological_module,
+)
 from modlam.lam import Abs, beta_step, eta_step, shift, show, subst
 from modlam.terms import Bound, Free
 from modlam.typed import (
@@ -29,14 +35,10 @@ from modlam.typed import (
     TAbs,
     TApp,
     TFree,
-    fiber_module,
     free_types,
     gen_tlist,
     gen_typed_term,
     parse_stlc,
-    scope_extended_module,
-    semantic_fiber_module,
-    semantic_scope_extended_module,
     shifted_tlist_module,
     show_tlist,
     show_type,
@@ -44,7 +46,6 @@ from modlam.typed import (
     stlc_subst,
     tlist_shift,
     tlist_sort,
-    tlist_sort_module,
     tlist_subst,
     type_of,
     typecheck,
@@ -555,20 +556,28 @@ class TestStlcInstances:
     def test_monad_laws(self):
         assert check_monad_laws(STLC, samples=200, seed=0).passed
 
+    def square(self, name):
+        return next(row for row in catalog.linearity_squares()["stlc"] if row[0] == name)
+
     def test_fiber_module_laws(self):
-        for ty in (BASE, ARR):
-            assert check_module_laws(fiber_module(ty), samples=150, seed=0).passed
+        _, _, fib, *_ = self.square("app@*,*")
+        _, _, fib_arr, *_ = self.square("abs@*,*")
+        assert (fib.name, fib_arr.name) == ("stlc@*", "stlc@* -> *")
+        for mod in (fib, fib_arr):
+            assert check_module_laws(mod, samples=150, seed=0).passed
 
     def test_scope_extended_module_laws(self):
-        assert check_module_laws(scope_extended_module(BASE, BASE), samples=150, seed=0).passed
+        src = self.square("abs@*,*")[1]
+        assert src.name == "stlc-d*@*"
+        assert check_module_laws(src, samples=150, seed=0).passed
 
     def test_semantic_module_laws(self):
-        report = check_module_laws(semantic_fiber_module(BASE), samples=150, seed=0)
-        assert report.passed, report.format()
-        report = check_module_laws(
-            semantic_scope_extended_module(BASE, BASE), samples=150, seed=0
-        )
-        assert report.passed, report.format()
+        _, _, sem, *_ = self.square("app-nf@*,*")
+        sem_d = self.square("abs-nf@*,*")[1]
+        assert (sem.name, sem_d.name) == ("stlc-nf@*", "stlc-nf-d*@*")
+        for mod in (sem, sem_d):
+            report = check_module_laws(mod, samples=150, seed=0)
+            assert report.passed, report.format()
 
     def test_linearity_suite(self):
         report = run_suite("linearity", "stlc", 150, 0)
@@ -623,8 +632,12 @@ class TestTypedLists:
         assert check_monad_laws(TLIST, samples=300, seed=0).passed
 
     def test_sort_module_laws(self):
-        for sort in (0, 1, 2):
-            assert check_module_laws(tlist_sort_module(sort), samples=150, seed=0).passed
+        # Sort 2 is a carrier no linearity square uses; the square carriers
+        # are checked in test_harness.
+        tl2 = dataclasses.replace(
+            tautological_module(TLIST), name="tlist@2", gen_value=lambda rng: gen_tlist(rng, 2)
+        )
+        assert check_module_laws(tl2, samples=150, seed=0).passed
 
     def test_linearity_suite(self):
         report = run_suite("linearity", "tlist", 150, 0)
