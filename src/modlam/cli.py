@@ -209,7 +209,7 @@ def _dispatch(args) -> int:
                 s[name] = lam.parse(image)
             except ParseError as e:
                 # Locate the error in --map, not in the image alone.
-                raise ParseError(str(e).split(": ", 1)[1], at + e.position) from None
+                raise ParseError(e.message, at + e.position) from None
         print(lam.show(lam.subst(s, t)))
         return EXIT_OK
 

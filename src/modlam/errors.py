@@ -16,6 +16,7 @@ class ParseError(Exception):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"parse error at {position}: {message}")
+        self.message = message
         self.position = position
 
 

@@ -6,12 +6,15 @@ a printer, so every commuting diagram in the development can be run
 rather than assumed.  A law is its two sides: the one sampling loop
 computes both on each sample, compares them with == (componentwise on
 the pairs of a product module) and renders the inputs only on failure.
-Reports are deterministic for a fixed seed: each sample draws from its
-own sub-generator keyed by (seed, index), so the outcome does not
+Reports are deterministic for a fixed seed: each sample draws from a
+sub-generator keyed by (seed, index), so the outcome does not
 depend on evaluation order.  That generator is random.Random seeded with
 the string "{seed}:{key}:{i}", in a subclass that overrides only
-randrange, drawing the same getrandbits bits as the library's in one
-Python frame: every stream, and so every report, is the library's.  The
+randrange, drawing the same getrandbits bits as the library's on one
+straight-line path for randrange(n) and one for randrange(a, b): every
+stream, and so every report, is the library's.  A sweep builds one such
+generator and reseeds it for each sample, which resets its whole state,
+so each sample draws the stream a new generator with its key would.  The
 generators draw through randrange alone (randint(a, b) is randrange(a,
 b + 1), and seq[randrange(len(seq))] is what choice(seq) draws).
 
@@ -229,31 +232,36 @@ _ONE = 1  # randrange's default step, told apart by identity as the library does
 
 
 class _SampleRandom(random.Random):
-    # The library's randrange in one Python frame: it rejection-samples
-    # getrandbits(n.bit_length()) below n, as _randbelow does, so the
-    # stream is the library's.  A step, a non-int bound or an empty range
-    # goes to the library, which raises what it raises.
+    # The library's randrange(n) and randrange(a, b) on int bounds, each
+    # one straight-line path that rejection-samples getrandbits(n.bit_length())
+    # below the span n, as _randbelow does, so the stream is the library's.
+    # A step, a non-int bound or an empty range goes to the library, which
+    # raises what it raises.  A sweep builds one and reseeds it for each
+    # sample: the seed resets the whole state, so every sample draws the
+    # stream a new generator with its key would.
 
     def randrange(self, start, stop=None, step=_ONE):
-        if start.__class__ is int and step is _ONE:
+        if step is _ONE and start.__class__ is int:
             if stop is None:
-                lo, n = 0, start
-            elif stop.__class__ is int:
-                lo, n = start, stop - start
-            else:
-                n = 0
-            if n > 0:
-                getrandbits = self.getrandbits
+                if start > 0:
+                    k = start.bit_length()
+                    r = self.getrandbits(k)
+                    while r >= start:
+                        r = self.getrandbits(k)
+                    return r
+            elif stop.__class__ is int and stop > start:
+                n = stop - start
                 k = n.bit_length()
-                r = getrandbits(k)
+                r = self.getrandbits(k)
                 while r >= n:
-                    r = getrandbits(k)
-                return lo + r
+                    r = self.getrandbits(k)
+                return start + r
         return super().randrange(start, stop, step)
 
 
 def _sample_rng(seed: int, index: Any) -> random.Random:
-    # Sub-generator per sample: deterministic and order-independent.
+    # The generator of sample `index`, keyed "{seed}:{index}": deterministic
+    # and order-independent.  _sweep reseeds it with each later sample's key.
     return _SampleRandom(f"{seed}:{index}")
 
 
@@ -268,19 +276,26 @@ def _sweep(
 ) -> tuple[LawCheck, ...]:
     """The one sampling loop.  Probes run first; then sample i draws its
     inputs from the sub-generator keyed "{key}:{i}" and every law runs on
-    them.  A draw that runs out of fuel skips the sample for every law;
-    a law stops at its first counterexample, and the loop stops, drawing
-    no more samples, once every law has one."""
+    them.  The sweep builds one generator, for its first sample, and
+    reseeds it with each later sample's key.  A draw that runs out of fuel
+    skips the sample for every law; a law stops at its first
+    counterexample, and the loop stops, drawing no more samples, once
+    every law has one."""
     checked = [0] * len(laws)
     skipped = [0] * len(laws)
     found: list[Optional[Counterexample]] = [None] * len(laws)
+    rng = None
+    prefix = f"{seed}:{key}:"
     for i in range(-len(probes), samples):
         if i < 0:
-            where, inp = f"probe {i + len(probes)}", probes[i]
+            inp = probes[i]
         else:
-            where = f"sample {i}"
+            if rng is None:
+                rng = _sample_rng(seed, f"{key}:{i}")
+            else:
+                rng.seed(f"{prefix}{i}")
             try:
-                inp = gen(_sample_rng(seed, f"{key}:{i}"))
+                inp = gen(rng)
             except FuelExhausted:
                 inp = None
         for k, (_, sides, inputs) in enumerate(laws):
@@ -297,6 +312,7 @@ def _sweep(
             if lhs == rhs:
                 checked[k] += 1
             else:
+                where = f"probe {i + len(probes)}" if i < 0 else f"sample {i}"
                 found[k] = Counterexample(where, inputs(*inp), show(lhs), show(rhs))
         if None not in found:
             break

@@ -330,6 +330,34 @@ class TestSampleRandom:
                 assert draws(ours, n, i) == draws(lib, n, i), (key, n)
             assert ours.getstate() == lib.getstate()
 
+    def test_a_reseeded_generator_draws_what_a_new_one_draws(self):
+        # A sweep reseeds one generator for every sample, after the draws of
+        # the samples before it.
+        ours = _sample_rng(7, "monad:start")
+        for i in range(2000):
+            key = f"monad:{i}"
+            draws(ours, SIZES[i % len(SIZES)], i)
+            ours.seed(f"7:{key}")
+            lib = random.Random(f"7:{key}")
+            assert ours.getstate() == lib.getstate(), key
+            for n in SIZES[i % 7 :: 7]:
+                assert draws(ours, n, i) == draws(lib, n, i), (key, n)
+            assert ours.getstate() == lib.getstate(), key
+
+    @pytest.mark.parametrize(
+        "start, stop",
+        [(-5, 6), (-1, 0), (0, 1), (41, 42), (-(2**70), 1 - 2**70)]
+        + [(lo, lo + 2**k + d) for lo in (-3, 0, 17) for k in (1, 2, 8, 32, 63, 64, 65)
+           for d in (-1, 0, 1)]
+        + [(lo, lo + n) for lo in (-(2**80), 5) for n in (2**64 + 1, 3 * 2**70 + 7, 2**200 - 1)],
+    )
+    def test_two_argument_path_matches_the_library(self, start, stop):
+        ours, lib = _sample_rng(0, f"span:{start}:{stop}"), random.Random(f"0:span:{start}:{stop}")
+        got = [ours.randrange(start, stop) for _ in range(200)]
+        assert got == [lib.randrange(start, stop) for _ in range(200)]
+        assert all(start <= r < stop for r in got)
+        assert ours.getstate() == lib.getstate()
+
     @pytest.mark.parametrize(
         "draw",
         [

@@ -75,3 +75,15 @@ def test_grammar_differences():
     assert sexpr("1x") == fvar("1x")
     with pytest.raises(ParseError):
         parse("1x")
+
+
+def test_the_bare_message_and_position_make_the_text():
+    # A caller that relocates an error (modlam subst --map) passes
+    # e.message on with its own position, taking no text apart.
+    for parser, text, shown in CASES:
+        with pytest.raises(ParseError) as exc:
+            parser(text)
+        e = exc.value
+        assert (f"parse error at {e.position}: {e.message}", e.message) == (
+            shown, shown.split(": ", 1)[1]
+        ), text

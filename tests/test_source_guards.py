@@ -132,15 +132,17 @@ def calls_outside_sample_rng(path, tree):
 
 
 def test_random_is_built_only_in_sample_rng(src):
-    # Every sample draw goes through the draw-identical generator of harness._sample_rng.
+    # Every sample draw goes through the draw-identical generator of
+    # harness._sample_rng, the one place a random.Random or a _SampleRandom
+    # is built; a sweep reseeds the one it got there.
     report([
-        f"{path}:{call.lineno}: random.Random(...) outside harness._sample_rng"
+        f"{path}:{call.lineno}: {name}(...) outside harness._sample_rng"
         for path, tree in src.items()
         for call in calls_outside_sample_rng(path, tree)
         for f in [call.func]
-        if (isinstance(f, ast.Name) and f.id == "Random") or (
-            isinstance(f, ast.Attribute) and f.attr == "Random"
-            and getattr(f.value, "id", None) == "random"
+        for name in [getattr(f, "id", None) or getattr(f, "attr", None)]
+        if name == "_SampleRandom" or name == "Random" and (
+            isinstance(f, ast.Name) or getattr(f.value, "id", None) == "random"
         )
     ])
 

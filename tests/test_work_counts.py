@@ -18,12 +18,13 @@ visited.
 
 import importlib.util
 import pathlib
+import random
 import sys
 from collections import Counter
 
 import pytest
 
-from modlam import catalog, lam, typed
+from modlam import catalog, harness, lam, typed
 from modlam.fuel import DEFAULT_FUEL, DepthLimit, Fuel, FuelExhausted, ReductionCycle
 
 NF_PAIRS = (("monad", "nf"), ("module", "nf"), ("linearity", "nf"), ("linearity", "stlc"))
@@ -170,13 +171,65 @@ TYPING_COUNTS = {
 }
 
 
-def _perfbench_tracing():
-    """perfbench/tracing.py, the benchmark's tracer, loaded from its file."""
-    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+def _perfbench(name: str):
+    """perfbench/<name>.py, a module of the benchmark, loaded from its file."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # where a dataclass looks its module up
     spec.loader.exec_module(module)
     return module
+
+
+def _counted(key: str, fn, counts: Counter):
+    def wrapper(self, *args):
+        counts[key] += 1
+        return fn(self, *args)
+
+    return wrapper
+
+
+def test_syntax_suites_draw_counts(monkeypatch):
+    # The laws-syntax benchmark's pairs spend most of their time seeding and
+    # drawing samples: a sample seeds its generator once, and a sweep that
+    # skips, repeats or adds a seed or a draw moves these counts.  A pair
+    # whose probe fails before any sample seeds nothing.
+    counts: Counter = Counter()
+    monkeypatch.setattr(random.Random, "seed", _counted("seed", random.Random.seed, counts))
+    monkeypatch.setattr(random.Random, "random", _counted("random", random.Random.random, counts))
+    randrange = harness._SampleRandom.randrange
+    monkeypatch.setattr(harness._SampleRandom, "randrange", _counted("randrange", randrange, counts))
+    got = {}
+    for suite, instance in _perfbench("workloads").SYNTAX_PAIRS:
+        counts.clear()
+        catalog.run_suite(suite, instance, SAMPLES, 0)
+        got[suite, instance] = (counts["seed"], counts["randrange"], counts["random"])
+    assert got == DRAW_COUNTS
+
+
+# (seeds, randrange calls, random() calls) per pair at law seed 0,
+# recorded on the sweep that built a new generator for every sample.
+DRAW_COUNTS = {
+    ("monad", "lc"): (1000, 14030, 20566),
+    ("monad", "list"): (1000, 23251, 16000),
+    ("monad", "pt"): (1000, 12610, 12207),
+    ("monad", "stlc"): (1000, 24107, 24835),
+    ("monad", "tlist"): (1000, 13967, 16695),
+    ("module", "lc"): (1000, 13134, 20481),
+    ("module", "list"): (1000, 22133, 16000),
+    ("module", "pt"): (1000, 12014, 12484),
+    ("module", "stlc"): (1000, 23475, 25119),
+    ("module", "tlist"): (1000, 12755, 16516),
+    ("module", "derived-lc"): (1000, 14024, 21542),
+    ("module", "product-lc"): (1000, 16460, 24164),
+    ("linearity", "lc"): (2000, 19984, 29385),
+    ("linearity", "list"): (1000, 15557, 8000),
+    ("linearity", "pt"): (0, 0, 0),
+    ("linearity", "tlist"): (3000, 22499, 25990),
+    ("linearity", "derived-lc"): (3000, 30802, 43608),
+    ("linearity", "product-lc"): (2000, 23704, 32196),
+    ("algebra", "list"): (1000, 5778, 0),
+}
 
 
 # The traced laws-nf counts split lam.exhausted into depth and steps by
@@ -193,7 +246,7 @@ EXHAUSTIONS = (
 
 
 def test_perfbench_tells_depth_limits_from_step_budgets():
-    tracing = _perfbench_tracing()
+    tracing = _perfbench("tracing")
     tracer = tracing.Tracer()
     traced = tracing._normalizing("lam")(tracer, "lam.normalize", lam.normalize, None, None)
     counts = tracer.counts
