@@ -198,35 +198,41 @@ def double_and_swap(t: PtTerm) -> PtTerm:
     raise MalformedTermError(f"not a plus/times term: {t!r}")
 
 
-def show_pt(t: PtTerm) -> str:
-    def go(t: PtTerm, level: int) -> str:
-        match t:
-            case Free(name):
-                return name
-            case Op(op, (l, r)) if op == _PLUS:
-                s = f"{go(l, 0)}+{go(r, 1)}"
-                return f"({s})" if level > 0 else s
-            case Op(op, (l, r)) if op == _TIMES:
-                s = f"{go(l, 1)}*{go(r, 2)}"
-                return f"({s})" if level > 1 else s
-        raise MalformedTermError(f"not a plus/times term: {t!r}")
+# show_pt's and gen_pt's walks are module-level for the reason given at
+# lam's generators: no garbage cycle per call.
 
-    return go(t, 0)
+
+def _show_pt(t: PtTerm, level: int) -> str:
+    match t:
+        case Free(name):
+            return name
+        case Op(op, (l, r)) if op == _PLUS:
+            s = f"{_show_pt(l, 0)}+{_show_pt(r, 1)}"
+            return f"({s})" if level > 0 else s
+        case Op(op, (l, r)) if op == _TIMES:
+            s = f"{_show_pt(l, 1)}*{_show_pt(r, 2)}"
+            return f"({s})" if level > 1 else s
+    raise MalformedTermError(f"not a plus/times term: {t!r}")
+
+
+def show_pt(t: PtTerm) -> str:
+    return _show_pt(t, 0)
 
 
 PT_NAMES = ("x", "y", "z")
 _PT_VARS = tuple(PVar(name) for name in PT_NAMES)
 
 
-def gen_pt(rng: random.Random, max_size: int = 6) -> PtTerm:
-    def go(budget: int) -> PtTerm:
-        if budget <= 1 or rng.random() < 0.35:
-            return _PT_VARS[rng.randrange(len(_PT_VARS))]
-        k = rng.randrange(1, budget)
-        ctor = Plus if rng.random() < 0.5 else Times
-        return ctor(go(k), go(budget - 1 - k))
+def _gen_pt(rng: random.Random, budget: int) -> PtTerm:
+    if budget <= 1 or rng.random() < 0.35:
+        return _PT_VARS[rng.randrange(len(_PT_VARS))]
+    k = rng.randrange(1, budget)
+    ctor = Plus if rng.random() < 0.5 else Times
+    return ctor(_gen_pt(rng, k), _gen_pt(rng, budget - 1 - k))
 
-    return go(rng.randrange(1, max_size + 1))
+
+def gen_pt(rng: random.Random, max_size: int = 6) -> PtTerm:
+    return _gen_pt(rng, rng.randrange(1, max_size + 1))
 
 
 PT = MonadInstance(

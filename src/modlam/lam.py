@@ -929,24 +929,54 @@ NAME_POOL = ("x", "y", "z", "w")
 _POOL_VARS = tuple(fvar(name) for name in NAME_POOL)
 
 
+# The generators' recursive walks are module-level functions that take
+# the generator and what they draw within as arguments: a nested def
+# that calls itself is a reference cycle (function, cell, function) per
+# call, freed only by the cyclic collector, so a sample would leave
+# garbage behind.
+
+
+def _gen_term(rng: random.Random, budget: int, depth: int) -> LcTerm:
+    if budget <= 1 or rng.random() < 0.3:
+        if depth > 0 and rng.random() < 0.5:
+            return bvar(rng.randrange(depth))
+        return _POOL_VARS[rng.randrange(len(_POOL_VARS))]
+    if rng.random() < 0.45:
+        return Abs(_gen_term(rng, budget - 1, depth + 1))
+    k = rng.randrange(1, budget)
+    return App(_gen_term(rng, k, depth), _gen_term(rng, budget - 1 - k, depth))
+
+
 def gen_term(
     rng: random.Random,
     max_size: int = 8,
     depth: int = 0,
 ) -> LcTerm:
     """A random well-scoped term, geometrically smaller toward the leaves."""
+    return _gen_term(rng, rng.randrange(1, max_size + 1), depth)
 
-    def go(budget: int, depth: int) -> LcTerm:
-        if budget <= 1 or rng.random() < 0.3:
-            if depth > 0 and rng.random() < 0.5:
-                return bvar(rng.randrange(depth))
-            return _POOL_VARS[rng.randrange(len(_POOL_VARS))]
-        if rng.random() < 0.45:
-            return Abs(go(budget - 1, depth + 1))
-        k = rng.randrange(1, budget)
-        return App(go(k, depth), go(budget - 1 - k, depth))
 
-    return go(rng.randrange(1, max_size + 1), depth)
+def _gen_leaf(rng: random.Random, depth: int) -> LcTerm:
+    if depth > 0 and rng.random() < 0.5:
+        return bvar(rng.randrange(depth))
+    return _POOL_VARS[rng.randrange(len(_POOL_VARS))]
+
+
+def _gen_neutral(rng: random.Random, budget: int, depth: int, contract: bool) -> LcTerm:
+    if budget <= 1 or rng.random() < 0.4:
+        return _gen_leaf(rng, depth)
+    k = rng.randrange(1, budget)
+    return App(
+        _gen_neutral(rng, k, depth, contract), _gen_nf(rng, budget - 1 - k, depth, contract)
+    )
+
+
+def _gen_nf(rng: random.Random, budget: int, depth: int, contract: bool) -> LcTerm:
+    if budget > 1 and rng.random() < 0.4:
+        t = Abs(_gen_nf(rng, budget - 1, depth + 1, contract))
+        contracted = _eta_contract(t) if contract else None
+        return t if contracted is None else contracted
+    return _gen_neutral(rng, budget, depth, contract)
 
 
 def gen_normal(
@@ -965,26 +995,7 @@ def gen_normal(
     through reduce_to_normal, which checks its nesting."""
     size = rng.randrange(1, max_size + 1)
     contract = size <= MAX_DEPTH
-
-    def leaf(depth: int) -> LcTerm:
-        if depth > 0 and rng.random() < 0.5:
-            return bvar(rng.randrange(depth))
-        return _POOL_VARS[rng.randrange(len(_POOL_VARS))]
-
-    def neutral(budget: int, depth: int) -> LcTerm:
-        if budget <= 1 or rng.random() < 0.4:
-            return leaf(depth)
-        k = rng.randrange(1, budget)
-        return App(neutral(k, depth), nf(budget - 1 - k, depth))
-
-    def nf(budget: int, depth: int) -> LcTerm:
-        if budget > 1 and rng.random() < 0.4:
-            t = Abs(nf(budget - 1, depth + 1))
-            contracted = _eta_contract(t) if contract else None
-            return t if contracted is None else contracted
-        return neutral(budget, depth)
-
-    t = nf(size, depth)
+    t = _gen_nf(rng, size, depth, contract)
     return _sealed(_marked(t) if contract else reduce_to_normal(t))
 
 

@@ -406,6 +406,41 @@ _POOL_VARS = {
 _LEAVES: dict[tuple[SimpleType, tuple[SimpleType, ...]], tuple[StlcTerm, ...]] = {}
 
 
+# The recursive walks of the generators and of tlist_subst are
+# module-level, taking what they draw or replace with as arguments, for
+# the reason given at lam's generators: no garbage cycle per call.
+
+
+def _gen_typed_leaf(
+    rng: random.Random, ty: SimpleType, binders: tuple[SimpleType, ...]
+) -> StlcTerm:
+    opts = _LEAVES.get((ty, binders))
+    if opts is None:
+        opts = _LEAVES[ty, binders] = (
+            *(Bound(i) for i, b in enumerate(binders) if b is ty),
+            *_POOL_VARS.get(ty, ()),
+        )
+    if opts:
+        return opts[rng.randrange(len(opts))]
+    # No variable of this type in scope: eta-expand toward one.
+    assert isinstance(ty, Arrow)
+    return TAbs(ty.dom, _gen_typed_leaf(rng, ty.cod, (ty.dom,) + binders))
+
+
+def _gen_typed(
+    rng: random.Random, ty: SimpleType, budget: int, binders: tuple[SimpleType, ...]
+) -> StlcTerm:
+    if budget <= 1 or rng.random() < 0.3:
+        return _gen_typed_leaf(rng, ty, binders)
+    if isinstance(ty, Arrow) and rng.random() < 0.5:
+        return TAbs(ty.dom, _gen_typed(rng, ty.cod, budget - 1, (ty.dom,) + binders))
+    dom = STLC_TYPES[rng.randrange(len(STLC_TYPES))]
+    k = rng.randrange(1, budget)
+    fun = _gen_typed(rng, Arrow(dom, ty), k, binders)
+    arg = _gen_typed(rng, dom, budget - 1 - k, binders)
+    return TApp(fun, arg)
+
+
 def gen_typed_term(
     rng: random.Random,
     target: Optional[SimpleType] = None,
@@ -420,32 +455,7 @@ def gen_typed_term(
     """
     if target is None:
         target = STLC_TYPES[rng.randrange(len(STLC_TYPES))]
-
-    def leaf(ty: SimpleType, binders: tuple[SimpleType, ...]) -> StlcTerm:
-        opts = _LEAVES.get((ty, binders))
-        if opts is None:
-            opts = _LEAVES[ty, binders] = (
-                *(Bound(i) for i, b in enumerate(binders) if b is ty),
-                *_POOL_VARS.get(ty, ()),
-            )
-        if opts:
-            return opts[rng.randrange(len(opts))]
-        # No variable of this type in scope: eta-expand toward one.
-        assert isinstance(ty, Arrow)
-        return TAbs(ty.dom, leaf(ty.cod, (ty.dom,) + binders))
-
-    def go(ty: SimpleType, budget: int, binders: tuple[SimpleType, ...]) -> StlcTerm:
-        if budget <= 1 or rng.random() < 0.3:
-            return leaf(ty, binders)
-        if isinstance(ty, Arrow) and rng.random() < 0.5:
-            return TAbs(ty.dom, go(ty.cod, budget - 1, (ty.dom,) + binders))
-        dom = STLC_TYPES[rng.randrange(len(STLC_TYPES))]
-        k = rng.randrange(1, budget)
-        fun = go(Arrow(dom, ty), k, binders)
-        arg = go(dom, budget - 1 - k, binders)
-        return TApp(fun, arg)
-
-    t = go(target, rng.randrange(1, max_size + 1), binders)
+    t = _gen_typed(rng, target, rng.randrange(1, max_size + 1), binders)
     if not binders:
         object.__setattr__(t, "_type", target)
     return t
@@ -519,6 +529,28 @@ def tlist_sort(t: TListTerm) -> int:
     raise MalformedTermError(f"not a typed list term: {t!r}")
 
 
+def _tlist_subst(
+    s: Mapping[str, TListTerm], image_sorts: dict[str, int], t: TListTerm
+) -> TListTerm:
+    if isinstance(t, LVar):
+        name = t.name
+        if name in s:
+            if image_sorts[name] != t.sort:
+                raise TypeCheckError(
+                    f"image for {name!r} has sort {image_sorts[name]}, "
+                    f"occurrence declares {t.sort}"
+                )
+            return s[name]
+        return t
+    if isinstance(t, Cons):
+        h = _tlist_subst(s, image_sorts, t.head)
+        tl = _tlist_subst(s, image_sorts, t.tail)
+        return t if h is t.head and tl is t.tail else Cons(h, tl)
+    if isinstance(t, Nil):
+        return t
+    raise MalformedTermError(f"not a typed list term: {t!r}")
+
+
 def tlist_subst(s: Mapping[str, TListTerm], t: TListTerm) -> TListTerm:
     """Sort-checked substitution: each image's sort must equal the
     declared sort of the occurrences it replaces.  Every image is sorted
@@ -526,27 +558,7 @@ def tlist_subst(s: Mapping[str, TListTerm], t: TListTerm) -> TListTerm:
     of t replaces the names s maps.  Cons cells with nothing replaced
     are shared with t."""
     image_sorts = {name: _kept(img, "_sort", tlist_sort) for name, img in s.items()}
-
-    def go(t: TListTerm) -> TListTerm:
-        if isinstance(t, LVar):
-            name = t.name
-            if name in s:
-                if image_sorts[name] != t.sort:
-                    raise TypeCheckError(
-                        f"image for {name!r} has sort {image_sorts[name]}, "
-                        f"occurrence declares {t.sort}"
-                    )
-                return s[name]
-            return t
-        if isinstance(t, Cons):
-            h = go(t.head)
-            tl = go(t.tail)
-            return t if h is t.head and tl is t.tail else Cons(h, tl)
-        if isinstance(t, Nil):
-            return t
-        raise MalformedTermError(f"not a typed list term: {t!r}")
-
-    return go(t)
+    return _tlist_subst(s, image_sorts, t)
 
 
 def tlist_shift(t: TListTerm, by: int = 1) -> TListTerm:
@@ -590,25 +602,25 @@ _TLIST_VARS = {
 }
 
 
+def _gen_tlist(rng: random.Random, sort: int, budget: int) -> TListTerm:
+    opts = _TLIST_VARS.get(sort, ())
+    if sort == 0:
+        return opts[rng.randrange(len(opts))]
+    if budget <= 1 or rng.random() < 0.3:
+        if opts and rng.random() < 0.6:
+            return opts[rng.randrange(len(opts))]
+        return Nil(sort - 1)
+    k = rng.randrange(1, budget)
+    return Cons(_gen_tlist(rng, sort - 1, k), _gen_tlist(rng, sort, budget - 1 - k))
+
+
 def gen_tlist(rng: random.Random, sort: Optional[int] = None, max_size: int = 8) -> TListTerm:
     """A random list term of the sort, built top-down.  A nonnegative
     sort is what tlist_sort finds, so it is written to the sort slot; a
     negative one builds an ill-sorted term, which gets no slot."""
     if sort is None:
         sort = rng.randrange(3)
-
-    def go(sort: int, budget: int) -> TListTerm:
-        opts = _TLIST_VARS.get(sort, ())
-        if sort == 0:
-            return opts[rng.randrange(len(opts))]
-        if budget <= 1 or rng.random() < 0.3:
-            if opts and rng.random() < 0.6:
-                return opts[rng.randrange(len(opts))]
-            return Nil(sort - 1)
-        k = rng.randrange(1, budget)
-        return Cons(go(sort - 1, k), go(sort, budget - 1 - k))
-
-    t = go(sort, rng.randrange(1, max_size + 1))
+    t = _gen_tlist(rng, sort, rng.randrange(1, max_size + 1))
     if sort >= 0:
         object.__setattr__(t, "_sort", sort)
     return t

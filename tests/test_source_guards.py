@@ -5,9 +5,10 @@ writes the normal-form, loose-bound and height marks and typed alone the
 type and sort slots, every term node class keeps its fields in
 __slots__, no term's instance __dict__ is touched outside the __reduce__
 helpers, only the harness and the catalog run a law, nothing is
-imported, defined or exported that nothing loads, and the defs that call
-themselves are exactly README.md's "What still recurses" list.  Each
-test lists every `path:line: ...` that breaks its rule."""
+imported, defined or exported that nothing loads, the defs that call
+themselves are exactly README.md's "What still recurses" list, and none
+of them is nested in another def.  Each test lists every `path:line:
+...` that breaks its rule."""
 
 import ast
 import pathlib
@@ -39,10 +40,10 @@ NODES = {"terms.Op", "lam.App", "lam.Abs", "typed.TAbs"}
 # The defs that call themselves, each named in README.md's "What still
 # recurses" list by the part after its module.
 RECURSIVE = {
-    "combinators.double_and_swap", "combinators.show_pt.go", "combinators.gen_pt.go",
-    "lam._contractions", "lam.gen_term.go", "lam.gen_normal.neutral", "lam.gen_normal.nf",
-    "typed.tlist_sort", "typed.tlist_shift", "typed.show_tlist", "typed.tlist_subst.go",
-    "typed.gen_typed_term.leaf", "typed.gen_typed_term.go", "typed.gen_tlist.go",
+    "combinators.double_and_swap", "combinators._show_pt", "combinators._gen_pt",
+    "lam._contractions", "lam._gen_term", "lam._gen_neutral", "lam._gen_nf",
+    "typed.tlist_sort", "typed.tlist_shift", "typed.show_tlist", "typed._tlist_subst",
+    "typed._gen_typed_leaf", "typed._gen_typed", "typed._gen_tlist",
     "terms._replace",
 }
 
@@ -346,3 +347,17 @@ def test_the_recursive_walks_are_readmes_list(src):
         *(f"README.md: recursive walk {name} not named"
           for name in RECURSIVE if f"`{name.split('.', 1)[1]}`" not in readme),
     ])
+
+
+def test_no_nested_def_refers_to_itself(src):
+    # A nested def that calls itself holds itself through its closure cell,
+    # so each call of the def around it leaves a reference cycle that only
+    # the cyclic collector frees.  Mutual recursion through two nested defs
+    # does too; tests/test_harness.py's TestGarbage catches that.
+    report(sorted({
+        f"{path}:{inner.lineno}: nested def {inner.name} refers to itself"
+        for path, tree in src.items()
+        for outer in ast.walk(tree) if isinstance(outer, DEFS)
+        for inner in ast.walk(outer) if inner is not outer and isinstance(inner, DEFS)
+        if any(isinstance(n, ast.Name) and n.id == inner.name for n in ast.walk(inner))
+    }))
