@@ -54,10 +54,13 @@ class Fuel:
     def coerce(cls, fuel: "Fuel | int") -> "Fuel":
         return fuel if isinstance(fuel, Fuel) else cls(fuel)
 
-    def spend(self) -> None:
-        if self.remaining == 0:
+    def spend(self, n: int = 1) -> None:
+        """Spend n units.  With fewer left, the budget runs out as it would
+        unit by unit: it is drained to 0 and FuelExhausted raised."""
+        if self.remaining < n:
+            self.remaining = 0
             raise FuelExhausted("step budget exhausted")
-        self.remaining -= 1
+        self.remaining -= n
 
     def __repr__(self) -> str:
         return f"Fuel({self.remaining})"

@@ -41,6 +41,15 @@ reaches marked nodes through the shifts of its images.  Like _normal,
 the mark is not a dataclass field, and it depends only on the node's
 structure, so it stays right.
 
+Two writers mark 0 what they know to be closed without a walk.
+parse_binding marks the root it returns: an unbound name becomes a free
+variable, and every index is below the binders around it.  The
+normalizer, given a root marked 0, marks each argument it substitutes
+while it has entered no abstraction of the term: a closed term stays
+closed as it reduces, and so does each subterm under no binder.  The
+shift that places such an argument under the contracted body's binders
+returns it at its root.
+
 The normalizer keeps an argument of a variable head that is marked
 normal as it is, without walking it, when depth + height <= MAX_DEPTH:
 depth is the nesting the argument sits at, and height, the most App and
@@ -428,14 +437,21 @@ def _beta_normal(t: LcTerm, budget: Fuel) -> LcTerm:
     that substitutes all m arguments at once.  That is the result of its
     m leftmost-outermost steps, which as m walks would first shift a1
     under the binders the later ones strip again.  The m fuel units are
-    spent one at a time before the walk, so a budget runs out at the
-    unit it would run out at step by step.  A variable head has its
-    arguments normalized left to right; an unapplied abstraction is
-    entered.  These are the leftmost-outermost contractions in their
-    order, one fuel unit each.  frames holds the context to rebuild: an
-    abstraction around a body, or a list [neutral so far, arguments
-    still to normalize]; depth counts the binders and App nodes that
-    context puts above the focus.
+    spent in one call before the walk, which drains a budget with fewer
+    left, as m steps would.  A variable head has its arguments
+    normalized left to right; an unapplied abstraction is entered.
+    These are the leftmost-outermost contractions in their order, one
+    fuel unit each.  frames holds the context to rebuild: an abstraction
+    around a body, or a list [neutral so far, arguments still to
+    normalize]; depth counts the binders and App nodes that context puts
+    above the focus, and binders the abstractions alone.
+
+    A root marked 0 (see _replace) has no dangling index, and reduction
+    keeps it so: every pending argument and contraction result under no
+    abstraction of the term is closed.  So while binders is 0, each App
+    or Abs argument of a contraction is marked 0 before the walk, and
+    the shift that places it under the body's binders returns it at its
+    root instead of walking it.
 
     A closed abstraction is never reduced again and its body is already
     normal, so an eta contraction there (one fuel unit) gives the result
@@ -463,8 +479,10 @@ def _beta_normal(t: LcTerm, budget: Fuel) -> LcTerm:
     """
     frames: list = []
     depth = 0
+    binders = 0  # the abstractions among frames
     args: list[LcTerm] = []
     steps = 0  # beta contractions so far
+    closed = (type(t) is App or isinstance(t, Abs)) and t._dangling_below <= 0
     while True:
         # The focus moved to an argument or out of a frame: a new run, no snapshot yet.
         checks, power, snap_len = 0, 1, -1
@@ -476,14 +494,17 @@ def _beta_normal(t: LcTerm, budget: Fuel) -> LcTerm:
                     raise _too_deep()
             elif isinstance(t, Abs):
                 if args:
-                    budget.spend()
                     images = {0: args.pop()}  # the arguments to substitute, first first
                     t = t.body
                     while args and isinstance(t, Abs):
-                        budget.spend()
                         images[len(images)] = args.pop()
                         t = t.body
                     m = len(images)
+                    budget.spend(m)
+                    if closed and not binders:
+                        for u in images.values():
+                            if (type(u) is App or isinstance(u, Abs)) and u._dangling_below > 0:
+                                object.__setattr__(u, "_dangling_below", 0)
                     t = _replace(t, {}, -m, images, 0)
                     steps += m
                     if args and isinstance(t, Abs):
@@ -504,6 +525,7 @@ def _beta_normal(t: LcTerm, budget: Fuel) -> LcTerm:
                     continue
                 frames.append(t)
                 depth += 1
+                binders += 1
                 if depth > MAX_DEPTH:
                     raise _too_deep()
                 t = t.body
@@ -535,6 +557,7 @@ def _beta_normal(t: LcTerm, budget: Fuel) -> LcTerm:
                     break
                 t = frame[0]
             else:
+                binders -= 1
                 t = frame.with_body(t)
                 contracted = _eta_contract(t)
                 if contracted is not None:
@@ -802,7 +825,8 @@ def parse_binding(
     body's first token; free builds a free variable from its name.
 
     Open binders and parentheses wait on an explicit stack, so nesting is
-    bounded by memory, not by the recursion limit."""
+    bounded by memory, not by the recursion limit.  The root returned has
+    no dangling index, and an App or Abs root is marked so."""
     tokens = _TOKEN.findall(text) + [""]  # "" marks the end of the input
     name_tokens = {tok for tok in set(tokens) if _is_name(tok)}  # one test per distinct token
     frames: list = []  # (constructor, name, shadowed depth) or (None, None, spine outside '(')
@@ -843,6 +867,8 @@ def parse_binding(
             if not frames:
                 if tok:
                     raise _error(_TOKEN, text, i - 1, "trailing input")
+                if type(t) is App or isinstance(t, Abs):
+                    object.__setattr__(t, "_dangling_below", 0)
                 return t
             if tok != ")":
                 raise _error(_TOKEN, text, i - 1, "expected ')'")

@@ -318,6 +318,28 @@ class TestDanglingMarks:
             for node, mark in marks(*pool):
                 assert dangling_below(node) <= mark, (node, mark)
 
+    def test_parsed_roots_and_the_normalizers_marks_hold(self):
+        # parse marks the root it returns 0, and the normalizer marks 0 each
+        # argument it substitutes under no binder of a closed root.
+        plus = parse("(\\m. \\n. \\f. \\x. m f (n f x)) (\\f. \\x. f x) (\\f. \\x. f (f x))")
+        assert vars(plus)["_dangling_below"] == 0
+        three = normalize(plus).term
+        assert [vars(n).get("_dangling_below") for n in (plus.fun.arg, plus.arg)] == [0, 0]
+        rng = random.Random(3406)
+        pool = [plus, three]
+        for _ in range(400):
+            t, walked = gen_term(rng, 14), gen_term(rng, 14)
+            assert shift(walked) is walked  # closed, so the walk marks its root 0
+            # Open, closed unmarked, marked by parse and marked by a shift.
+            for root in (gen_term(rng, 14, depth=1), t, parse(show(t)), walked):
+                pool.append(root)
+                try:
+                    pool.append(normalize(root, 200).term)
+                except FuelExhausted:
+                    pass
+        for node, mark in marks(*pool):
+            assert dangling_below(node) <= mark, (node, mark)
+
     def test_an_image_that_is_the_variable_it_replaces(self):
         # Under the binder, #0 shifted is #1, the variable it replaces:
         # the term comes back as it was, yet it uses index 0.

@@ -557,3 +557,95 @@ class TestSharing:
         text = "(\\a. \\b. \\c. a (\\z. z) (b c (\\w. w w))) f g h"
         assert show(normalize(parse(text)).term) == "f (\\v0. v0) (g h (\\v1. v1 v1))"
         assert (calls, multi, untouched, rebuilt) == (386, 30, 366, 0)
+
+
+def entered_nodes(t, cutoff: int) -> list:
+    """The App/Abs nodes an index rewrite from this cutoff descends into:
+    it stops at a node marked at or below the cutoff there."""
+    out, todo = [], [(t, cutoff)]
+    while todo:
+        t, c = todo.pop()
+        if isinstance(t, (App, Abs)) and t._dangling_below > c:
+            out.append(t)
+            todo += ((t.fun, c), (t.arg, c)) if isinstance(t, App) else ((t.body, c + 1),)
+    return out
+
+
+class TestClosedArguments:
+    """parse marks the root it returns closed, and the normalizer marks
+    closed each argument it substitutes under no binder of a closed root,
+    so the shift that places it under the contracted body's binders hands
+    it back at its root."""
+
+    @pytest.mark.parametrize(
+        "op, a, b, n, spent",
+        [
+            ("(\\m. \\n. \\f. \\x. m f (n f x))", 160, 160, 320, 6),
+            ("(\\m. \\n. \\f. m (n f))", 16, 16, 256, 35),
+        ],
+        ids=["plus", "mult"],
+    )
+    def test_no_shift_walks_over_a_closed_numeral(self, monkeypatch, op, a, b, n, spent):
+        t = parse(f"{op} {church_text(a)} {church_text(b)}")
+        numerals = (t.fun.arg, t.arg)
+        inside = node_ids(numerals[0]) | node_ids(numerals[1])
+        shifted, entered = [], []
+        replace = lam._replace
+
+        def counting(u, s, by, images, depth):
+            if images is None and by:
+                shifted.append(u)
+                entered.extend(id(node) for node in entered_nodes(u, depth))
+            return replace(u, s, by, images, depth)
+
+        monkeypatch.setattr(lam, "_replace", counting)
+        budget = Fuel(10**6)
+        assert normalize(t, budget).term == church(n)
+        assert 10**6 - budget.remaining == spent
+        assert [u for u in shifted if any(u is v for v in numerals)] == list(numerals)
+        assert inside.isdisjoint(entered)
+
+    def test_an_open_argument_is_still_shifted(self):
+        # An open root, and an argument under a binder of a closed root:
+        # either argument may dangle, so neither is marked and both shift.
+        arg = App(bvar(0), fvar("z"))
+        assert normalize(App(Abs(Abs(bvar(1))), arg), 10).term == Abs(App(bvar(1), fvar("z")))
+        assert "_dangling_below" not in vars(arg)
+        t = parse("\\z. (\\x. \\y. x) (z z)")
+        arg = t.body.arg
+        assert normalize(t, 10).term == parse("\\z. \\y. z z")
+        assert "_dangling_below" not in vars(arg)
+
+
+class TestFuelRuns:
+    def test_spend_takes_n_units_or_drains_the_budget(self):
+        budget = Fuel(5)
+        budget.spend()
+        budget.spend(3)
+        assert budget.remaining == 1
+        with pytest.raises(FuelExhausted, match="step budget exhausted"):
+            budget.spend(2)
+        assert budget.remaining == 0
+
+    def test_a_run_short_of_fuel_raises_before_its_walk(self, monkeypatch):
+        # A head applied to m = 3 arguments is one run of 3 contractions:
+        # with 2 units it drains the budget as unit-by-unit steps would,
+        # before the walk.
+        walks = 0
+        replace = lam._replace
+
+        def counting(t, s, by, images, depth):
+            nonlocal walks
+            walks += images is not None
+            return replace(t, s, by, images, depth)
+
+        monkeypatch.setattr(lam, "_replace", counting)
+        t = parse("(\\a. \\b. \\c. a b c) f g h")
+        budget = Fuel(2)
+        with pytest.raises(FuelExhausted) as caught:
+            normalize(t, budget)
+        assert type(caught.value) is FuelExhausted
+        assert (budget.remaining, walks) == (0, 0)
+        budget = Fuel(3)
+        assert normalize(t, budget).term == parse("f g h")
+        assert (budget.remaining, walks) == (0, 1)
