@@ -15,14 +15,16 @@ initial-representation fold (iota_fold) tick.
 
 A term that reduce_to_normal returns is marked normal at its root, in
 the instance attribute _normal, which only this module writes;
-gen_normal, which builds its output normal, marks it too.  The mark
-means beta-eta normal and nested within MAX_DEPTH, so reduce_to_normal
-hands a marked term back at once, for no fuel, with the outcome a second
-pass would have.  MAX_DEPTH is part of it because the normalizer counts
-nesting from where it starts: nf_abs and nf_app1 can nest a normal form
-one level deeper, so they do not mark.  The mark is not a dataclass
-field, so equality, hashing, repr and dataclasses.replace do not see it;
-copy and pickle carry it.  Nodes are immutable, so a mark stays right.
+gen_normal, which builds its output normal, marks it too, and so does
+iota_fold's application of a neutral function once its height is
+checked.  The mark means beta-eta normal and nested within MAX_DEPTH,
+so reduce_to_normal hands a marked term back at once, for no fuel, with
+the outcome a second pass would have.  MAX_DEPTH is part of it because
+the normalizer counts nesting from where it starts: nf_abs and nf_app1
+can nest a normal form one level deeper, so they do not mark.  The mark
+is not a dataclass field, so equality, hashing, repr and
+dataclasses.replace do not see it; copy and pickle carry it.  Nodes are
+immutable, so a mark stays right.
 A variable is a node too, a Free or Bound leaf, and leaves are shared
 (bvar's table, the generators' pools), so the mark lands on shared
 leaves; it says what is true of every variable.
@@ -56,8 +58,13 @@ depth is the nesting the argument sits at, and height, the most App and
 Abs nodes on a path down from it, is the nesting the normalizer would
 count inside a normal form.  The height is cached in a third mark,
 _height, which only this module writes, the first time it is needed.
-So iota_fold, whose applications renormalize around a folded argument
-the normalizer has marked, costs time linear in the folded numeral.
+iota_fold reads it too: a neutral function applied to a folded argument
+is normal as it stands, so the fold builds that one App node and checks
+its height instead of renormalizing.  A child the fold built this way
+has its height cached, so a spine or a Church numeral of n applications
+folds in n App nodes, n height checks that each stop at the new node's
+children, and no normalizer pass; only an abstraction's application is
+renormalized.
 
 The fields of App and Abs live in __slots__ and the marks in the
 instance __dict__, which no walk touches: it is created by the first
@@ -688,18 +695,28 @@ def iota_fold(
     fuel: Fuel | int = DEFAULT_FUEL,
 ) -> NfTerm:
     """Fold a lambda term into normal forms: terms.fold along the
-    representation of SIG_LC in NF.  abs is nf_abs; app opens the folded
-    function with nf_app1 and substitutes the folded argument for the
-    fresh slot.  Variables go through env (default: NF's unit).
+    representation of SIG_LC in NF.  abs is nf_abs; app is by cases on
+    the folded function.  An abstraction has the folded argument
+    substituted into its body, and the result is renormalized.  A
+    neutral function applied to a normal argument is normal as it
+    stands, so that application is the result, marked normal, when its
+    height is within MAX_DEPTH; past that it goes to the normalizer,
+    which raises DepthLimit there.  Variables go through env (default:
+    NF's unit).
 
-    That substitution is the contraction itself, so fuel is spent only by
+    The substitution is the contraction itself, so fuel is spent only by
     renormalizing its result, one budget shared by the whole fold: a fold
     whose applications create no new redex spends none.
     """
     budget = Fuel.coerce(fuel)
 
     def app(f: NfTerm, a: NfTerm) -> NfTerm:
-        return normalize(subst0(nf_app1(f).term, a.term), budget)
+        if isinstance(f.term, Abs):
+            return normalize(subst0(f.term.body, a.term), budget)
+        t = App(f.term, a.term)
+        if _height_of(t) <= MAX_DEPTH:
+            return _sealed(_marked(t))
+        return normalize(t, budget)
 
     rep = Representation(
         SIG_LC, (app, nf_abs), bound_value=lambda k: _sealed(bvar(k)), monad=NF

@@ -56,11 +56,11 @@ REQUESTS = {
         for n in range(2, 10)
     },
     "550-over-550": ["normalize", DEEPER_THAN_THE_LIMIT],
-    # parse, fold and typecheck at nesting 1000, 2000 and 20000.  A folded
-    # spine is renormalized at each application, so it ends in the depth
-    # limit.  leq is left out: preorder_leq hashes terms with the
-    # recursive dataclass hash, and its successors come from the recursive
-    # _contractions.
+    # parse, fold and typecheck at nesting 1000, 2000 and 20000.  A fold
+    # checks each application it builds against the depth limit, so a
+    # folded spine, nested or on the head, ends there.  leq is left out:
+    # preorder_leq hashes terms with the recursive dataclass hash, and its
+    # successors come from the recursive _contractions.
     **{
         f"{command}-{shape}-{n}": argv
         for n in (1000, 2000, 20000)
@@ -69,6 +69,7 @@ REQUESTS = {
             ("parse", "spine", ["parse", "f (" * n + "y" + ")" * n]),
             ("fold", "binders", ["fold", "\\x. " * n + "x y", "--target", "nf"]),
             ("fold", "spine", ["fold", "f (" * n + "y" + ")" * n, "--target", "nf"]),
+            ("fold", "head-spine", ["fold", "x" + " y" * n, "--target", "nf"]),
             ("typecheck", "binders", ["typecheck", "\\x:*. " * n + "x"]),
             ("typecheck", "spine", ["typecheck", "\\f:* -> *. \\y:*. " + "f (" * n + "y" + ")" * n]),
         )
@@ -126,5 +127,6 @@ def test_the_deep_parse_fold_and_typecheck_requests(at_both_limits):
         assert low[f"parse-spine-{n}"] == (0, "f (" * (n - 1) + "f y" + ")" * (n - 1) + "\n", "")
         assert low[f"fold-binders-{n}"][:2] == (0, low[f"parse-binders-{n}"][1])
         assert low[f"fold-spine-{n}"][0] == 3
+        assert low[f"fold-head-spine-{n}"] == low["normalize-spine"]  # exit 3, the depth line
         assert low[f"typecheck-binders-{n}"] == (0, "* -> " * n + "*\n", "")
         assert low[f"typecheck-spine-{n}"] == (0, "(* -> *) -> * -> *\n", "")
