@@ -23,7 +23,6 @@ from .harness import (
     check_module_laws,
     check_monad_laws,
     check_monad_morphism,
-    sampled_law,
     tautological_module,
 )
 from .terms import (
@@ -76,7 +75,6 @@ __all__ = [
     "fvar",
     "identity_morphism",
     "rename",
-    "sampled_law",
     "substitute",
     "tautological_module",
     "well_scoped",

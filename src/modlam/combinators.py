@@ -67,14 +67,13 @@ def second_derivative_inclusions(
     as the inner fresh slot (identity on carriers) or as the outer one
     (the marker renamed); both maps are linear.
     """
-    first = derive(mod)
-    second = derive(first)
+    k = len(mod.fresh_markers)  # derive names the next two markers k and k + 1
 
     def inner(v: Any) -> Any:
         return v
 
     def outer(v: Any) -> Any:
-        return mod.mbind({first.fresh_markers[-1]: mod.monad.unit(second.fresh_markers[-1])}, v)
+        return mod.mbind({fresh_name(k): mod.monad.unit(fresh_name(k + 1))}, v)
 
     return inner, outer
 

@@ -6,6 +6,9 @@ a printer, so every commuting diagram in the development can be run
 rather than assumed.  A law is its two sides: the one sampling loop
 computes both on each sample, compares them with == (componentwise on
 the pairs of a product module) and renders the inputs only on failure.
+Each law has one definition: the monad laws are the action axioms of
+the tautological module plus bind-unit, and morphism-bind is the
+linearity square into the target pulled back along the morphism.
 Reports are deterministic for a fixed seed: each sample draws from a
 sub-generator keyed by (seed, index), so the outcome does not
 depend on evaluation order.  That generator is random.Random seeded with
@@ -321,28 +324,45 @@ def _sweep(
     )
 
 
-def sampled_law(
-    name: str,
-    samples: int,
-    seed: int,
-    gen: Callable[[random.Random], tuple],
-    sides: Callable[..., tuple[Any, Any]],
-    inputs: Callable[..., tuple[tuple[str, str], ...]],
-    show: Callable[[Any], str],
-    probes: tuple = (),
-) -> LawCheck:
-    """Run a bespoke one-off law: gen draws an input tuple, sides returns
-    the two values the law equates, inputs and show render a failure.
-    Fuel exhaustion in gen or sides is a skip, as in the stock suites."""
-    return _sweep(name, samples, seed, gen, [(name, sides, inputs)], show, probes)[0]
+def _action_laws(mod: ModuleInstance, op: str) -> list[tuple]:
+    """The two axioms of a left action, on inputs (x, f, g, ...):
+
+    {op}-{op}:  act g . act f  =  act (bind g . f)
+    unit-{op}:  act unit       =  id
+    """
+    m, act, show = mod.monad, mod.mbind, mod.show_value
+    return [
+        (
+            f"{op}-{op}",
+            lambda x, f, g, *_: (act(g, act(f, x)), act(compose_subst(m, f, g), x)),
+            lambda x, f, g, *_: (
+                ("value", show(x)),
+                ("subst f", show_subst(m, f)),
+                ("subst g", show_subst(m, g)),
+            ),
+        ),
+        (f"unit-{op}", lambda x, *_: (act({}, x), x), lambda x, *_: (("value", show(x)),)),
+    ]
+
+
+def _square(name: str, src: ModuleInstance, act_dst: Callable, tau: Callable) -> tuple:
+    """The linearity square on inputs (s, x, ...):
+
+    tau (act_src s x)  =  act_dst s (tau x)
+    """
+    m, act, show = src.monad, src.mbind, src.show_value
+    return (
+        name,
+        lambda s, x, *_: (tau(act(s, x)), act_dst(s, tau(x))),
+        lambda s, x, *_: (("value", show(x)), ("substitution", show_subst(m, s))),
+    )
 
 
 def check_monad_laws(m: MonadInstance, samples: int = 1000, seed: int = 0) -> LawReport:
-    """Run the three monad laws on seeded samples.
+    """Run the three monad laws on seeded samples: bind-bind and
+    unit-bind are the action axioms of the tautological module, and
 
-    bind-bind:  bind g . bind f  =  bind (bind g . f)
-    bind-unit:  bind f . unit    =  f
-    unit-bind:  bind unit        =  id
+    bind-unit:  bind f . unit  =  f
     """
 
     def gen(rng):
@@ -351,60 +371,25 @@ def check_monad_laws(m: MonadInstance, samples: int = 1000, seed: int = 0) -> La
         g = m.gen_subst(rng)
         return x, f, g, m.names[rng.randrange(len(m.names))]
 
-    laws = [
-        (
-            "bind-bind",
-            lambda x, f, g, a: (m.bind(g, m.bind(f, x)), m.bind(compose_subst(m, f, g), x)),
-            lambda x, f, g, a: (
-                ("value", m.show_value(x)),
-                ("subst f", show_subst(m, f)),
-                ("subst g", show_subst(m, g)),
-            ),
-        ),
-        (
-            "bind-unit",
-            lambda x, f, g, a: (m.bind(f, m.unit(a)), subst_total(m, f, a)),
-            lambda x, f, g, a: (("name", m.show_name(a)), ("subst f", show_subst(m, f))),
-        ),
-        (
-            "unit-bind",
-            lambda x, f, g, a: (m.bind({}, x), x),
-            lambda x, f, g, a: (("value", m.show_value(x)),),
-        ),
-    ]
-    checks = _sweep("monad", samples, seed, gen, laws, m.show_value)
+    bind_bind, unit_bind = _action_laws(tautological_module(m), "bind")
+    bind_unit = (
+        "bind-unit",
+        lambda x, f, g, a: (m.bind(f, m.unit(a)), subst_total(m, f, a)),
+        lambda x, f, g, a: (("name", m.show_name(a)), ("subst f", show_subst(m, f))),
+    )
+    checks = _sweep("monad", samples, seed, gen, [bind_bind, bind_unit, unit_bind], m.show_value)
     return LawReport("monad", m.name, samples, seed, checks)
 
 
 def check_module_laws(mod: ModuleInstance, samples: int = 1000, seed: int = 0) -> LawReport:
-    """Run the two module axioms on seeded samples.
-
-    mbind-mbind:  mbind g . mbind f  =  mbind (bind g . f)
-    unit-mbind:   mbind unit         =  id
-    """
+    """Run the two action axioms, mbind-mbind and unit-mbind, on seeded samples."""
     m = mod.monad
 
     def gen(rng):
         x = mod.gen_value(rng)
         return x, m.gen_subst(rng), m.gen_subst(rng)
 
-    laws = [
-        (
-            "mbind-mbind",
-            lambda x, f, g: (mod.mbind(g, mod.mbind(f, x)), mod.mbind(compose_subst(m, f, g), x)),
-            lambda x, f, g: (
-                ("value", mod.show_value(x)),
-                ("subst f", show_subst(m, f)),
-                ("subst g", show_subst(m, g)),
-            ),
-        ),
-        (
-            "unit-mbind",
-            lambda x, f, g: (mod.mbind({}, x), x),
-            lambda x, f, g: (("value", mod.show_value(x)),),
-        ),
-    ]
-    checks = _sweep("module", samples, seed, gen, laws, mod.show_value)
+    checks = _sweep("module", samples, seed, gen, _action_laws(mod, "mbind"), mod.show_value)
     return LawReport("module", mod.name, samples, seed, checks)
 
 
@@ -417,9 +402,7 @@ def check_linearity(
     probes: tuple = (),
     name: str = "linearity",
 ) -> LawReport:
-    """Check that tau commutes with the module actions:
-
-        tau (mbind_src s x)  =  mbind_dst s (tau x)
+    """Check the linearity square of tau, with act_dst = mbind_dst.
 
     Probes are (subst, value) pairs checked before any random samples, so
     a known witness appears first in the report.
@@ -434,43 +417,37 @@ def check_linearity(
         s = m.gen_subst(rng)
         return s, src.gen_value(rng)
 
-    square = (
-        name,
-        lambda s, x: (tau(src.mbind(s, x)), dst.mbind(s, tau(x))),
-        lambda s, x: (("value", src.show_value(x)), ("substitution", show_subst(m, s))),
-    )
+    square = _square(name, src, dst.mbind, tau)
     checks = _sweep(f"linearity:{name}", samples, seed, gen, [square], dst.show_value, probes)
     return LawReport("linearity", f"{src.name} -> {dst.name}", samples, seed, checks)
 
 
-def check_monad_morphism(
-    f: MonadMorphism, samples: int = 1000, seed: int = 0
-) -> LawReport:
+def check_monad_morphism(f: MonadMorphism, samples: int = 1000, seed: int = 0) -> LawReport:
     """Check the two monad morphism squares on seeded samples.
 
-    morphism-unit:  f . unit_src       =  unit_dst
-    morphism-bind:  f (bind_src s x)   =  bind_dst (f . s) (f x)
+    morphism-unit:  f . unit_src  =  unit_dst
+
+    morphism-bind is the linearity square of f.map from src acting on
+    itself into dst acting on itself pulled back along f (base change).
     """
     src, dst = f.src, f.dst
 
     def gen(rng):
         x = src.gen_value(rng)
         s = src.gen_subst(rng)
-        return x, s, src.names[rng.randrange(len(src.names))]
+        return s, x, src.names[rng.randrange(len(src.names))]
 
     laws = [
         (
             "morphism-unit",
-            lambda x, s, a: (f.map(src.unit(a)), dst.unit(a)),
-            lambda x, s, a: (("name", src.show_name(a)),),
+            lambda s, x, a: (f.map(src.unit(a)), dst.unit(a)),
+            lambda s, x, a: (("name", src.show_name(a)),),
         ),
-        (
+        _square(
             "morphism-bind",
-            lambda x, s, a: (
-                f.map(src.bind(s, x)),
-                dst.bind({k: f.map(v) for k, v in s.items()}, f.map(x)),
-            ),
-            lambda x, s, a: (("value", src.show_value(x)), ("substitution", show_subst(src, s))),
+            tautological_module(src),
+            lambda s, y: dst.bind({k: f.map(v) for k, v in s.items()}, y),
+            f.map,
         ),
     ]
     checks = _sweep(f"morphism:{f.name}", samples, seed, gen, laws, dst.show_value)

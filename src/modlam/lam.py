@@ -736,11 +736,15 @@ def step_successors(t: LcTerm) -> list[LcTerm]:
 def preorder_leq(t1: LcTerm, t2: LcTerm, depth: int = 20) -> bool:
     """Is t2 reachable from t1 by at most `depth` oriented beta/eta
     steps under congruence?  Reflexive at depth 0; False only means not
-    related within the bound."""
+    related within the bound.  Reduction keeps beta-eta equivalence, so
+    terms beta_eta_equiv (default fuel) finds inequivalent are refuted
+    without a search."""
     frontier = {t1}
     visited = {t1}
     if t2 in visited:
         return True
+    if beta_eta_equiv(t1, t2) is Equivalence.INEQUIVALENT:
+        return False
     for _ in range(depth):
         nxt: set[LcTerm] = set()
         for t in frontier:

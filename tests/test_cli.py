@@ -152,6 +152,11 @@ class TestLeq:
         assert capsys.readouterr().out == "not related within depth 1\n"
         assert run(["leq", t, "y", "--depth", "2"]) == EXIT_OK
 
+    def test_inequivalent_terms_are_not_related(self, capsys):
+        t = "f " + " ".join(f"((\\x. x) a{i})" for i in range(1, 17))
+        assert run(["leq", t, "g"]) == EXIT_NO
+        assert capsys.readouterr() == ("not related within depth 20\n", "")
+
     def test_mult_reaches_its_numeral(self, capsys):
         # Some step of this search substitutes a bare index whose image,
         # shifted under a binder, is the very variable it replaces: that

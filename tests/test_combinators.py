@@ -29,10 +29,11 @@ from modlam.harness import (
     check_monad_morphism,
     tautological_module,
 )
-from modlam.lam import LC, NF, App, normalize, parse, subst
+from modlam.lam import LC, NF, Abs, App, normalize, parse, subst
 from modlam.lists import LIST
 from modlam.terms import fvar
 
+from faulty_instances import naive_prime_monad
 from reference_terms import lam_free_names
 
 
@@ -151,6 +152,32 @@ class TestBaseChange:
         assert not report.passed
         check = report.check("morphism-unit")
         assert check.counterexample == Counterexample("sample 0", (("name", "y"),), "x", "y")
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize(
+        "morphism",
+        [
+            identity_morphism(LC),
+            MonadMorphism("collapse", LC, LC, lambda t: fvar("x")),
+            MonadMorphism("abs", naive_prime_monad(), LC, Abs),
+        ],
+        ids=lambda f: f.name,
+    )
+    def test_morphism_bind_is_linearity_into_the_pullback(self, morphism, seed):
+        # morphism-bind is the linearity square of f.map from src acting on
+        # itself into dst acting on itself pulled back along f.  The sweeps
+        # are keyed apart, so only the verdicts can agree.
+        f = morphism
+        bind = check_monad_morphism(f, samples=200, seed=seed).check("morphism-bind")
+        square = check_linearity(
+            tautological_module(f.src),
+            base_change(f, tautological_module(f.dst)),
+            f.map,
+            samples=200,
+            seed=seed,
+        ).check("linearity")
+        assert (bind.counterexample is None) == (square.counterexample is None)
+        assert (bind.counterexample is None) == (f.name != "abs")
 
     def test_normalize_is_a_monad_morphism(self):
         report = check_monad_morphism(normalize_morphism(), samples=150, seed=0)

@@ -18,12 +18,13 @@ from modlam.harness import (
     check_monad_laws,
     compose_subst,
     fresh_name,
-    sampled_law,
     show_subst,
     subst_total,
     tautological_module,
 )
 from modlam.lists import LIST
+
+from one_off_law import sampled_law
 
 
 class TestFreshMarkers:

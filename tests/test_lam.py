@@ -4,6 +4,7 @@ import pickle
 import random
 import re
 import sys
+import time
 import types
 from functools import partial
 
@@ -914,6 +915,15 @@ class TestPreorder:
     def test_oriented(self):
         # Expansion is not reduction: y does not reduce to (\x. x) y.
         assert not preorder_leq(parse("y"), parse("(\\x. x) y"), depth=20)
+
+    def test_inequivalent_terms_are_refuted_at_once(self):
+        # Sixteen independent redexes put 2^16 terms in reach, but no term
+        # beta-eta equivalent to this one is g: comparing normal forms
+        # answers without the search.
+        t = parse("f " + " ".join(f"((\\x. x) a{i})" for i in range(1, 17)))
+        start = time.perf_counter()
+        assert not preorder_leq(t, parse("g"))
+        assert time.perf_counter() - start < 0.05
 
     def test_depth_bound(self):
         t = parse("(\\x. x) ((\\x. x) y)")

@@ -15,7 +15,6 @@ from modlam import lam
 from modlam.cli import EXIT_FUEL, run
 from modlam.errors import MalformedTermError
 from modlam.fuel import DepthLimit, Fuel, FuelExhausted, ReductionCycle
-from modlam.harness import sampled_law
 from modlam.lam import (
     MAX_DEPTH,
     NF,
@@ -40,6 +39,8 @@ from modlam.lam import (
 )
 from modlam.terms import Bound, Free, bvar, fvar
 from modlam.typed import BASE, TAbs, gen_typed_term, parse_stlc, stlc_normalize
+
+from one_off_law import sampled_law
 
 
 def reference_normalize(t, budget: Fuel):

@@ -21,7 +21,7 @@ DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 # A law checker runs only where a suite asks for it.
 CHECKERS = {
-    "_sweep", "sampled_law", "check_monad_laws", "check_module_laws",
+    "_sweep", "check_monad_laws", "check_module_laws",
     "check_linearity", "check_monad_morphism", "algebra_check",
 }
 # The normal-form, loose-bound and height marks and the type and sort slots
